@@ -7,6 +7,7 @@ the collapse one deleted pinch at a time.
 """
 from raagbraid import (
     Coloring,
+    GroupWord,
     SimpleGraph,
     build_context,
     counterexample_report,

@@ -150,7 +150,7 @@ def cmd_verify(args) -> int:
         path_threshold=args.path_threshold,
         halo=halo,
     )
-    _emit(args, report.to_json_dict(), text=report.to_text())
+    _emit(args, report.to_json_dict(include_timings=args.timings), text=report.to_text())
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -215,6 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-len", type=int, default=4, dest="max_len")
     p_verify.add_argument("--samples", type=int, default=500)
     p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument(
+        "--timings", action="store_true",
+        help="include each check's wall seconds in the JSON output (not byte-stable)",
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

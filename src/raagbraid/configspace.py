@@ -11,6 +11,7 @@ edge-forgetting map are evaluated algebraically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -158,6 +159,11 @@ class ConfigEdgePath:
         return configs
 
     def final(self) -> Configuration:
+        """The configuration after the last step, replayed once per path."""
+        return self._final
+
+    @cached_property
+    def _final(self) -> Configuration:
         return self.configurations()[-1]
 
     @property
@@ -211,11 +217,23 @@ def artin_basepoint(h: Halo) -> Configuration:
 def artin_loop_path(h: Halo, n: int, delta_vertex: str, power: int) -> ConfigEdgePath:
     """The closed path at the basepoint configuration in which the token of
     the vertex's color traverses its loop |power| times (reversed direction
-    for negative power) while all other tokens rest."""
+    for negative power) while all other tokens rest.
+
+    Checks first that the halo graph is sufficiently subdivided for n
+    strands; see ``artin_loop_path_unchecked`` for the path itself."""
     if not is_sufficiently_subdivided(h.gamma, n).ok:
         raise InsufficientSubdivisionError(
             f"halo graph is not sufficiently subdivided for {n} strands"
         )
+    return artin_loop_path_unchecked(h, n, delta_vertex, power)
+
+
+def artin_loop_path_unchecked(
+    h: Halo, n: int, delta_vertex: str, power: int
+) -> ConfigEdgePath:
+    """``artin_loop_path`` without the subdivision check, for callers that
+    have already run it on ``h.gamma`` (at either threshold: "alt" is the
+    stricter one). Every step is still validated by ``edge_path``."""
     base = artin_basepoint(h)
     if base.n != n:
         raise GraphFormatError(
@@ -234,7 +252,11 @@ def artin_loop_path(h: Halo, n: int, delta_vertex: str, power: int) -> ConfigEdg
 
 
 def concat_paths(p: ConfigEdgePath, q: ConfigEdgePath) -> ConfigEdgePath:
-    """Compose two loops based at the same configuration."""
+    """Compose two loops based at the same configuration.
+
+    Checks that both paths are closed at one shared base. Each path replays
+    its configurations at most once (``final`` is cached); the steps
+    themselves are validated where the paths were built, by ``edge_path``."""
     if not p.is_closed:
         raise BaseMismatchError("left path is not closed at its base")
     if not q.is_closed:

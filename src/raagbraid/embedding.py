@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from .configspace import (
     ConfigEdgePath,
     artin_basepoint,
-    artin_loop_path,
-    concat_paths,
+    artin_loop_path_unchecked,
 )
-from .errors import InputError, UnknownVertexError, VerificationError
+from .errors import BaseMismatchError, InputError, UnknownVertexError, VerificationError
 from .graphs import Coloring, SimpleGraph, is_planar, is_sufficiently_subdivided
 from .halo import Halo, build_halo, subdivided_halo, verify_halo
 from .raag import (
@@ -79,10 +78,23 @@ class EmbeddingContext:
             raise UnknownVertexError(f"{edge} is not an edge of the halo graph") from None
 
     def loop_path(self, delta_vertex: str, power: int) -> ConfigEdgePath:
+        """The generator's loop at ``self.base``, built and validated once.
+
+        The subdivision check ran in ``__init__``; ``edge_path`` validates
+        every step, and the loop is checked to close at ``self.base``
+        before it is cached."""
         key = (delta_vertex, power)
-        if key not in self._loop_paths:
-            self._loop_paths[key] = artin_loop_path(self.halo, self.n, delta_vertex, power)
-        return self._loop_paths[key]
+        path = self._loop_paths.get(key)
+        if path is None:
+            if not self.delta.has_vertex(delta_vertex):
+                raise UnknownVertexError(f"unknown source generator {delta_vertex!r}")
+            path = artin_loop_path_unchecked(self.halo, self.n, delta_vertex, power)
+            if path.base != self.base or not path.is_closed:
+                raise BaseMismatchError(
+                    f"loop of {delta_vertex!r} is not closed at the basepoint"
+                )
+            self._loop_paths[key] = path
+        return path
 
     def letter_image(self, delta_vertex: str, sign: int, squared: bool) -> tuple[Letter, ...]:
         """Image in the edge group of one signed source letter."""
@@ -131,22 +143,30 @@ def phi(path: ConfigEdgePath, ctx: EmbeddingContext) -> GroupWord:
 
 def psi(w: GroupWord, ctx: EmbeddingContext, squared: bool = True) -> ConfigEdgePath:
     """Realize a source word as a based loop: each letter contributes a
-    single or doubled traversal of its generator's loop."""
-    path = ConfigEdgePath(base=ctx.base, steps=())
+    single or doubled traversal of its generator's loop.
+
+    The letters' loops come from ``ctx.loop_path``, which validates each one
+    once (legal steps, closed at ``ctx.base``), so their concatenation is a
+    legal loop at ``ctx.base`` and is not replayed here."""
     factor = 2 if squared else 1
+    steps = []
     for gen, sign in w.letters:
-        if not ctx.delta.has_vertex(gen):
-            raise UnknownVertexError(f"unknown source generator {gen!r}")
-        path = concat_paths(path, ctx.loop_path(gen, factor * sign))
-    return path
+        steps.extend(ctx.loop_path(gen, factor * sign).steps)
+    return ConfigEdgePath(base=ctx.base, steps=tuple(steps))
 
 
 def phi_psi(w: GroupWord, ctx: EmbeddingContext, squared: bool = True) -> GroupWord:
-    """The composite: source word to edge-group word."""
-    return phi(psi(w, ctx, squared), ctx)
+    """The composite: source word to edge-group word, equal to
+    ``phi(psi(w, ctx, squared), ctx)``.
+
+    Concatenates the cached letter images (``ctx.letter_image``), so the
+    cost is linear in the image length. Each image is validated once, when
+    ``ctx.loop_path`` first builds its loop."""
+    return GroupWord(tuple(_image_letters(ctx, w.letters, squared)))
 
 
 def _image_letters(ctx: EmbeddingContext, letters, squared: bool) -> list[Letter]:
+    """``phi_psi`` on bare letters, for the injectivity check's inner loop."""
     img: list[Letter] = []
     for gen, sign in letters:
         img.extend(ctx.letter_image(gen, sign, squared))

@@ -517,6 +517,8 @@ def graph_from_json_dict(data) -> SimpleGraph:
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise GraphFormatError(f"edge entries must be pairs, got {e!r}")
+        if not all(isinstance(x, str) for x in e):
+            raise GraphFormatError(f"edge endpoints must be strings, got {e!r}")
         parsed_edges.append((e[0], e[1]))
     return SimpleGraph.make(vertices, parsed_edges)
 

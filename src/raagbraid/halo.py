@@ -388,6 +388,11 @@ def halo_from_json_dict(data) -> Halo:
     loops = data["loops"]
     if not isinstance(loops, dict):
         raise GraphFormatError("halo 'loops' must be an object")
+    for a, loop in loops.items():
+        if not isinstance(loop, (list, tuple)):
+            raise GraphFormatError(f"loop of {a!r} must be an array, got {loop!r}")
+    if not isinstance(data["basepoints"], dict):
+        raise GraphFormatError("halo 'basepoints' must be an object")
     basepoints = {}
     for c, v in data["basepoints"].items():
         try:

@@ -17,7 +17,7 @@ from networkx.generators.atlas import graph_atlas_g
 from raagbraid import SimpleGraph
 
 
-# --- configuration-space counts ---------------------------------------------
+# --- configuration-space counts and paths -----------------------------------
 
 
 def brute_force_udc_counts(g: SimpleGraph, n: int) -> tuple[int, int]:
@@ -47,6 +47,41 @@ def brute_force_udc_counts(g: SimpleGraph, n: int) -> tuple[int, int]:
         elif edges == 1:
             one += 1
     return zero, one
+
+
+def replay_psi(halo, letters, squared: bool):
+    """Walk a source word through the halo one token move at a time.
+
+    Each letter moves the token of its generator's colour once (twice when
+    ``squared``) around the generator's loop, reversed for an inverse
+    letter. Every move is checked against the halo's edges and an occupancy
+    set kept here, and every token must be back on its basepoint at the end.
+    Returns the moves as (edge, source) pairs and the edge word: one letter
+    ``"u|v"`` per crossed edge u < v, signed +1 when the token leaves u.
+    """
+    edges = set(halo.gamma.edges)
+    loops = dict(halo.artin_loops)
+    basepoint_of = dict(halo.basepoints)
+    colors = dict(halo.coloring.assignment)
+    home = set(basepoint_of.values())
+    occupied = set(home)
+    moves, image = [], []
+    for gen, sign in letters:
+        loop = loops[gen]
+        assert loop[0] == loop[-1] == basepoint_of[colors[gen]]
+        walk = loop if sign > 0 else loop[::-1]
+        for _ in range((2 if squared else 1) * abs(sign)):
+            for s, t in zip(walk, walk[1:]):
+                edge = (s, t) if s < t else (t, s)
+                assert edge in edges, f"{edge} is not a halo edge"
+                assert s in occupied, f"no token at {s}"
+                assert t not in occupied, f"{t} is occupied"
+                occupied.remove(s)
+                occupied.add(t)
+                moves.append((edge, s))
+                image.append((f"{edge[0]}|{edge[1]}", 1 if s == edge[0] else -1))
+    assert occupied == home, "the walk does not close at the basepoints"
+    return moves, image
 
 
 # --- word problem ------------------------------------------------------------

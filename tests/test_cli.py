@@ -213,6 +213,17 @@ class TestVerify:
         _, second, _ = run(capsys, argv)
         assert first == second
 
+    def test_timings_only_with_flag(self, tmp_path, capsys, figure_delta):
+        path = write_graph(tmp_path, figure_delta)
+        argv = ["verify", "--input", path, "--max-len", "1", "--samples", "5"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert all("seconds" not in c for c in json.loads(out)["checks"])
+        code, out, _ = run(capsys, argv + ["--timings"])
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert checks and all(isinstance(c["seconds"], float) for c in checks)
+
     def test_text_format(self, tmp_path, capsys, figure_delta):
         path = write_graph(tmp_path, figure_delta)
         code, out, _ = run(
@@ -224,6 +235,34 @@ class TestVerify:
         )
         assert code == 0
         assert "overall: pass" in out
+
+
+class TestMalformedInput:
+    """Wrongly typed JSON values exit 2 with an error line, never a traceback."""
+
+    def run_json(self, tmp_path, capsys, command, data):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, [command, "--input", str(path)])
+        assert code == 2
+        assert err.startswith("error:")
+
+    def halo_data(self, figure_delta, figure_coloring):
+        return halo_to_json_dict(build_halo(figure_delta, figure_coloring))
+
+    def test_non_string_edge_endpoint(self, tmp_path, capsys):
+        data = {"vertices": ["a", "b"], "edges": [["a", ["b"]]]}
+        self.run_json(tmp_path, capsys, "color", data)
+
+    def test_basepoints_as_list(self, tmp_path, capsys, figure_delta, figure_coloring):
+        data = self.halo_data(figure_delta, figure_coloring)
+        data["basepoints"] = list(data["basepoints"].values())
+        self.run_json(tmp_path, capsys, "verify", data)
+
+    def test_loop_as_integer(self, tmp_path, capsys, figure_delta, figure_coloring):
+        data = self.halo_data(figure_delta, figure_coloring)
+        data["loops"]["a"] = 7
+        self.run_json(tmp_path, capsys, "verify", data)
 
 
 def test_console_script_help():

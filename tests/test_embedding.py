@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from raagbraid import (
@@ -16,6 +18,7 @@ from raagbraid import (
     counterexample_report,
     counterexample_roles,
     counterexample_word,
+    edge_path,
     injectivity_spot_check,
     is_trivial,
     phi,
@@ -24,9 +27,16 @@ from raagbraid import (
     psi,
     verify_suite,
 )
+from raagbraid import configspace, embedding, graphs
 from raagbraid.embedding import edge_generator_name
 
-from oracles import atlas_connected, cycle_graph
+from oracles import (
+    atlas_connected,
+    complete_graph,
+    cycle_graph,
+    petersen_graph,
+    replay_psi,
+)
 
 W = GroupWord.parse
 
@@ -154,6 +164,91 @@ class TestPhiPsi:
         assert all(sums[g] != 0 for g in support_c)
         support_a = {g for g, _ in ctx.letter_image("a", 1, True)}
         assert all(sums[g] == 0 for g in support_a)
+
+
+def _oracle_graphs():
+    figure = SimpleGraph.make(["a", "b", "c"], [("a", "c")])
+    return {
+        "figure": (figure, Coloring.make(figure, {"a": 1, "b": 2, "c": 3})),
+        "c6": (cycle_graph(6), None),
+        "k5": (complete_graph(5), None),
+        "petersen": (petersen_graph(), None),
+    }
+
+
+@pytest.fixture(scope="module", params=sorted(_oracle_graphs()))
+def oracle_case(request):
+    """A context and seeded random words (with inverse letters and free
+    cancellations) over one graph of the oracle corpus."""
+    g, coloring = _oracle_graphs()[request.param]
+    ctx = build_context(g, coloring or chromatic_number(g))
+    rng = random.Random(request.param)
+    words = [W("")] + [
+        GroupWord(
+            tuple(
+                (rng.choice(g.vertices), rng.choice((1, -1)))
+                for _ in range(rng.randint(1, 12))
+            )
+        )
+        for _ in range(6)
+    ]
+    return ctx, words
+
+
+class TestPsiOracle:
+    """phi_psi, psi and phi against a replay of the token moves that keeps
+    its own occupancy set."""
+
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_phi_psi_matches_replay(self, oracle_case, squared):
+        ctx, words = oracle_case
+        for w in words:
+            _, image = replay_psi(ctx.halo, w.letters, squared)
+            assert list(phi_psi(w, ctx, squared).letters) == image
+
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_phi_of_psi_matches_replay(self, oracle_case, squared):
+        ctx, words = oracle_case
+        for w in words:
+            moves, image = replay_psi(ctx.halo, w.letters, squared)
+            path = psi(w, ctx, squared)
+            assert path.base == ctx.base
+            assert [(step.edge, step.source) for step in path.steps] == moves
+            assert list(phi(path, ctx).letters) == image
+
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_psi_moves_pass_edge_path(self, oracle_case, squared):
+        ctx, words = oracle_case
+        for w in words:
+            path = psi(w, ctx, squared)
+            moves = [(step.edge, step.source) for step in path.steps]
+            assert edge_path(ctx.halo.gamma, ctx.base, moves) == path
+
+
+class TestSubdivisionChecks:
+    def test_check_count_independent_of_vertex_count(self, monkeypatch):
+        """The subdivision check runs while the halo is subdivided and once
+        in the context, not once per generator loop."""
+        calls = []
+        original = graphs.is_sufficiently_subdivided
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (graphs, configspace, embedding):
+            if getattr(module, "is_sufficiently_subdivided", None) is original:
+                monkeypatch.setattr(module, "is_sufficiently_subdivided", counted)
+        counts = []
+        for size in (4, 6, 8, 10, 12):
+            g = cycle_graph(size)
+            coloring = chromatic_number(g)
+            calls.clear()
+            ctx = build_context(g, coloring)
+            assert check_homomorphism(ctx).ok
+            counts.append(len(calls))
+            assert len(calls) <= coloring.color_count + 3
+        assert len(set(counts)) == 1
 
 
 class TestCheckHomomorphism:
