@@ -26,7 +26,7 @@ print("strands needed:", coloring.color_count)
 
 ctx = build_context(hexagon, coloring)
 print("halo planar:", is_planar(ctx.halo.gamma))
-print("edge-group generators:", ctx.delta_gamma.n_vertices)
+print("edge-group generators:", len(ctx.a_gamma.generators))
 
 w = GroupWord.parse("a1 a2 a1^-1 a2^-1")  # adjacent, so this commutator dies
 image = phi_psi(w, ctx)

@@ -69,6 +69,11 @@ class SimpleGraph:
             adj[v].add(u)
         return {v: frozenset(ns) for v, ns in adj.items()}
 
+    @cached_property
+    def _subdivision_reports(self) -> dict[tuple[int, str], "SubdivisionReport"]:
+        # is_sufficiently_subdivided's memo, keyed by (n, path_threshold)
+        return {}
+
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
@@ -131,9 +136,9 @@ class Coloring:
         extra = sorted(set(mapping) - set(graph.vertices))
         if extra:
             raise UnknownVertexError(f"colored vertices not in the graph: {extra}")
-        colors = set(mapping.values())
-        if not all(isinstance(c, int) and c >= 1 for c in colors):
+        if not all(isinstance(c, int) and c >= 1 for c in mapping.values()):
             raise ImproperColoringError("colors must be integers >= 1")
+        colors = set(mapping.values())
         n = max(colors, default=0)
         if colors != set(range(1, n + 1)):
             raise ImproperColoringError(
@@ -160,12 +165,12 @@ class Coloring:
         Coloring.make(graph, self.as_dict)
 
     def to_json_dict(self) -> dict:
-        return {"colors": self.color_count, "assignment": self.as_dict}
+        return {"colors": self.color_count, "assignment": dict(self.assignment)}
 
 
 def coloring_from_json_dict(graph: SimpleGraph, data) -> Coloring:
-    if not isinstance(data, dict) or "assignment" not in data:
-        raise GraphFormatError("coloring JSON must be an object with an 'assignment' key")
+    if not isinstance(data, dict) or not isinstance(data.get("assignment"), dict):
+        raise GraphFormatError("coloring JSON must be an object with an 'assignment' object")
     return Coloring.make(graph, data["assignment"])
 
 
@@ -415,8 +420,17 @@ def is_sufficiently_subdivided(
     Requires every arc between two distinct essential vertices (interior
     free of essential vertices) to have at least ``path_required`` edges and
     every simple cycle to have at least ``n + 1`` edges. The report lists
-    every violating arc and cycle.
+    every violating arc and cycle. It is computed once per graph instance
+    and (n, path_threshold), and reused on later calls.
     """
+    key = (n, path_threshold)
+    report = g._subdivision_reports.get(key)
+    if report is None:
+        report = g._subdivision_reports[key] = _subdivision_report(g, n, path_threshold)
+    return report
+
+
+def _subdivision_report(g: SimpleGraph, n: int, path_threshold: str) -> SubdivisionReport:
     if n < 1:
         raise GraphFormatError(f"strand count must be >= 1, got {n}")
     path_required = _path_required(n, path_threshold)
@@ -469,18 +483,27 @@ def subdivide_uniform(g: SimpleGraph, k: int) -> tuple[SimpleGraph, dict[Edge, t
     return SimpleGraph.make(vertices, edges), chains
 
 
+def minimal_subdivision(
+    g: SimpleGraph, n: int, path_threshold: str = "paper"
+) -> tuple[int, SimpleGraph, dict[Edge, tuple[str, ...]]]:
+    """Smallest uniform factor whose subdivision passes the checker, with
+    that subdivision and its chains (as ``subdivide_uniform``). The returned
+    graph is the instance that was checked, so its report is memoised."""
+    for k in range(1, n + 3):
+        candidate, chains = subdivide_uniform(g, k)
+        if is_sufficiently_subdivided(candidate, n, path_threshold).ok:
+            return k, candidate, chains
+    raise GraphFormatError("no subdivision factor found")  # pragma: no cover
+
+
 def subdivision_factor(g: SimpleGraph, n: int, path_threshold: str = "paper") -> int:
     """Smallest uniform factor whose subdivision passes the checker."""
-    for k in range(1, n + 3):
-        candidate, _ = subdivide_uniform(g, k)
-        if is_sufficiently_subdivided(candidate, n, path_threshold).ok:
-            return k
-    raise GraphFormatError("no subdivision factor found")  # pragma: no cover
+    return minimal_subdivision(g, n, path_threshold)[0]
 
 
 def subdivide_for(g: SimpleGraph, n: int, path_threshold: str = "paper") -> SimpleGraph:
     """Minimal uniform subdivision passing is_sufficiently_subdivided for n."""
-    return subdivide_uniform(g, subdivision_factor(g, n, path_threshold))[0]
+    return minimal_subdivision(g, n, path_threshold)[1]
 
 
 def is_planar(g: SimpleGraph, max_vertices: int = 64) -> bool:

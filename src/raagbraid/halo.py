@@ -29,9 +29,8 @@ from .graphs import (
     coloring_from_json_dict,
     graph_from_json_dict,
     graph_to_json_dict,
+    minimal_subdivision,
     normalize_edge,
-    subdivide_uniform,
-    subdivision_factor,
 )
 
 # stable axiom identifiers used in verification reports
@@ -338,13 +337,13 @@ def verify_halo(h: Halo) -> HaloReport:
 def subdivided_halo(h: Halo, n: int, path_threshold: str = "paper") -> Halo:
     """Uniformly subdivide the halo graph until it suffices for n strands,
     re-threading every loop through the fresh vertices. Basepoints and
-    original vertices keep their names."""
+    original vertices keep their names. The new halo's graph is the one the
+    subdivision check accepted, so that check is not run again on it."""
     if n != h.coloring.color_count:
         raise GraphFormatError(
             f"strand count {n} must equal the color count {h.coloring.color_count}"
         )
-    k = subdivision_factor(h.gamma, n, path_threshold)
-    gamma2, chains = subdivide_uniform(h.gamma, k)
+    _, gamma2, chains = minimal_subdivision(h.gamma, n, path_threshold)
     new_loops = []
     for a, loop in h.artin_loops:
         threaded = [loop[0]]
@@ -389,12 +388,14 @@ def halo_from_json_dict(data) -> Halo:
     if not isinstance(loops, dict):
         raise GraphFormatError("halo 'loops' must be an object")
     for a, loop in loops.items():
-        if not isinstance(loop, (list, tuple)):
-            raise GraphFormatError(f"loop of {a!r} must be an array, got {loop!r}")
+        if not isinstance(loop, (list, tuple)) or not all(isinstance(v, str) for v in loop):
+            raise GraphFormatError(f"loop of {a!r} must be an array of vertex names, got {loop!r}")
     if not isinstance(data["basepoints"], dict):
         raise GraphFormatError("halo 'basepoints' must be an object")
     basepoints = {}
     for c, v in data["basepoints"].items():
+        if not isinstance(v, str):
+            raise GraphFormatError(f"basepoint of color {c!r} must be a vertex name, got {v!r}")
         try:
             basepoints[int(c)] = v
         except ValueError:

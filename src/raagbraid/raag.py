@@ -1,22 +1,23 @@
 """Partially commutative (right-angled Artin) presentations and their words.
 
 A presentation is a finite simple graph: vertices are generators and two
-generators commute exactly when they are adjacent. ``raag_reduce`` solves the
-word problem with the stack ("piling") normal form: every generator keeps a
-pile, a pushed letter either cancels against the matching inverse on top of
-its own pile or lands there and drops a blocker on the pile of every
-non-commuting generator. Cancellation is legal exactly when no blocker
-separates the pair, which is the same condition as deleting a letter pair
-x ... x^-1 whose intervening letters all commute with x. Reading the piles
-back bottom-up, always taking the smallest available generator, yields a
-geodesic spelling that is identical for all words representing the same
-element.
+generators commute exactly when they are adjacent. It can equally be given by
+the complementary relation, the pairs that do not commute, which is all the
+reduction reads. ``raag_reduce`` solves the word problem with the stack
+("piling") normal form: every generator keeps a pile, a pushed letter either
+cancels against the matching inverse on top of its own pile or lands there
+and drops a blocker on the pile of every non-commuting generator.
+Cancellation is legal exactly when no blocker separates the pair, which is
+the same condition as deleting a letter pair x ... x^-1 whose intervening
+letters all commute with x. Reading the piles back bottom-up, always taking
+the smallest available generator, yields a geodesic spelling that is
+identical for all words representing the same element.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnknownVertexError, WordFormatError
+from .errors import GraphFormatError, UnknownVertexError, WordFormatError
 from .graphs import SimpleGraph
 
 Letter = tuple[str, int]
@@ -78,26 +79,60 @@ class GroupWord:
 
 
 class RaagPresentation:
-    """Generators and commutation relations read off a simple graph."""
+    """Generators and, per generator, the generators it does not commute with.
+
+    ``RaagPresentation(graph)`` reads a commutation graph: two distinct
+    generators commute exactly when they are adjacent, and ``graph`` stays
+    available as the attribute of that name. ``from_noncommuting`` takes the
+    complementary relation instead, which is the sparse side for groups where
+    most pairs commute (the edge group of a halo). Both keep one form, the
+    sorted generators and their blockers, which is all the piling reduction,
+    ``commute`` and ``link`` read.
+    """
 
     def __init__(self, graph: SimpleGraph):
-        self.graph = graph
-        self.generators = graph.vertices
-        self._index = {g: i for i, g in enumerate(self.generators)}
+        adj = graph.adjacency
+        gens = graph.vertices
+        self.graph: SimpleGraph | None = graph
+        self._set_blockers(
+            gens,
+            (
+                (g, h)
+                for i, g in enumerate(gens)
+                for h in gens[i + 1 :]
+                if h not in adj[g]
+            ),
+        )
+
+    @classmethod
+    def from_noncommuting(cls, generators, pairs) -> "RaagPresentation":
+        """The group on ``generators`` in which two distinct generators
+        commute unless they form one of ``pairs``; ``graph`` is None."""
+        p = cls.__new__(cls)
+        p.graph = None
+        p._set_blockers(tuple(sorted(set(generators))), pairs)
+        return p
+
+    def _set_blockers(self, generators: tuple[str, ...], pairs) -> None:
+        self.generators = generators
+        self._index = {g: i for i, g in enumerate(generators)}
         # blockers[i] = indices of the generators that do NOT commute with i,
         # excluding i itself
-        adj = graph.adjacency
+        blockers: list[set[int]] = [set() for _ in generators]
+        for a, b in pairs:
+            i, j = self.index_of(a), self.index_of(b)
+            if i == j:
+                raise GraphFormatError(f"self-pair at {a!r} in the non-commutation relation")
+            blockers[i].add(j)
+            blockers[j].add(i)
         self._blockers: tuple[tuple[int, ...], ...] = tuple(
-            tuple(
-                j
-                for j, h in enumerate(self.generators)
-                if j != i and h not in adj[g]
-            )
-            for i, g in enumerate(self.generators)
+            tuple(sorted(b)) for b in blockers
         )
 
     def __repr__(self) -> str:
-        return f"RaagPresentation({len(self.generators)} generators, {self.graph.n_edges} relations)"
+        k = len(self.generators)
+        noncommuting = sum(len(b) for b in self._blockers) // 2
+        return f"RaagPresentation({k} generators, {k * (k - 1) // 2 - noncommuting} relations)"
 
     def index_of(self, gen: str) -> int:
         try:
@@ -106,13 +141,17 @@ class RaagPresentation:
             raise UnknownVertexError(f"unknown generator {gen!r}") from None
 
     def commute(self, a: str, b: str) -> bool:
-        self.index_of(a)
-        return self.graph.has_edge(a, b)
+        """Whether the distinct generators a and b commute (False for a == b,
+        as a graph has no loops)."""
+        i, j = self.index_of(a), self.index_of(b)
+        return i != j and j not in self._blockers[i]
 
     def link(self, v: str) -> frozenset[str]:
-        if v not in self._index:
-            raise UnknownVertexError(f"unknown generator {v!r}")
-        return self.graph.adjacency[v]
+        """The generators other than v that commute with v."""
+        i = self.index_of(v)
+        blocked = set(self._blockers[i])
+        blocked.add(i)
+        return frozenset(g for j, g in enumerate(self.generators) if j not in blocked)
 
     def _pile(self, letters) -> tuple[list[list[int]], int]:
         piles: list[list[int]] = [[] for _ in self.generators]

@@ -84,6 +84,12 @@ def replay_psi(halo, letters, squared: bool):
     return moves, image
 
 
+def edges_commute(e, f) -> bool:
+    """Two halo edges, given as endpoint tuples, commute in the edge group
+    exactly when their closures (the edge with its endpoints) are disjoint."""
+    return not set(e) & set(f)
+
+
 # --- word problem ------------------------------------------------------------
 
 

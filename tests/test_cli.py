@@ -1,8 +1,17 @@
+import copy
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raagbraid import (
+    Coloring,
+    SimpleGraph,
     build_halo,
     chromatic_number,
     graph_to_json_dict,
@@ -263,6 +272,100 @@ class TestMalformedInput:
         data = self.halo_data(figure_delta, figure_coloring)
         data["loops"]["a"] = 7
         self.run_json(tmp_path, capsys, "verify", data)
+
+    def test_unhashable_loop_entry(self, tmp_path, capsys, figure_delta, figure_coloring):
+        data = self.halo_data(figure_delta, figure_coloring)
+        data["loops"]["a"][1] = ["x"]
+        self.run_json(tmp_path, capsys, "verify", data)
+
+    def test_unhashable_basepoint(self, tmp_path, capsys, figure_delta, figure_coloring):
+        data = self.halo_data(figure_delta, figure_coloring)
+        data["basepoints"]["1"] = ["x"]
+        self.run_json(tmp_path, capsys, "verify", data)
+
+    def test_assignment_not_an_object(self, tmp_path, capsys, figure_delta, figure_coloring):
+        data = self.halo_data(figure_delta, figure_coloring)
+        data["coloring"]["assignment"] = 5
+        self.run_json(tmp_path, capsys, "verify", data)
+
+    def test_unhashable_color_is_improper(self, tmp_path, capsys, figure_delta, figure_coloring):
+        data = self.halo_data(figure_delta, figure_coloring)
+        data["coloring"]["assignment"]["a"] = [1]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, ["verify", "--input", str(path)])
+        assert code == 4
+        assert err.startswith("error:")
+
+
+def _json_paths(data, prefix=()):
+    """Key/index paths to every value nested in a JSON document."""
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.floats(-2, 4)
+    | st.text(alphabet="abcx_1~|", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(alphabet="abc123", max_size=2), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _retyped(draw, document):
+    """``document`` with one to three values replaced by values of another
+    JSON type."""
+    data = copy.deepcopy(document)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(data))))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        parent[path[-1]] = draw(_JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+    return data
+
+
+_FIGURE = SimpleGraph.make(["a", "b", "c"], [("a", "c")])
+_FIGURE_HALO = build_halo(_FIGURE, Coloring.make(_FIGURE, {"a": 1, "b": 2, "c": 3}))
+
+
+class TestMutatedInput:
+    """Valid graph and halo JSON with values of the wrong type: the CLI
+    answers with an exit code of its contract and never a traceback."""
+
+    COMMANDS = (["color"], ["verify", "--max-len", "1", "--samples", "0"])
+
+    def check(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(json.dumps(data))
+            for command in self.COMMANDS:
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    code = main([command[0], "--input", str(path), *command[1:]])
+                assert code in (0, 2, 3, 4), (command, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_retyped(graph_to_json_dict(_FIGURE)))
+    def test_graph_json(self, data):
+        self.check(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_retyped(halo_to_json_dict(_FIGURE_HALO)))
+    def test_halo_json(self, data):
+        self.check(data)
 
 
 def test_console_script_help():

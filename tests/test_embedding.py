@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -19,12 +20,16 @@ from raagbraid import (
     counterexample_roles,
     counterexample_word,
     edge_path,
+    greedy_color,
+    halo_from_json_dict,
+    halo_to_json_dict,
     injectivity_spot_check,
     is_trivial,
     phi,
     phi_psi,
     pinch_trace,
     psi,
+    subdivided_halo,
     verify_suite,
 )
 from raagbraid import configspace, embedding, graphs
@@ -34,7 +39,9 @@ from oracles import (
     atlas_connected,
     complete_graph,
     cycle_graph,
+    edges_commute,
     petersen_graph,
+    random_connected_graph,
     replay_psi,
 )
 
@@ -46,7 +53,7 @@ class TestBuildContext:
         ctx = figure_context
         assert ctx.n == 3
         # one edge-group generator per halo edge
-        assert ctx.delta_gamma.n_vertices == ctx.halo.gamma.n_edges
+        assert len(ctx.a_gamma.generators) == ctx.halo.gamma.n_edges
         for a in "abc":
             assert len(ctx.halo.loop_of(a)) - 1 >= 4
 
@@ -54,8 +61,9 @@ class TestBuildContext:
         delta = SimpleGraph.make(["a"])
         ctx = build_context(delta, chromatic_number(delta))
         # a triangle's edges pairwise share vertices, so nothing commutes
-        assert ctx.delta_gamma.n_vertices == 3
-        assert ctx.delta_gamma.n_edges == 0
+        gens = ctx.a_gamma.generators
+        assert len(gens) == 3
+        assert not any(ctx.a_gamma.commute(e, f) for e in gens for f in gens)
 
     def test_c6_context_planar(self, c6):
         ctx = build_context(c6, chromatic_number(c6))
@@ -225,6 +233,52 @@ class TestPsiOracle:
             assert edge_path(ctx.halo.gamma, ctx.base, moves) == path
 
 
+class TestEdgeRelationOracle:
+    """The edge group's relation against closures read off the halo's edges."""
+
+    def test_commute_on_all_pairs(self, oracle_case):
+        ctx, _ = oracle_case
+        edges = ctx.halo.gamma.edges
+        for e in edges:
+            for f in edges:
+                want = e != f and edges_commute(e, f)
+                assert ctx.a_gamma.commute(ctx.edge_generator(e), ctx.edge_generator(f)) == want
+
+    def test_link_of_every_edge(self, oracle_case):
+        ctx, _ = oracle_case
+        edges = ctx.halo.gamma.edges
+        for e in edges:
+            want = {edge_generator_name(f) for f in edges if f != e and edges_commute(e, f)}
+            assert ctx.a_gamma.link(ctx.edge_generator(e)) == want
+
+    def test_cross_pairs_against_closures(self, oracle_case):
+        ctx, _ = oracle_case
+        for r in check_homomorphism(ctx).relators:
+            a_moves, _ = replay_psi(ctx.halo, [(r.edge[0], 1)], True)
+            b_moves, _ = replay_psi(ctx.halo, [(r.edge[1], 1)], True)
+            want = all(
+                e != f and edges_commute(e, f) for e, _ in a_moves for f, _ in b_moves
+            )
+            assert r.cross_pairs_commute == want
+
+
+class TestContextMemory:
+    def test_rand30_context_peak(self):
+        """The edge group holds its O(edges x max degree) non-commuting
+        pairs, not the O(edges^2) commuting ones (about 529k pairs and
+        170 MB for this graph's 1,032 halo edges)."""
+        g = random_connected_graph(random.Random(30), 30, 15)
+        coloring = greedy_color(g)
+        tracemalloc.start()
+        try:
+            ctx = build_context(g, coloring)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ctx.halo.gamma.n_edges == 1032
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 class TestSubdivisionChecks:
     def test_check_count_independent_of_vertex_count(self, monkeypatch):
         """The subdivision check runs while the halo is subdivided and once
@@ -249,6 +303,55 @@ class TestSubdivisionChecks:
             counts.append(len(calls))
             assert len(calls) <= coloring.color_count + 3
         assert len(set(counts)) == 1
+
+
+class TestSubdivisionMemo:
+    """The subdivision check runs once on the graph it accepts: the halo
+    graph that subdivision accepted is reused, and its report memoised."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        graphs_checked = []
+        original = graphs._subdivision_report
+
+        def counted(g, *args):
+            graphs_checked.append(g)
+            return original(g, *args)
+
+        monkeypatch.setattr(graphs, "_subdivision_report", counted)
+        return graphs_checked
+
+    @staticmethod
+    def checks_of(accepted, graphs_checked) -> int:
+        assert any(g is accepted for g in graphs_checked)
+        return sum(g == accepted for g in graphs_checked)
+
+    @pytest.fixture
+    def k4(self):
+        # its halo needs subdividing for 4 strands
+        g = complete_graph(4)
+        return g, chromatic_number(g)
+
+    def test_build_context(self, checked, k4):
+        ctx = build_context(*k4)
+        assert self.checks_of(ctx.halo.gamma, checked) == 1
+
+    @pytest.mark.parametrize("subdivided", [False, True])
+    def test_context_from_halo(self, checked, k4, subdivided):
+        h = build_halo(*k4)
+        if subdivided:
+            # a fresh copy of a sufficient halo, as if read from a file
+            h = halo_from_json_dict(halo_to_json_dict(subdivided_halo(h, 4)))
+            checked.clear()
+        ctx = context_from_halo(h)
+        assert (ctx.halo is h) == subdivided
+        assert self.checks_of(ctx.halo.gamma, checked) == 1
+
+    def test_verify_suite(self, checked, k4):
+        accepted = subdivided_halo(build_halo(*k4), 4).gamma
+        checked.clear()
+        assert verify_suite(*k4, max_len=1, sample_count=0).passed
+        assert sum(g == accepted for g in checked) == 1
 
 
 class TestCheckHomomorphism:
@@ -295,6 +398,31 @@ class TestCheckHomomorphism:
         assert not report.ok
         bad = [r for r in report.relators if r.edge == ("a", "c")]
         assert bad and not bad[0].supports_disjoint
+
+    @pytest.mark.parametrize("shared", ["edge", "vertex"])
+    def test_cross_pairs_fail_on_shared_closure(self, figure_delta, figure_coloring, shared):
+        # reroute c's loop through an edge, or only a vertex, of a's loop
+        h = build_halo(figure_delta, figure_coloring)
+        loop_a = h.loop_of("a")
+        route = loop_a[1:3] if shared == "edge" else loop_a[1:2]
+        loop_c = ("x_3", *route, "p~c~9", "x_3")
+        gamma = SimpleGraph.make(
+            list(h.gamma.vertices) + ["p~c~9"],
+            list(h.gamma.edges) + list(zip(loop_c, loop_c[1:])),
+        )
+        corrupted = Halo(
+            gamma=gamma,
+            artin_loops=tuple(
+                (a, loop_c if a == "c" else loop) for a, loop in h.artin_loops
+            ),
+            basepoints=h.basepoints,
+            coloring=h.coloring,
+            delta=h.delta,
+        )
+        ctx = context_from_halo(corrupted, require_verified=False)
+        (bad,) = [r for r in check_homomorphism(ctx).relators if r.edge == ("a", "c")]
+        assert not bad.cross_pairs_commute
+        assert bad.supports_disjoint == (shared == "vertex")
 
     def test_corpus_homomorphism(self):
         from raagbraid import greedy_color

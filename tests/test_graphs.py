@@ -96,6 +96,13 @@ class TestColoring:
         with pytest.raises(ImproperColoringError):
             Coloring.make(g, {"a": 1})
 
+    def test_json_dict_is_a_copy(self):
+        g = SimpleGraph.make(["a", "b"], [("a", "b")])
+        coloring = Coloring.make(g, {"a": 1, "b": 2})
+        coloring.to_json_dict()["assignment"]["a"] = 2
+        assert coloring.color_of("a") == 1
+        coloring.validate_for(g)
+
 
 class TestGreedyColor:
     def test_single_vertex(self):
