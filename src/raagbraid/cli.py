@@ -77,17 +77,18 @@ def cmd_halo(args) -> int:
     built = halo_mod.build_halo(g, coloring)
     sub = halo_mod.subdivided_halo(built, coloring.color_count, args.path_threshold)
     report = halo_mod.verify_halo(sub)
+    planar = graphs.planarity(sub.gamma)
     payload = {
         "halo": halo_mod.halo_to_json_dict(sub),
         "report": report.to_json_dict(),
-        "planar": graphs.is_planar(sub.gamma),
+        "planar": planar,
         "path_threshold": args.path_threshold,
     }
     text = (
         f"loops: {len(sub.artin_loops)}\n"
         f"gamma vertices: {sub.gamma.n_vertices}\n"
         f"gamma edges: {sub.gamma.n_edges}\n"
-        f"planar: {str(payload['planar']).lower()}\n"
+        f"planar: {'unknown' if planar is None else str(planar).lower()}\n"
         f"verified: {str(report.ok).lower()}\n"
     )
     _emit(args, payload, text=text, dot=halo_mod.halo_to_dot(sub))

@@ -24,17 +24,28 @@ from .configspace import (
     artin_basepoint,
     artin_loop_path_unchecked,
 )
-from .errors import BaseMismatchError, InputError, UnknownVertexError, VerificationError
-from .graphs import Coloring, SimpleGraph, is_planar, is_sufficiently_subdivided
+from .errors import (
+    BaseMismatchError,
+    InputError,
+    SizeExceededError,
+    UnknownVertexError,
+    VerificationError,
+)
+from .graphs import Coloring, SimpleGraph, is_sufficiently_subdivided, planarity
 from .halo import Halo, build_halo, subdivided_halo, verify_halo
 from .raag import (
     GroupWord,
     RaagPresentation,
+    abelianization,
     detect_pinch,
     is_trivial,
 )
 
 Letter = tuple[str, int]
+
+#: most elements the injectivity check enumerates; the magnitude of
+#: ``build_udc``'s default cell budget
+ELEMENT_BUDGET = 1_000_000
 
 
 def edge_generator_name(edge: tuple[str, str]) -> str:
@@ -178,16 +189,6 @@ def _image_letters(ctx: EmbeddingContext, letters, squared: bool) -> list[Letter
     return img
 
 
-def _image_is_trivial(ctx: EmbeddingContext, letters, squared: bool) -> bool:
-    img = _image_letters(ctx, letters, squared)
-    sums: dict[str, int] = {}
-    for g, s in img:
-        sums[g] = sums.get(g, 0) + s
-    if any(sums.values()):
-        return False  # nonzero exponent sum is already conclusive
-    return ctx.a_gamma.is_trivial_letters(img)
-
-
 # --- verification suites ---------------------------------------------------
 
 
@@ -283,30 +284,109 @@ class InjectivityReport:
         }
 
 
-def _nontrivial_elements(p: RaagPresentation, max_len: int):
-    """Canonical spellings of every nontrivial element of geodesic length at
-    most max_len, enumerated over free-reduced words."""
-    signed = [(g, s) for g in p.generators for s in (1, -1)]
-    out: set[tuple[Letter, ...]] = set()
-    word: list[Letter] = []
+def _check_element_budget(p: RaagPresentation, max_len: int) -> None:
+    """Raise before enumerating more than ELEMENT_BUDGET elements: their
+    number is predicted from the growth series, length by length."""
+    total = -1  # the identity is not enumerated
+    for length, size in enumerate(p.sphere_sizes(max_len)):
+        total += size
+        if total > ELEMENT_BUDGET:
+            raise SizeExceededError(
+                f"{total} nontrivial elements of length at most {length} to enumerate, "
+                f"over the budget of {ELEMENT_BUDGET}"
+            )
 
-    def rec():
-        if word:
-            reduced = p.reduce_letters(word)
-            if reduced:
-                out.add(reduced)
-        if len(word) == max_len:
-            return
-        last = word[-1] if word else None
-        for letter in signed:
-            if last is not None and letter[0] == last[0] and letter[1] == -last[1]:
-                continue
-            word.append(letter)
-            rec()
-            word.pop()
 
-    rec()
-    return sorted(out)
+def _signed_letters(p: RaagPresentation) -> list[Letter]:
+    """Each generator then its inverse: letter code 2i is generator i, so
+    code >> 1 is the generator and code ^ 1 the inverse letter."""
+    return [(g, s) for g in p.generators for s in (1, -1)]
+
+
+def _pack(per_letter: list[dict[str, int]], p: RaagPresentation, max_len: int) -> list[int]:
+    """Each letter's exponent sums d_g over the generators of ``p`` packed
+    into one integer sum_g d_g * base**index(g), so that a word's packed
+    sums are the sum over its letters.
+
+    ``base`` exceeds the size of any exponent sum a word of at most
+    ``max_len`` letters can reach, so the packed sums of such a word are 0
+    exactly when all its exponent sums vanish: at the least index with
+    d_g != 0, base would have to divide d_g.
+    """
+    largest = max((abs(d) for sums in per_letter for d in sums.values()), default=0)
+    base = max_len * largest + 1
+    return [
+        sum(d * base ** p.index_of(g) for g, d in sums.items() if d) for sums in per_letter
+    ]
+
+
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _nontrivial_elements(p: RaagPresentation, max_len: int, packed: list[int]):
+    """Count the nontrivial elements of geodesic length at most max_len and
+    return the spellings of those whose image exponent sums all vanish.
+
+    The search runs depth first over the spellings ``p.reduce_letters``
+    gives, the geodesics least in generator order, and visits each element
+    once. Sets of letter codes (see ``_signed_letters``) are bit masks. A
+    letter extends a spelling unless a backward scan over the suffix of
+    letters commuting with it meets its inverse (the word would not be
+    geodesic) or a larger generator (the spelling would not be the least).
+    So after a letter x of generator g, the extending letters are those of
+    generators not commuting with g, except x's inverse, and those of larger
+    generators commuting with g that extended the word before x.
+    ``packed`` holds each code's packed image exponent sums (``_pack``);
+    the running sum is carried down the search.
+    """
+    signed = _signed_letters(p)
+    k = len(p.generators)
+    by_gen = [0b11 << 2 * i for i in range(k)]
+    later = []  # per generator: codes of the larger commuting generators
+    blocking = []  # per generator: codes of itself and the non-commuting ones
+    for i, g in enumerate(p.generators):
+        link = {p.index_of(h) for h in p.link(g)}
+        later.append(sum(by_gen[j] for j in link if j > i))
+        blocking.append(sum(by_gen[j] for j in range(k) if j not in link))
+    follow = [blocking[code >> 1] & ~(1 << (code ^ 1)) for code in range(2 * k)]
+    cancelling: dict[int, int] = {}  # packed sums -> codes whose image has them
+    for code, sums in enumerate(packed):
+        cancelling[sums] = cancelling.get(sums, 0) | 1 << code
+    word: list[int] = []
+    count = 0
+    zero_sum: list[tuple[Letter, ...]] = []
+    # one frame per letter of the word and one for the empty word: the
+    # letters extending it, its running sums, the extensions not yet entered
+    stack: list[list[int]] = []
+
+    def enter(allowed: int, sums: int) -> None:
+        nonlocal count
+        count += allowed.bit_count()
+        for code in _bits(allowed & cancelling.get(-sums, 0)):
+            zero_sum.append(tuple(signed[c] for c in word) + (signed[code],))
+        stack.append([allowed, sums, allowed if len(word) + 1 < max_len else 0])
+
+    if max_len > 0:
+        enter((1 << 2 * k) - 1, 0)
+    while stack:
+        frame = stack[-1]
+        todo = frame[2]
+        if not todo:
+            stack.pop()
+            if word:
+                word.pop()
+            continue
+        low = todo & -todo
+        frame[2] = todo ^ low
+        code = low.bit_length() - 1
+        word.append(code)
+        enter(follow[code] | frame[0] & later[code >> 1], frame[1] + packed[code])
+    return count, zero_sum
 
 
 def injectivity_spot_check(
@@ -321,19 +401,31 @@ def injectivity_spot_check(
     Exhausts every element of geodesic length up to ``max_len``, then checks
     ``sample_count`` seeded random words of length up to ``2 * max_len``.
     In squared mode any failure is an implementation bug; in unsquared mode
-    failures witness the lost injectivity.
+    failures witness the lost injectivity. An image whose exponent sums do
+    not all vanish is nontrivial; only the others are piled. Raises
+    ``SizeExceededError`` when more than ``ELEMENT_BUDGET`` elements would
+    be enumerated.
     """
     if max_len < 0:
         raise InputError(f"max_len must be >= 0, got {max_len}")
-    failures: list[str] = []
-    elements = _nontrivial_elements(ctx.source_group, max_len)
-    for letters in elements:
-        if _image_is_trivial(ctx, letters, squared):
-            failures.append(str(GroupWord(letters)))
-
+    p = ctx.source_group
+    _check_element_budget(p, max_len)
     sample_max_len = 2 * max_len
+    signed = _signed_letters(p)
+    images = [GroupWord(ctx.letter_image(g, s, squared)) for g, s in signed]
+    packed = _pack(
+        [abelianization(w, ctx.a_gamma) for w in images], ctx.a_gamma, sample_max_len
+    )
+
+    def image_is_trivial(letters) -> bool:
+        return ctx.a_gamma.is_trivial_letters(_image_letters(ctx, letters, squared))
+
+    elements, zero_sum = _nontrivial_elements(p, max_len, packed)
+    failures = [str(GroupWord(w)) for w in zero_sum if image_is_trivial(w)]
+
     rng = random.Random(seed)
-    signed = [(g, s) for g in ctx.source_group.generators for s in (1, -1)]
+    packed_of = dict(zip(signed, packed))
+    own = dict(zip(signed, _pack([{g: s} for g, s in signed], p, sample_max_len)))
     sampled = 0
     attempts = 0
     while (
@@ -344,15 +436,16 @@ def injectivity_spot_check(
         attempts += 1
         length = rng.randint(1, max(sample_max_len, 1))
         letters = tuple(rng.choice(signed) for _ in range(length))
-        if not ctx.source_group.reduce_letters(letters):
+        # a word whose own exponent sums do not all vanish is nontrivial
+        if not sum(own[x] for x in letters) and p.is_trivial_letters(letters):
             continue
         sampled += 1
-        if _image_is_trivial(ctx, letters, squared):
+        if not sum(packed_of[x] for x in letters) and image_is_trivial(letters):
             failures.append(str(GroupWord(letters)))
     return InjectivityReport(
         squared=squared,
         max_len=max_len,
-        exhaustive_elements=len(elements),
+        exhaustive_elements=elements,
         sample_count=sampled,
         sample_max_len=sample_max_len,
         seed=seed,
@@ -510,21 +603,30 @@ def counterexample_word(delta: SimpleGraph) -> GroupWord:
     )
 
 
-def counterexample_report(
-    delta: SimpleGraph, path_threshold: str = "paper"
-) -> CounterexampleReport:
-    """Evaluate the three booleans of the squaring counterexample.
-
-    Uses the 3-coloring that gives every vertex its own strand, so that the
-    unsquared composite genuinely kills the witness word.
-    """
+def counterexample_coloring(delta: SimpleGraph) -> Coloring | None:
+    """The 3-coloring that gives every vertex of the counterexample shape its
+    own strand, so that the unsquared composite genuinely kills the witness
+    word; None for any other shape."""
     roles = counterexample_roles(delta)
     if roles is None:
+        return None
+    return Coloring.make(delta, {roles["a"]: 1, roles["b"]: 2, roles["c"]: 3})
+
+
+def counterexample_report(
+    delta: SimpleGraph,
+    path_threshold: str = "paper",
+    ctx: EmbeddingContext | None = None,
+) -> CounterexampleReport:
+    """Evaluate the three booleans of the squaring counterexample over the
+    canonical context of ``counterexample_coloring``; a caller already
+    holding that context passes it as ``ctx``.
+    """
+    coloring = counterexample_coloring(delta)
+    if coloring is None:
         return CounterexampleReport(applicable=False)
-    coloring = Coloring.make(
-        delta, {roles["a"]: 1, roles["b"]: 2, roles["c"]: 3}
-    )
-    ctx = build_context(delta, coloring, path_threshold)
+    if ctx is None:
+        ctx = build_context(delta, coloring, path_threshold)
     g = counterexample_word(delta)
     return CounterexampleReport(
         applicable=True,
@@ -588,7 +690,7 @@ class VerificationReport:
             status = "pass" if c.passed else "FAIL"
             lines.append(f"[{status}] {c.name} ({c.seconds:.3f}s)")
             for key, value in sorted(c.details.items()):
-                lines.append(f"    {key}: {value}")
+                lines.append(f"    {key}: {'unknown' if value is None else value}")
             for w in c.witnesses:
                 lines.append(f"    witness: {w}")
         lines.append("overall: " + ("pass" if self.passed else "FAIL"))
@@ -631,7 +733,7 @@ def verify_suite(
         details = {
             "axioms_violated": list(report.axioms_violated()),
             "loops": len(base_halo.artin_loops),
-            "planar": is_planar(base_halo.gamma),
+            "planar": planarity(base_halo.gamma),
         }
         witnesses = [v.message for v in report.violations]
         return report.ok, details, witnesses
@@ -672,10 +774,14 @@ def verify_suite(
 
     overall = run("injectivity-spot-check", check_injectivity) and overall
 
-    if counterexample_roles(delta) is not None:
+    cx_coloring = counterexample_coloring(delta)
+    if cx_coloring is not None:
+        # over the canonical halo of the same coloring, the counterexample's
+        # context is the suite's
+        same = halo is None and coloring == cx_coloring
 
         def check_counterexample():
-            report = counterexample_report(delta, path_threshold)
+            report = counterexample_report(delta, path_threshold, ctx if same else None)
             details = report.to_json_dict()
             return report.ok, details, []
 

@@ -522,6 +522,14 @@ def is_planar(g: SimpleGraph, max_vertices: int = 64) -> bool:
     return bool(ok)
 
 
+def planarity(g: SimpleGraph) -> bool | None:
+    """``is_planar``, or None (unknown) for a graph over its vertex cap."""
+    try:
+        return is_planar(g)
+    except SizeExceededError:
+        return None
+
+
 # --- serialization ---------------------------------------------------------
 
 

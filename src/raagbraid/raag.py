@@ -16,6 +16,7 @@ identical for all words representing the same element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import GraphFormatError, UnknownVertexError, WordFormatError
 from .graphs import SimpleGraph
@@ -201,6 +202,43 @@ class RaagPresentation:
     def geodesic_length(self, letters) -> int:
         _, count = self._pile(letters)
         return count
+
+    def sphere_sizes(self, max_len: int):
+        """Yield the number of elements of geodesic length 0, 1, ..., max_len.
+
+        The spherical growth series is 1/p(-2t/(1+t)), p the clique
+        polynomial, whose coefficient n_c counts the sets of c pairwise
+        commuting generators (Chiswell, *The growth series of a graph
+        product*, 1994). Cliques of more than max_len generators do not
+        reach the coefficients yielded, so only the others are listed, one
+        step each. With m the largest size listed, multiplying through by
+        (1+t)^m leaves f(t) * P(t) = (1+t)^m for the polynomial
+        P(t) = sum_c n_c (-2t)^c (1+t)^(m-c), an order-m recurrence.
+        """
+        k = len(self.generators)
+        # per clique of the current size: the larger generators extending it
+        later = [
+            frozenset(range(i + 1, k)).difference(b) for i, b in enumerate(self._blockers)
+        ]
+        frontier = [frozenset(range(k))]
+        cliques = [1]
+        while len(cliques) <= max_len:
+            frontier = [ext & later[i] for ext in frontier for i in ext]
+            if not frontier:
+                break
+            cliques.append(len(frontier))
+        m = len(cliques) - 1
+        poly = [
+            sum(n * (-2) ** c * comb(m - c, i - c) for c, n in enumerate(cliques[: i + 1]))
+            for i in range(m + 1)
+        ]
+        sizes: list[int] = []
+        for length in range(max_len + 1):
+            size = comb(m, length) - sum(
+                poly[i] * sizes[length - i] for i in range(1, min(length, m) + 1)
+            )
+            sizes.append(size)
+            yield size
 
 
 def free_reduce(w: GroupWord) -> GroupWord:

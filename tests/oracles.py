@@ -2,8 +2,9 @@
 
 Nothing here may import the algorithms under test: cell counts come from raw
 subset enumeration, word triviality from a breadth-first rewriting closure,
-colorability from exhaustive assignment, and graph corpora from the
-networkx atlas.
+the elements of bounded length from every freely reduced word (spelled by a
+reduction the caller passes in), colorability from exhaustive assignment,
+and graph corpora from the networkx atlas.
 """
 from __future__ import annotations
 
@@ -181,6 +182,34 @@ def minimal_equivalent_length(word, commuting_pairs, state_cap: int = 500_000) -
                 if len(seen) > state_cap:
                     raise RuntimeError("state cap exceeded")
     return best
+
+
+def free_word_spellings(generators, reduce, max_len: int) -> set:
+    """The spelling ``reduce`` gives each nontrivial element of geodesic
+    length at most max_len, found by reducing every freely reduced word of
+    length 1..max_len: sum 2k(2k-1)^(l-1) words for k generators, each
+    element reached many times. ``reduce`` maps a letter tuple to the
+    canonical spelling under test (empty for the identity)."""
+    signed = [(g, s) for g in generators for s in (1, -1)]
+    out = set()
+    word: list = []
+
+    def rec():
+        if word:
+            reduced = tuple(reduce(tuple(word)))
+            if reduced:
+                out.add(reduced)
+        if len(word) == max_len:
+            return
+        for letter in signed:
+            if word and letter == (word[-1][0], -word[-1][1]):
+                continue
+            word.append(letter)
+            rec()
+            word.pop()
+
+    rec()
+    return out
 
 
 # --- graph oracles ------------------------------------------------------------

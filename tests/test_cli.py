@@ -17,10 +17,11 @@ from raagbraid import (
     graph_to_json_dict,
     halo_to_json_dict,
 )
+from raagbraid import embedding
 from raagbraid.cli import main
 from raagbraid.graphs import dumps_canonical
 
-from oracles import complete_graph, cycle_graph
+from oracles import complete_graph, cycle_graph, petersen_graph
 
 
 def write_graph(tmp_path, g, name="graph.json"):
@@ -244,6 +245,52 @@ class TestVerify:
         )
         assert code == 0
         assert "overall: pass" in out
+
+    def test_element_budget_exit_3(self, tmp_path, capsys, figure_delta, monkeypatch):
+        def never(*args):
+            raise AssertionError("enumeration started over budget")
+
+        monkeypatch.setattr(embedding, "_nontrivial_elements", never)
+        path = write_graph(tmp_path, figure_delta)
+        code, out, err = run(capsys, ["verify", "--input", path, "--max-len", "10"])
+        assert code == 3
+        assert out == ""
+        assert "3524576" in err
+
+
+@pytest.mark.parametrize(
+    "graph, gamma_vertices",
+    [(petersen_graph(), 67), (cycle_graph(12), 114)],
+    ids=["petersen", "c12"],
+)
+class TestPlanarityCap:
+    """A halo over the planarity test's 64-vertex cap reports planarity as
+    unknown (null) and still verifies."""
+
+    def test_verify(self, tmp_path, capsys, graph, gamma_vertices):
+        path = write_graph(tmp_path, graph)
+        argv = ["verify", "--input", path, "--max-len", "2", "--samples", "20"]
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["pass"] is True
+        (axioms,) = [c for c in data["checks"] if c["name"] == "halo-axioms"]
+        assert axioms["details"]["planar"] is None
+        code, out, _ = run(capsys, argv + ["--format", "text"])
+        assert code == 0
+        assert "    planar: unknown\n" in out
+
+    def test_halo(self, tmp_path, capsys, graph, gamma_vertices):
+        path = write_graph(tmp_path, graph)
+        code, out, err = run(capsys, ["halo", "--input", path])
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["planar"] is None
+        assert data["report"]["ok"] is True
+        code, out, _ = run(capsys, ["halo", "--input", path, "--format", "text"])
+        assert code == 0
+        assert f"gamma vertices: {gamma_vertices}\n" in out
+        assert "planar: unknown\n" in out
 
 
 class TestMalformedInput:

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import accumulate, product
 
 import pytest
 
@@ -7,7 +8,9 @@ from raagbraid import (
     Coloring,
     GroupWord,
     Halo,
+    RaagPresentation,
     SimpleGraph,
+    SizeExceededError,
     UnknownVertexError,
     VerificationError,
     abelianization,
@@ -40,6 +43,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     edges_commute,
+    free_word_spellings,
     petersen_graph,
     random_connected_graph,
     replay_psi,
@@ -353,6 +357,17 @@ class TestSubdivisionMemo:
         assert verify_suite(*k4, max_len=1, sample_count=0).passed
         assert sum(g == accepted for g in checked) == 1
 
+    def test_verify_suite_shares_the_counterexample_context(
+        self, checked, figure_delta, figure_coloring
+    ):
+        # the figure coloring is the counterexample's own, so the
+        # counterexample reuses the suite's context
+        accepted = subdivided_halo(build_halo(figure_delta, figure_coloring), 3).gamma
+        checked.clear()
+        report = verify_suite(figure_delta, figure_coloring, max_len=1, sample_count=0)
+        assert report.check("squaring-counterexample").passed
+        assert sum(g == accepted for g in checked) == 1
+
 
 class TestCheckHomomorphism:
     def test_c6_all_relators_pass(self, c6):
@@ -447,6 +462,13 @@ class TestInjectivitySpotCheck:
         )
         assert not report.ok
         assert str(counterexample_word(figure_delta)) in report.failures
+        assert report.exhaustive_elements == 196416
+        # the witness's cyclic conjugates and their inverses, nothing shorter
+        assert len(report.failures) == 16
+        for failure in report.failures:
+            w = W(failure)
+            assert len(w) == 8 and not is_trivial(w, figure_context.source_group)
+            assert is_trivial(phi_psi(w, figure_context, squared=False), figure_context.a_gamma)
 
     def test_max_len_zero_vacuous(self, figure_context):
         report = injectivity_spot_check(figure_context, max_len=0, sample_count=0)
@@ -457,6 +479,124 @@ class TestInjectivitySpotCheck:
         a = injectivity_spot_check(figure_context, max_len=2, sample_count=50, seed=9)
         b = injectivity_spot_check(figure_context, max_len=2, sample_count=50, seed=9)
         assert a == b
+
+
+ENUMERATION_CASES = (
+    [(f"atlas{i}", g, 3) for i, g in enumerate(atlas_connected(5))]
+    + [
+        ("C6", cycle_graph(6), 3),
+        ("K5", complete_graph(5), 3),
+        ("figure", SimpleGraph.make(["a", "b", "c"], [("a", "c")]), 6),
+    ]
+)
+
+
+class TestElementEnumeration:
+    """The depth-first search visits exactly the spellings the piling
+    reduction gives, once each, and as many as the growth series predicts."""
+
+    @staticmethod
+    def spellings(p: RaagPresentation, max_len: int) -> set:
+        # with all image exponent sums zero every element is returned
+        count, found = embedding._nontrivial_elements(p, max_len, [0] * (2 * len(p.generators)))
+        assert count == len(found) == len(set(found))
+        return set(found)
+
+    @pytest.mark.parametrize(
+        "graph, max_len",
+        [case[1:] for case in ENUMERATION_CASES],
+        ids=[case[0] for case in ENUMERATION_CASES],
+    )
+    def test_matches_free_word_reference(self, graph, max_len):
+        p = RaagPresentation(graph)
+        reference = free_word_spellings(p.generators, p.reduce_letters, max_len)
+        assert self.spellings(p, max_len) == reference
+        assert sum(p.sphere_sizes(max_len)) - 1 == len(reference)
+
+    def test_zero_sum_spellings(self):
+        p = RaagPresentation(SimpleGraph.make(["a", "b", "c"], [("a", "c")]))
+        rng = random.Random(5)
+        packed = [rng.randint(-2, 2) for _ in range(6)]
+        weight = dict(zip(embedding._signed_letters(p), packed))
+        count, found = embedding._nontrivial_elements(p, 5, packed)
+        reference = free_word_spellings(p.generators, p.reduce_letters, 5)
+        assert count == len(reference)
+        assert sorted(found) == sorted(
+            w for w in reference if sum(weight[x] for x in w) == 0
+        )
+
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_packed_sums_vanish_with_the_image_sums(self, figure_context, squared):
+        ctx, max_len = figure_context, 4
+        signed = embedding._signed_letters(ctx.source_group)
+        sums = [
+            abelianization(phi_psi(GroupWord((x,)), ctx, squared), ctx.a_gamma) for x in signed
+        ]
+        weight = dict(zip(signed, embedding._pack(sums, ctx.a_gamma, max_len)))
+        outcomes = set()
+        for length in range(1, max_len + 1):
+            for letters in product(weight, repeat=length):
+                image = phi_psi(GroupWord(letters), ctx, squared)
+                vanish = not any(abelianization(image, ctx.a_gamma).values())
+                assert (sum(weight[x] for x in letters) == 0) == vanish
+                outcomes.add(vanish)
+        assert outcomes == {False, True}
+
+    def test_packing_has_no_carries(self):
+        # with a base of b or less, the b + 1 letters a^-b b would pack to 0
+        p = RaagPresentation(SimpleGraph.make(["a", "b"]))
+        signed = embedding._signed_letters(p)
+        max_len = 5
+        weight = dict(zip(signed, embedding._pack([{g: s} for g, s in signed], p, max_len)))
+        for length in range(1, max_len + 1):
+            for letters in product(signed, repeat=length):
+                vanish = not any(abelianization(GroupWord(letters), p).values())
+                assert (sum(weight[x] for x in letters) == 0) == vanish
+
+    def test_deep_words(self):
+        # one generator: two elements per length, walked 5000 letters deep
+        delta = SimpleGraph.make(["a"])
+        ctx = build_context(delta, chromatic_number(delta))
+        report = injectivity_spot_check(ctx, max_len=5000)
+        assert report.ok and report.exhaustive_elements == 10000
+
+    def test_prediction_matches_report(self):
+        for g in atlas_connected(5):
+            ctx = build_context(g, greedy_color(g))
+            report = injectivity_spot_check(ctx, max_len=3)
+            assert report.exhaustive_elements == sum(ctx.source_group.sphere_sizes(3)) - 1
+
+    def test_figure_counts(self, figure_context):
+        totals = list(accumulate(figure_context.source_group.sphere_sizes(10)))
+        assert [totals[n] - 1 for n in (4, 6, 8, 9, 10)] == [
+            608, 10944, 196416, 832038, 3524576,
+        ]
+        for max_len in (4, 6):
+            report = injectivity_spot_check(figure_context, max_len=max_len)
+            assert report.exhaustive_elements == totals[max_len] - 1
+
+    def test_free_and_abelian_sizes(self):
+        free = RaagPresentation(SimpleGraph.make(["a", "b"]))
+        assert list(free.sphere_sizes(4)) == [1, 4, 12, 36, 108]
+        abelian = RaagPresentation(complete_graph(2))
+        assert list(abelian.sphere_sizes(4)) == [1, 4, 8, 12, 16]
+
+
+class TestElementBudget:
+    def test_over_budget_raises_before_enumerating(self, figure_context, monkeypatch):
+        def never(*args):
+            raise AssertionError("enumeration started over budget")
+
+        monkeypatch.setattr(embedding, "_nontrivial_elements", never)
+        with pytest.raises(SizeExceededError, match="3524576"):
+            injectivity_spot_check(figure_context, max_len=10)
+
+    def test_budget_is_inclusive(self, figure_context, monkeypatch):
+        monkeypatch.setattr(embedding, "ELEMENT_BUDGET", 608)
+        assert injectivity_spot_check(figure_context, max_len=4).exhaustive_elements == 608
+        monkeypatch.setattr(embedding, "ELEMENT_BUDGET", 607)
+        with pytest.raises(SizeExceededError, match="608"):
+            injectivity_spot_check(figure_context, max_len=4)
 
 
 class TestPinchTrace:
