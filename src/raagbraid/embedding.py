@@ -286,9 +286,10 @@ class InjectivityReport:
 
 def _check_element_budget(p: RaagPresentation, max_len: int) -> None:
     """Raise before enumerating more than ELEMENT_BUDGET elements: their
-    number is predicted from the growth series, length by length."""
+    number is predicted from the growth series, length by length, and bounded
+    from below while its cliques are listed."""
     total = -1  # the identity is not enumerated
-    for length, size in enumerate(p.sphere_sizes(max_len)):
+    for length, size in enumerate(p.sphere_sizes(max_len, ELEMENT_BUDGET)):
         total += size
         if total > ELEMENT_BUDGET:
             raise SizeExceededError(
@@ -408,6 +409,8 @@ def injectivity_spot_check(
     """
     if max_len < 0:
         raise InputError(f"max_len must be >= 0, got {max_len}")
+    if sample_count < 0:
+        raise InputError(f"sample_count must be >= 0, got {sample_count}")
     p = ctx.source_group
     _check_element_budget(p, max_len)
     sample_max_len = 2 * max_len

@@ -11,14 +11,28 @@ Cancellation is legal exactly when no blocker separates the pair, which is
 the same condition as deleting a letter pair x ... x^-1 whose intervening
 letters all commute with x. Reading the piles back bottom-up, always taking
 the smallest available generator, yields a geodesic spelling that is
-identical for all words representing the same element.
+identical for all words representing the same element: the least geodesic
+in generator order (Hermiller & Meier, *Algorithms and geometry for graph
+products of groups*, 1995).
+
+Piling costs O(input x degree), where the degree is the most generators one
+generator fails to commute with. Reading back keeps a head index per pile
+and a min-heap of the ready generators, those whose pile head is a letter,
+so each output letter costs O(degree + log generators) rather than a scan
+of every pile.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import comb
 
-from .errors import GraphFormatError, UnknownVertexError, WordFormatError
+from .errors import (
+    GraphFormatError,
+    SizeExceededError,
+    UnknownVertexError,
+    WordFormatError,
+)
 from .graphs import SimpleGraph
 
 Letter = tuple[str, int]
@@ -156,10 +170,14 @@ class RaagPresentation:
 
     def _pile(self, letters) -> tuple[list[list[int]], int]:
         piles: list[list[int]] = [[] for _ in self.generators]
+        index = self._index
         blockers = self._blockers
         count = 0
         for gen, sign in letters:
-            i = self.index_of(gen)
+            try:
+                i = index[gen]
+            except KeyError:
+                raise UnknownVertexError(f"unknown generator {gen!r}") from None
             pile = piles[i]
             if pile and pile[-1] == -sign:
                 pile.pop()
@@ -174,19 +192,38 @@ class RaagPresentation:
         return piles, count
 
     def _depile(self, piles: list[list[int]], count: int) -> tuple[Letter, ...]:
+        """Read the piles back bottom-up, always taking the smallest
+        generator whose pile head is a letter rather than a blocker.
+
+        The ready generators sit in a min-heap, each at most once: while i is
+        ready the head of every blocker j of i is a 0, since a letter at j's
+        head would be older than i's and would have dropped a 0 under it.
+        So emitting i's head advances the heads of i and its blockers, none
+        of which is in the heap, and pushes those now ready: O(degree +
+        log generators) per output letter. A sorted list is a heap.
+        """
         out: list[Letter] = []
+        generators = self.generators
         blockers = self._blockers
-        while count:
-            for i, pile in enumerate(piles):
-                if pile and pile[0] != 0:
-                    out.append((self.generators[i], pile[0]))
-                    del pile[0]
-                    for j in blockers[i]:
-                        del piles[j][0]
-                    count -= 1
-                    break
-            else:  # pragma: no cover - piles and count always agree
-                raise AssertionError("inconsistent piles")
+        heads = [0] * len(piles)
+        ready = [i for i, pile in enumerate(piles) if pile and pile[0]]
+        while ready:
+            i = heappop(ready)
+            pile = piles[i]
+            head = heads[i]
+            out.append((generators[i], pile[head]))
+            head += 1
+            heads[i] = head
+            if head < len(pile) and pile[head]:
+                heappush(ready, i)
+            for j in blockers[i]:
+                pile = piles[j]
+                head = heads[j] + 1
+                heads[j] = head
+                if head < len(pile) and pile[head]:
+                    heappush(ready, j)
+        if len(out) != count:  # pragma: no cover - piles and count always agree
+            raise AssertionError("inconsistent piles")
         return tuple(out)
 
     def reduce_letters(self, letters) -> tuple[Letter, ...]:
@@ -203,7 +240,7 @@ class RaagPresentation:
         _, count = self._pile(letters)
         return count
 
-    def sphere_sizes(self, max_len: int):
+    def sphere_sizes(self, max_len: int, budget: int | None = None):
         """Yield the number of elements of geodesic length 0, 1, ..., max_len.
 
         The spherical growth series is 1/p(-2t/(1+t)), p the clique
@@ -214,18 +251,39 @@ class RaagPresentation:
         step each. With m the largest size listed, multiplying through by
         (1+t)^m leaves f(t) * P(t) = (1+t)^m for the polynomial
         P(t) = sum_c n_c (-2t)^c (1+t)^(m-c), an order-m recurrence.
+
+        The c-cliques alone give n_c * 2^c distinct elements of length c, one
+        per choice of signs, so the listing raises ``SizeExceededError`` as
+        soon as these lower bounds add up to more than ``budget`` nontrivial
+        elements, before the cliques outgrow memory.
         """
         k = len(self.generators)
-        # per clique of the current size: the larger generators extending it
+        # bit masks; per generator: the larger generators commuting with it
         later = [
-            frozenset(range(i + 1, k)).difference(b) for i, b in enumerate(self._blockers)
+            ((1 << k) - (2 << i)) & ~sum(1 << j for j in b)
+            for i, b in enumerate(self._blockers)
         ]
-        frontier = [frozenset(range(k))]
+        # per clique of the current size: the larger generators extending it
+        frontier = [(1 << k) - 1]
         cliques = [1]
+        shown = 0
         while len(cliques) <= max_len:
-            frontier = [ext & later[i] for ext in frontier for i in ext]
-            if not frontier:
+            signs = 1 << len(cliques)
+            grown: list[int] = []
+            for ext in frontier:
+                shown += ext.bit_count() * signs
+                if budget is not None and shown > budget:
+                    raise SizeExceededError(
+                        f"at least {shown} nontrivial elements of length at most "
+                        f"{len(cliques)} to enumerate, over the budget of {budget}"
+                    )
+                while ext:
+                    low = ext & -ext
+                    ext ^= low
+                    grown.append(ext & later[low.bit_length() - 1])
+            if not grown:
                 break
+            frontier = grown
             cliques.append(len(frontier))
         m = len(cliques) - 1
         poly = [
@@ -273,12 +331,11 @@ def in_special_subgroup(w: GroupWord, gens, p: RaagPresentation) -> bool:
     """Membership in the subgroup generated by a subset of the generators.
 
     An element lies in it exactly when its geodesic spelling only uses the
-    given generators.
+    given generators, that is when no other generator's pile holds a letter.
     """
-    gens = frozenset(gens)
-    for g in gens:
-        p.index_of(g)
-    return all(g in gens for g, _ in p.reduce_letters(w.letters))
+    inside = {p.index_of(g) for g in gens}
+    piles, _ = p._pile(w.letters)
+    return all(i in inside or not any(pile) for i, pile in enumerate(piles))
 
 
 def abelianization(w: GroupWord, p: RaagPresentation) -> dict[str, int]:

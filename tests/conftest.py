@@ -2,8 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# every run draws the same examples, and a failure prints the blob that
+# reproduces it
+settings.register_profile("reproducible", derandomize=True, print_blob=True)
+settings.load_profile("reproducible")
 
 from raagbraid import Coloring, SimpleGraph, build_context
 

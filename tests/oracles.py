@@ -1,10 +1,10 @@
 """Independent brute-force oracles the tests compare the library against.
 
 Nothing here may import the algorithms under test: cell counts come from raw
-subset enumeration, word triviality from a breadth-first rewriting closure,
-the elements of bounded length from every freely reduced word (spelled by a
-reduction the caller passes in), colorability from exhaustive assignment,
-and graph corpora from the networkx atlas.
+subset enumeration, word triviality and least spellings from breadth-first
+rewriting closures, the elements of bounded length from every freely reduced
+word (spelled by a reduction the caller passes in), colorability from
+exhaustive assignment, and graph corpora from the networkx atlas.
 """
 from __future__ import annotations
 
@@ -154,6 +154,31 @@ def bfs_is_trivial(word, commuting_pairs, state_cap: int = 2_000_000) -> bool:
                 if len(seen) > state_cap:
                     raise RuntimeError("state cap exceeded")
     return False
+
+
+def least_spelling(word, commuting_pairs, state_cap: int = 500_000):
+    """The spelling least in generator order, compared by generator names,
+    among all words reached from ``word`` by swapping adjacent letters of
+    distinct commuting generators, found by a breadth-first search."""
+    commuting = set()
+    for a, b in commuting_pairs:
+        commuting.add((a, b))
+        commuting.add((b, a))
+    word = tuple(word)
+    seen = {word}
+    queue = deque([word])
+    while queue:
+        cur = queue.popleft()
+        for t in range(len(cur) - 1):
+            (g1, s1), (g2, s2) = cur[t], cur[t + 1]
+            if g1 != g2 and (g1, g2) in commuting:
+                nxt = cur[:t] + ((g2, s2), (g1, s1)) + cur[t + 2 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+                    if len(seen) > state_cap:
+                        raise RuntimeError("state cap exceeded")
+    return min(seen, key=lambda w: [g for g, _ in w])
 
 
 def minimal_equivalent_length(word, commuting_pairs, state_cap: int = 500_000) -> int:

@@ -246,6 +246,15 @@ class TestVerify:
         assert code == 0
         assert "overall: pass" in out
 
+    def test_negative_samples_exit_2(self, tmp_path, capsys, figure_delta):
+        path = write_graph(tmp_path, figure_delta)
+        code, out, err = run(
+            capsys, ["verify", "--input", path, "--max-len", "1", "--samples", "-3"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "sample_count must be >= 0, got -3" in err
+
     def test_element_budget_exit_3(self, tmp_path, capsys, figure_delta, monkeypatch):
         def never(*args):
             raise AssertionError("enumeration started over budget")

@@ -598,6 +598,32 @@ class TestElementBudget:
         with pytest.raises(SizeExceededError, match="608"):
             injectivity_spot_check(figure_context, max_len=4)
 
+    def test_clique_listing_is_budgeted(self):
+        """K_30 has 2^30 cliques; the listing stops once its c-cliques show
+        n_c * 2^c elements over the budget."""
+        p = RaagPresentation(complete_graph(30))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeExceededError, match="at least"):
+                embedding._check_element_budget(p, 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_clique_bound_keeps_predictions(self):
+        """On K_k at max_len k the budgeted listing raises exactly when the
+        predicted sizes pass the budget, and yields them unchanged below."""
+        for k in range(1, 15):
+            p = RaagPresentation(complete_graph(k))
+            sizes = list(p.sphere_sizes(k))
+            if sum(sizes) - 1 > embedding.ELEMENT_BUDGET:
+                with pytest.raises(SizeExceededError):
+                    embedding._check_element_budget(p, k)
+            else:
+                assert list(p.sphere_sizes(k, embedding.ELEMENT_BUDGET)) == sizes
+                embedding._check_element_budget(p, k)
+
 
 class TestPinchTrace:
     def test_empty_word(self, figure_context):

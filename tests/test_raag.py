@@ -1,26 +1,40 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raagbraid import (
+    Coloring,
     GroupWord,
     RaagPresentation,
     SimpleGraph,
     UnknownVertexError,
     WordFormatError,
     abelianization,
+    build_context,
     detect_pinch,
     equal,
     free_reduce,
+    greedy_color,
     in_special_subgroup,
     is_trivial,
     pinch_reduce,
     raag_reduce,
 )
 
-from oracles import bfs_is_trivial, minimal_equivalent_length, trivial_closure
+from oracles import (
+    atlas_connected,
+    bfs_is_trivial,
+    complete_graph,
+    cycle_graph,
+    edges_commute,
+    least_spelling,
+    minimal_equivalent_length,
+    petersen_graph,
+    trivial_closure,
+)
 
 W = GroupWord.parse
 
@@ -291,3 +305,91 @@ def test_pinch_reduce_properties(w, v):
     out = pinch_reduce(w, v, COMM_AC)
     assert detect_pinch(out, v, COMM_AC) is None
     assert equal(w, out, COMM_AC)
+
+
+def edge_group(delta, coloring=None):
+    """A context's edge group with its commuting pairs, decided by the
+    oracle from the halo's edge tuples."""
+    ctx = build_context(delta, coloring or greedy_color(delta))
+    edges = {f"{u}|{v}": (u, v) for u, v in ctx.halo.gamma.edges}
+    assert set(edges) == set(ctx.a_gamma.generators)
+    pairs = [
+        (a, b) for a, b in itertools.combinations(edges, 2) if edges_commute(edges[a], edges[b])
+    ]
+    return ctx.a_gamma, pairs
+
+
+FIGURE = SimpleGraph.make(["a", "b", "c"], [("a", "c")])
+# the edge groups of the figure, C6 and K5 contexts, then the Delta groups of
+# every connected graph on at most five vertices
+GROUPS = [
+    edge_group(FIGURE, Coloring.make(FIGURE, {"a": 1, "b": 2, "c": 3})),
+    edge_group(cycle_graph(6)),
+    edge_group(complete_graph(5)),
+] + [(RaagPresentation(g), list(g.edges)) for g in atlas_connected(5)]
+
+
+@st.composite
+def local_words(draw, max_len=7):
+    """A group of ``GROUPS`` and a word over the generators at most two
+    non-commuting steps from one generator, so that letters block, commute
+    and cancel alike."""
+    p, pairs = draw(st.sampled_from(GROUPS))
+    commuting = {frozenset(pair) for pair in pairs}
+
+    def near(gens):
+        return {h for g in gens for h in p.generators if frozenset((g, h)) not in commuting}
+
+    pool = sorted(near(near([draw(st.sampled_from(p.generators))])))
+    return p, pairs, pool, draw(word_strategy(pool, max_len))
+
+
+@settings(max_examples=300, deadline=None)
+@given(local_words())
+def test_reduction_is_least_geodesic(case):
+    p, pairs, _, w = case
+    r = p.reduce_letters(w.letters)
+    assert r == least_spelling(r, pairs)
+    assert len(r) == minimal_equivalent_length(w.letters, pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(local_words(max_len=4), st.data())
+def test_special_subgroup_matches_spelling(case, data):
+    """Words u s u^-1 and u s, with s over the subgroup's generators, so that
+    members and non-members both occur often."""
+    p, _, pool, u = case
+    gens = data.draw(st.sets(st.sampled_from(pool)))
+    s = data.draw(word_strategy(sorted(gens) or pool, 4))
+    w = u * s * data.draw(st.sampled_from([u.inverse(), GroupWord()]))
+    spelled = p.reduce_letters(w.letters)
+    assert in_special_subgroup(w, gens, p) == all(g in gens for g, _ in spelled)
+
+
+def test_long_petersen_words():
+    """A 50,000-letter w w^-1, its second half shuffled by legal
+    commutations, reduces to the empty word; with one letter of it inverted,
+    its exponent sums do not vanish and it does not."""
+    p, pairs = edge_group(petersen_graph())
+    commuting = {frozenset(pair) for pair in pairs}
+    rng = random.Random(17)
+    w = [(rng.choice(p.generators), rng.choice((1, -1))) for _ in range(25_000)]
+    back = [(g, -s) for g, s in reversed(w)]
+    for _ in range(100_000):
+        t = rng.randrange(len(back) - 1)
+        if frozenset((back[t][0], back[t + 1][0])) in commuting:
+            back[t], back[t + 1] = back[t + 1], back[t]
+    trivial = w + back
+    assert p.reduce_letters(trivial) == ()
+    assert p.is_trivial_letters(trivial)
+    nontrivial = list(trivial)
+    t = rng.randrange(25_000, 50_000)
+    g, s = nontrivial[t]
+    nontrivial[t] = (g, -s)
+    assert any(abelianization(GroupWord(tuple(nontrivial)), p).values())
+    r = p.reduce_letters(nontrivial)
+    assert r and p.reduce_letters(r) == r
+    assert not p.is_trivial_letters(nontrivial)
+    spelled = p.reduce_letters(w)
+    assert p.reduce_letters(spelled) == spelled
+    assert p.is_trivial_letters(w + list(GroupWord(spelled).inverse().letters))
