@@ -11,7 +11,6 @@ edge-forgetting map are evaluated algebraically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -19,6 +18,7 @@ from .errors import (
     BaseMismatchError,
     GraphFormatError,
     IllegalStepError,
+    InputError,
     InsufficientSubdivisionError,
     SizeExceededError,
 )
@@ -61,12 +61,6 @@ class Configuration:
     def n(self) -> int:
         return len(self.cells)
 
-    def vertex_cells(self) -> tuple[str, ...]:
-        return tuple(c for c in self.cells if isinstance(c, str))
-
-    def edge_cells(self) -> tuple[tuple[str, str], ...]:
-        return tuple(c for c in self.cells if not isinstance(c, str))
-
     def replace(self, old: Cell, new: Cell) -> "Configuration":
         rest = list(self.cells)
         rest.remove(old)
@@ -101,6 +95,8 @@ def build_udc(gamma: SimpleGraph, n: int, cell_budget: int = 1_000_000) -> Discr
         raise GraphFormatError(
             f"{n} strands cannot occupy {gamma.n_vertices} vertices"
         )
+    if cell_budget < 0:
+        raise InputError(f"cell budget must be >= 0, got {cell_budget}")
     v = gamma.n_vertices
     predicted = comb(v, n) + gamma.n_edges * comb(max(v - 2, 0), n - 1)
     if predicted > cell_budget:
@@ -159,12 +155,14 @@ class ConfigEdgePath:
         return configs
 
     def final(self) -> Configuration:
-        """The configuration after the last step, replayed once per path."""
-        return self._final
-
-    @cached_property
-    def _final(self) -> Configuration:
-        return self.configurations()[-1]
+        """The configuration after the last step: each step's move is
+        applied to the set of occupied cells, and one configuration is
+        built from what is left."""
+        occupied = set(self.base.cells)
+        for step in self.steps:
+            occupied.remove(step.source)
+            occupied.add(step.target)
+        return Configuration.make(occupied)
 
     @property
     def is_closed(self) -> bool:
@@ -254,8 +252,7 @@ def artin_loop_path_unchecked(
 def concat_paths(p: ConfigEdgePath, q: ConfigEdgePath) -> ConfigEdgePath:
     """Compose two loops based at the same configuration.
 
-    Checks that both paths are closed at one shared base. Each path replays
-    its configurations at most once (``final`` is cached); the steps
+    Checks that both paths are closed at one shared base; the steps
     themselves are validated where the paths were built, by ``edge_path``."""
     if not p.is_closed:
         raise BaseMismatchError("left path is not closed at its base")

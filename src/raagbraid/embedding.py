@@ -411,6 +411,10 @@ def injectivity_spot_check(
         raise InputError(f"max_len must be >= 0, got {max_len}")
     if sample_count < 0:
         raise InputError(f"sample_count must be >= 0, got {sample_count}")
+    if sample_count > 0 and max_len == 0:
+        raise InputError(
+            f"{sample_count} samples need max_len >= 1: samples have up to 2 * max_len letters"
+        )
     p = ctx.source_group
     _check_element_budget(p, max_len)
     sample_max_len = 2 * max_len
@@ -431,13 +435,9 @@ def injectivity_spot_check(
     own = dict(zip(signed, _pack([{g: s} for g, s in signed], p, sample_max_len)))
     sampled = 0
     attempts = 0
-    while (
-        sample_max_len > 0
-        and sampled < sample_count
-        and attempts < 100 * max(sample_count, 1)
-    ):
+    while sampled < sample_count and attempts < 100 * sample_count:
         attempts += 1
-        length = rng.randint(1, max(sample_max_len, 1))
+        length = rng.randint(1, sample_max_len)
         letters = tuple(rng.choice(signed) for _ in range(length))
         # a word whose own exponent sums do not all vanish is nontrivial
         if not sum(own[x] for x in letters) and p.is_trivial_letters(letters):

@@ -18,6 +18,7 @@ from .errors import (
     ImproperColoringError,
     SizeExceededError,
     UnknownVertexError,
+    VerificationError,
 )
 
 Edge = tuple[str, str]
@@ -352,44 +353,29 @@ def _arcs(g: SimpleGraph):
                 yield key
 
 
-def _girth_and_witness(g: SimpleGraph) -> tuple[int | None, tuple[str, ...]]:
-    """Length and vertex sequence of a shortest simple cycle, or (None, ())."""
-    best_len: int | None = None
-    best_cycle: tuple[str, ...] = ()
+def _has_cycle_within(g: SimpleGraph, max_edges: int) -> bool:
+    """Whether some simple cycle has at most max_edges edges.
+
+    A breadth-first search from each vertex, cut off at radius
+    max_edges // 2: a non-tree edge x-y closes a cycle of at most
+    dist[x] + dist[y] + 1 edges, and a shortest cycle through the root
+    closes with exactly that many."""
+    radius = max_edges // 2
     for root in g.vertices:
         dist = {root: 0}
-        parent: dict[str, str | None] = {root: None}
+        parent = {root: root}
         queue = deque([root])
         while queue:
             x = queue.popleft()
-            if best_len is not None and dist[x] >= best_len / 2:
-                break
-            for y in sorted(g.adjacency[x]):
+            for y in g.adjacency[x]:
                 if y not in dist:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif parent[x] != y:
-                    px, py = [x], [y]
-                    while px[-1] is not None:
-                        px.append(parent[px[-1]])  # type: ignore[index]
-                    while py[-1] is not None:
-                        py.append(parent[py[-1]])  # type: ignore[index]
-                    px = px[:-1][::-1]
-                    py = py[:-1][::-1]
-                    # strip the shared prefix down to the last common ancestor
-                    lca = 0
-                    while lca < min(len(px), len(py)) and px[lca] == py[lca]:
-                        lca += 1
-                    cycle = px[lca - 1 :] + py[len(py) - 1 : lca - 1 : -1]
-                    if len(set(cycle)) != len(cycle):
-                        continue  # non-simple closure, a shorter cycle exists elsewhere
-                    if best_len is None or len(cycle) < best_len:
-                        best_len = len(cycle)
-                        best_cycle = tuple(cycle)
-        if best_len == 3:
-            break
-    return best_len, best_cycle
+                    if dist[x] < radius:
+                        dist[y] = dist[x] + 1
+                        parent[y] = x
+                        queue.append(y)
+                elif y != parent[x] and dist[x] + dist[y] + 1 <= max_edges:
+                    return True
+    return False
 
 
 def _short_cycles(g: SimpleGraph, max_edges: int):
@@ -431,6 +417,8 @@ def is_sufficiently_subdivided(
 
 
 def _subdivision_report(g: SimpleGraph, n: int, path_threshold: str) -> SubdivisionReport:
+    """The unmemoised check. Short cycles are listed only after a bounded
+    breadth-first search (``_has_cycle_within``) finds that one exists."""
     if n < 1:
         raise GraphFormatError(f"strand count must be >= 1, got {n}")
     path_required = _path_required(n, path_threshold)
@@ -442,8 +430,7 @@ def _subdivision_report(g: SimpleGraph, n: int, path_threshold: str) -> Subdivis
             violations.append(
                 SubdivisionViolation("path", (u, *interior, w), length, path_required)
             )
-    girth, _ = _girth_and_witness(g)
-    if girth is not None and girth < loop_required:
+    if _has_cycle_within(g, loop_required - 1):
         for cycle in sorted(_short_cycles(g, loop_required - 1)):
             violations.append(
                 SubdivisionViolation("loop", cycle, len(cycle), loop_required)
@@ -487,13 +474,21 @@ def minimal_subdivision(
     g: SimpleGraph, n: int, path_threshold: str = "paper"
 ) -> tuple[int, SimpleGraph, dict[Edge, tuple[str, ...]]]:
     """Smallest uniform factor whose subdivision passes the checker, with
-    that subdivision and its chains (as ``subdivide_uniform``). The returned
-    graph is the instance that was checked, so its report is memoised."""
-    for k in range(1, n + 3):
-        candidate, chains = subdivide_uniform(g, k)
-        if is_sufficiently_subdivided(candidate, n, path_threshold).ok:
-            return k, candidate, chains
-    raise GraphFormatError("no subdivision factor found")  # pragma: no cover
+    that subdivision and its chains (as ``subdivide_uniform``).
+
+    Subdividing by k multiplies every arc and cycle length by k and keeps
+    the essential vertices, so the factor is read off the violations of
+    ``g`` itself: the largest ceil(required / length). A graph that passes
+    is returned as it is. The returned graph is the instance that was
+    checked, so its report is memoised."""
+    report = is_sufficiently_subdivided(g, n, path_threshold)
+    if report.ok:
+        return 1, g, {e: e for e in g.edges}
+    k = max(-(-v.required // v.length) for v in report.violations)
+    subdivided, chains = subdivide_uniform(g, k)
+    if not is_sufficiently_subdivided(subdivided, n, path_threshold).ok:
+        raise VerificationError(f"subdivision by {k} still fails the check")
+    return k, subdivided, chains
 
 
 def subdivision_factor(g: SimpleGraph, n: int, path_threshold: str = "paper") -> int:

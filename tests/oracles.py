@@ -4,7 +4,10 @@ Nothing here may import the algorithms under test: cell counts come from raw
 subset enumeration, word triviality and least spellings from breadth-first
 rewriting closures, the elements of bounded length from every freely reduced
 word (spelled by a reduction the caller passes in), colorability from
-exhaustive assignment, and graph corpora from the networkx atlas.
+exhaustive assignment, and graph corpora from the networkx atlas. The one
+exception is ``smallest_passing_factor``: it tries every candidate factor
+against the library's subdivision check, as a reference for the closed form
+that reads the factor off that check's violations.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import networkx as nx
 from networkx.generators.atlas import graph_atlas_g
 
 from raagbraid import SimpleGraph
+from raagbraid.graphs import is_sufficiently_subdivided, subdivide_uniform
 
 
 # --- configuration-space counts and paths -----------------------------------
@@ -262,6 +266,18 @@ def are_isomorphic_small(g1: SimpleGraph, g2: SimpleGraph) -> bool:
         ):
             return True
     return False
+
+
+# --- subdivision --------------------------------------------------------------
+
+
+def smallest_passing_factor(g: SimpleGraph, n: int, path_threshold: str) -> int:
+    """The least uniform factor k = 1..n+2 whose subdivision passes the
+    check, found by subdividing by each in turn."""
+    for k in range(1, n + 3):
+        if is_sufficiently_subdivided(subdivide_uniform(g, k)[0], n, path_threshold).ok:
+            return k
+    raise AssertionError(f"no factor up to {n + 2} passes")
 
 
 # --- graph corpora ------------------------------------------------------------

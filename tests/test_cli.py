@@ -126,6 +126,13 @@ class TestConfigspace:
         )
         assert code == 3
 
+    def test_negative_budget_exit_2(self, tmp_path, capsys, figure_delta):
+        path = write_graph(tmp_path, figure_delta)
+        code, out, err = run(capsys, ["configspace", "--input", path, "--budget", "-5"])
+        assert code == 2
+        assert out == ""
+        assert "cell budget must be >= 0, got -5" in err
+
 
 class TestEmbed:
     def test_counterexample_unsquared_trivial(self, tmp_path, capsys, figure_delta):
@@ -254,6 +261,20 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "sample_count must be >= 0, got -3" in err
+
+    def test_samples_without_length_exit_2(self, tmp_path, capsys, figure_delta):
+        path = write_graph(tmp_path, figure_delta)
+        code, out, err = run(
+            capsys, ["verify", "--input", path, "--max-len", "0", "--samples", "5"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "5 samples need max_len >= 1" in err
+        code, out, _ = run(
+            capsys, ["verify", "--input", path, "--max-len", "0", "--samples", "0"]
+        )
+        assert code == 0
+        assert '"sample_count": 0' in out
 
     def test_element_budget_exit_3(self, tmp_path, capsys, figure_delta, monkeypatch):
         def never(*args):

@@ -162,6 +162,38 @@ class TestArtinLoopPath:
                     assert len(p) == len(h.loop_of(v)) - 1
 
 
+class TestFinal:
+    """``final`` applies the moves to a set of cells; it agrees with the
+    replay of every configuration."""
+
+    @staticmethod
+    def halos():
+        from oracles import complete_graph
+
+        yield figure_halo(), 3
+        for g in (cycle_graph(6), complete_graph(5)):
+            coloring = chromatic_number(g)
+            n = coloring.color_count
+            yield subdivided_halo(build_halo(g, coloring), n), n
+
+    @staticmethod
+    def assert_final_is_replay(p):
+        assert p.final() == p.configurations()[-1]
+
+    def test_final_is_last_configuration(self):
+        from raagbraid import ConfigEdgePath
+
+        for h, n in self.halos():
+            for v in h.delta.vertices:
+                loops = [artin_loop_path(h, n, v, power) for power in (1, -1, 2, -2)]
+                for p in loops:
+                    for i in range(len(p) + 1):
+                        self.assert_final_is_replay(ConfigEdgePath(p.base, p.steps[:i]))
+                    self.assert_final_is_replay(p.reverse())
+                    for q in loops:
+                        self.assert_final_is_replay(concat_paths(p, q.reverse()))
+
+
 class TestPathsAndConcat:
     def test_identity_concat(self):
         h = figure_halo()

@@ -12,6 +12,7 @@ from raagbraid import (
     SimpleGraph,
     SizeExceededError,
     UnknownVertexError,
+    VerificationError,
     chromatic_number,
     delete_vertex,
     essential_vertices,
@@ -25,7 +26,14 @@ from raagbraid import (
     subdivide_for,
     to_dot,
 )
-from raagbraid.graphs import dumps_canonical, subdivide_uniform, subdivision_factor
+from raagbraid import graphs
+from raagbraid.graphs import (
+    _has_cycle_within,
+    dumps_canonical,
+    minimal_subdivision,
+    subdivide_uniform,
+    subdivision_factor,
+)
 
 from oracles import (
     are_isomorphic_small,
@@ -36,6 +44,8 @@ from oracles import (
     exhaustive_k_colorable,
     path_graph,
     petersen_graph,
+    random_connected_graph,
+    smallest_passing_factor,
 )
 
 
@@ -286,6 +296,69 @@ class TestSubdivision:
         out, chains = subdivide_uniform(g, 3)
         assert chains[("a", "b")] == ("a", "a~b~1", "a~b~2", "b")
         assert out.vertices == ("a", "a~b~1", "a~b~2", "b")
+
+
+def _factor_corpus() -> list[SimpleGraph]:
+    from raagbraid import build_halo
+
+    rng = random.Random(11)
+    corpus = atlas_connected(6)
+    corpus += [random_connected_graph(rng, rng.randint(5, 9), rng.randint(0, 6)) for _ in range(30)]
+    corpus += [build_halo(g, chromatic_number(g)).gamma for g in atlas_connected(5)]
+    return corpus
+
+
+class TestSubdivisionFactor:
+    """The factor read off the violations equals the least factor a search
+    over every candidate finds."""
+
+    @pytest.mark.parametrize("path_threshold", ["paper", "alt"])
+    def test_matches_search(self, path_threshold):
+        for g in _factor_corpus():
+            for n in range(1, 6):
+                k = smallest_passing_factor(g, n, path_threshold)
+                assert subdivision_factor(g, n, path_threshold) == k, (g, n)
+                assert subdivide_for(g, n, path_threshold) == subdivide_uniform(g, k)[0]
+
+    def test_short_cycle_search_matches_girth(self):
+        import networkx as nx
+
+        for g in _factor_corpus():
+            G = nx.Graph(list(g.edges))
+            G.add_nodes_from(g.vertices)
+            girth = nx.girth(G)
+            for m in range(9):
+                assert _has_cycle_within(g, m) == (girth <= m), (g, m)
+
+    def test_passing_graph_is_returned_as_is(self):
+        for g in (cycle_graph(3), cycle_graph(6), petersen_graph()):
+            assert is_sufficiently_subdivided(g, 2).ok
+            assert subdivide_for(g, 2) is g
+            k, out, chains = minimal_subdivision(g, 2)
+            assert (k, out) == (1, g)
+            assert chains == {e: e for e in g.edges}
+
+    def test_reports_computed(self, monkeypatch):
+        checked = []
+        original = graphs._subdivision_report
+
+        def counted(g, *args):
+            checked.append(g)
+            return original(g, *args)
+
+        monkeypatch.setattr(graphs, "_subdivision_report", counted)
+        g = complete_graph(4)
+        _, out, _ = minimal_subdivision(g, 4)
+        assert checked == [g, out] and checked[1] is out
+        checked.clear()
+        minimal_subdivision(cycle_graph(6), 2)
+        assert len(checked) == 1
+
+    def test_failing_subdivision_is_caught(self, monkeypatch):
+        # the check on the graph returned stays as a safety net
+        monkeypatch.setattr(graphs, "subdivide_uniform", lambda g, k: (g, {}))
+        with pytest.raises(VerificationError):
+            minimal_subdivision(cycle_graph(3), 3)
 
 
 class TestPlanarity:
