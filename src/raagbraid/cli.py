@@ -165,18 +165,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, coloring_opts=True):
+    def common(p):
         p.add_argument("--input", required=True, help="path to a graph JSON file")
         p.add_argument(
             "--format", choices=("json", "dot", "text"), default="json",
             help="output format (default json)",
         )
-        if coloring_opts:
-            p.add_argument("--coloring", help="path to a coloring JSON file")
-            p.add_argument(
-                "--exact", action="store_true",
-                help="use the exact chromatic coloring instead of the greedy one",
-            )
+        p.add_argument("--coloring", help="path to a coloring JSON file")
+        p.add_argument(
+            "--exact", action="store_true",
+            help="use the exact chromatic coloring instead of the greedy one",
+        )
         p.add_argument(
             "--path-threshold", choices=graphs.PATH_THRESHOLDS, default="paper",
             dest="path_threshold",

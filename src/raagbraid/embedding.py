@@ -31,7 +31,7 @@ from .errors import (
     UnknownVertexError,
     VerificationError,
 )
-from .graphs import Coloring, SimpleGraph, is_sufficiently_subdivided, planarity
+from .graphs import Coloring, SimpleGraph, is_sufficiently_subdivided, json_value, planarity
 from .halo import Halo, build_halo, subdivided_halo, verify_halo
 from .raag import (
     GroupWord,
@@ -43,8 +43,8 @@ from .raag import (
 
 Letter = tuple[str, int]
 
-#: most elements the injectivity check enumerates; the magnitude of
-#: ``build_udc``'s default cell budget
+#: most elements the injectivity check enumerates, and most words it
+#: samples; the magnitude of ``build_udc``'s default cell budget
 ELEMENT_BUDGET = 1_000_000
 
 
@@ -213,18 +213,7 @@ class HomomorphismReport:
         return self.ok
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "relators": [
-                {
-                    "edge": list(r.edge),
-                    "commutator_trivial": r.commutator_trivial,
-                    "supports_disjoint": r.supports_disjoint,
-                    "cross_pairs_commute": r.cross_pairs_commute,
-                }
-                for r in self.relators
-            ],
-        }
+        return json_value(self)
 
 
 def check_homomorphism(ctx: EmbeddingContext) -> HomomorphismReport:
@@ -272,16 +261,7 @@ class InjectivityReport:
         return self.ok
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "squared": self.squared,
-            "max_len": self.max_len,
-            "exhaustive_elements": self.exhaustive_elements,
-            "sample_count": self.sample_count,
-            "sample_max_len": self.sample_max_len,
-            "seed": self.seed,
-            "failures": list(self.failures),
-        }
+        return {"ok": self.ok, **json_value(self)}
 
 
 def _check_element_budget(p: RaagPresentation, max_len: int) -> None:
@@ -405,7 +385,7 @@ def injectivity_spot_check(
     failures witness the lost injectivity. An image whose exponent sums do
     not all vanish is nontrivial; only the others are piled. Raises
     ``SizeExceededError`` when more than ``ELEMENT_BUDGET`` elements would
-    be enumerated.
+    be enumerated or more than that many samples drawn.
     """
     if max_len < 0:
         raise InputError(f"max_len must be >= 0, got {max_len}")
@@ -414,6 +394,10 @@ def injectivity_spot_check(
     if sample_count > 0 and max_len == 0:
         raise InputError(
             f"{sample_count} samples need max_len >= 1: samples have up to 2 * max_len letters"
+        )
+    if sample_count > ELEMENT_BUDGET:
+        raise SizeExceededError(
+            f"{sample_count} samples to draw, over the budget of {ELEMENT_BUDGET}"
         )
     p = ctx.source_group
     _check_element_budget(p, max_len)
@@ -475,23 +459,7 @@ class PinchTrace:
     emptied: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "word": self.word,
-            "squared": self.squared,
-            "initial_length": self.initial_length,
-            "events": [
-                {
-                    "stable": e.stable,
-                    "positions": list(e.positions),
-                    "flank_sign": e.flank_sign,
-                    "pattern": e.pattern,
-                    "inner_length": e.inner_length,
-                }
-                for e in self.events
-            ],
-            "final_word": self.final_word,
-            "emptied": self.emptied,
-        }
+        return json_value(self)
 
 
 def _stable_candidates(ctx: EmbeddingContext, w: GroupWord) -> list[str]:
@@ -573,14 +541,7 @@ class CounterexampleReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "word": self.word,
-            "nontrivial_in_source": self.nontrivial_in_source,
-            "unsquared_image_trivial": self.unsquared_image_trivial,
-            "squared_image_nontrivial": self.squared_image_nontrivial,
-            "ok": self.ok,
-        }
+        return {**json_value(self), "ok": self.ok}
 
 
 def counterexample_roles(delta: SimpleGraph) -> dict[str, str] | None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 
 import networkx as nx
@@ -137,7 +137,10 @@ class Coloring:
         extra = sorted(set(mapping) - set(graph.vertices))
         if extra:
             raise UnknownVertexError(f"colored vertices not in the graph: {extra}")
-        if not all(isinstance(c, int) and c >= 1 for c in mapping.values()):
+        if not all(
+            isinstance(c, int) and not isinstance(c, bool) and c >= 1
+            for c in mapping.values()
+        ):
             raise ImproperColoringError("colors must be integers >= 1")
         colors = set(mapping.values())
         n = max(colors, default=0)
@@ -297,22 +300,7 @@ class SubdivisionReport:
         return self.ok
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "n": self.n,
-            "path_threshold": self.path_threshold,
-            "path_required": self.path_required,
-            "loop_required": self.loop_required,
-            "violations": [
-                {
-                    "kind": v.kind,
-                    "vertices": list(v.vertices),
-                    "length": v.length,
-                    "required": v.required,
-                }
-                for v in self.violations
-            ],
-        }
+        return json_value(self)
 
 
 def _path_required(n: int, path_threshold: str) -> int:
@@ -549,17 +537,24 @@ def graph_from_json_dict(data) -> SimpleGraph:
     return SimpleGraph.make(vertices, parsed_edges)
 
 
+def json_value(value):
+    """The JSON form of a report: a dataclass becomes an object of its
+    fields (read with ``dataclasses.fields``), tuples and lists become
+    lists, a dict keeps its keys, each converted recursively; any other
+    value is returned as it is. Unlike ``dataclasses.asdict``, tuples come
+    out as lists, so a report's text rendering prints ``[]``, not ``()``."""
+    if is_dataclass(value):
+        return {f.name: json_value(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_value(v) for k, v in value.items()}
+    return value
+
+
 def dumps_canonical(obj) -> str:
     """Fixed JSON serialization so identical data yields identical bytes."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def loads_graph(text: str) -> SimpleGraph:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    return graph_from_json_dict(data)
 
 
 _DOT_PALETTE = (

@@ -16,7 +16,6 @@ so no axiom is disturbed.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +28,7 @@ from .graphs import (
     coloring_from_json_dict,
     graph_from_json_dict,
     graph_to_json_dict,
+    json_value,
     minimal_subdivision,
     normalize_edge,
 )
@@ -92,13 +92,7 @@ class HaloReport:
         return tuple(sorted({v.axiom for v in self.violations}))
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {"axiom": v.axiom, "message": v.message, "witnesses": list(v.witnesses)}
-                for v in self.violations
-            ],
-        }
+        return json_value(self)
 
 
 def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
@@ -397,9 +391,14 @@ def halo_from_json_dict(data) -> Halo:
         if not isinstance(v, str):
             raise GraphFormatError(f"basepoint of color {c!r} must be a vertex name, got {v!r}")
         try:
-            basepoints[int(c)] = v
+            color = int(c)
+            if str(color) != c:  # "01", " 1" and "1_0" parse too
+                raise ValueError
         except ValueError:
-            raise GraphFormatError(f"basepoint color {c!r} is not an integer") from None
+            raise GraphFormatError(
+                f"basepoint color {c!r} is not an integer in canonical form"
+            ) from None
+        basepoints[color] = v
     return Halo(
         gamma=gamma,
         artin_loops=tuple(sorted((a, tuple(loop)) for a, loop in loops.items())),
@@ -407,14 +406,6 @@ def halo_from_json_dict(data) -> Halo:
         coloring=coloring,
         delta=delta,
     )
-
-
-def loads_halo(text: str) -> Halo:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    return halo_from_json_dict(data)
 
 
 def halo_to_dot(h: Halo, name: str = "Halo") -> str:

@@ -236,10 +236,6 @@ class RaagPresentation:
         _, count = self._pile(letters)
         return count == 0
 
-    def geodesic_length(self, letters) -> int:
-        _, count = self._pile(letters)
-        return count
-
     def sphere_sizes(self, max_len: int, budget: int | None = None):
         """Yield the number of elements of geodesic length 0, 1, ..., max_len.
 

@@ -287,6 +287,17 @@ class TestVerify:
         assert out == ""
         assert "3524576" in err
 
+    def test_sample_budget_exit_3(self, tmp_path, capsys, figure_delta, monkeypatch):
+        def never(*args):
+            raise AssertionError("enumeration started over budget")
+
+        monkeypatch.setattr(embedding, "_nontrivial_elements", never)
+        path = write_graph(tmp_path, figure_delta)
+        code, out, err = run(capsys, ["verify", "--input", path, "--samples", "1000001"])
+        assert code == 3
+        assert out == ""
+        assert "1000001 samples" in err
+
 
 @pytest.mark.parametrize(
     "graph, gamma_vertices",
@@ -332,6 +343,7 @@ class TestMalformedInput:
         code, _, err = run(capsys, [command, "--input", str(path)])
         assert code == 2
         assert err.startswith("error:")
+        return err
 
     def halo_data(self, figure_delta, figure_coloring):
         return halo_to_json_dict(build_halo(figure_delta, figure_coloring))
@@ -365,6 +377,15 @@ class TestMalformedInput:
         data["coloring"]["assignment"] = 5
         self.run_json(tmp_path, capsys, "verify", data)
 
+    @pytest.mark.parametrize("key", ["01", "1_0", " 1", "None"])
+    def test_non_canonical_basepoint_color(
+        self, tmp_path, capsys, figure_delta, figure_coloring, key
+    ):
+        data = self.halo_data(figure_delta, figure_coloring)
+        data["basepoints"][key] = data["basepoints"]["1"]
+        err = self.run_json(tmp_path, capsys, "verify", data)
+        assert f"basepoint color {key!r} is not an integer in canonical form" in err
+
     def test_unhashable_color_is_improper(self, tmp_path, capsys, figure_delta, figure_coloring):
         data = self.halo_data(figure_delta, figure_coloring)
         data["coloring"]["assignment"]["a"] = [1]
@@ -373,6 +394,17 @@ class TestMalformedInput:
         code, _, err = run(capsys, ["verify", "--input", str(path)])
         assert code == 4
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("color", [True, 1.0])
+    def test_non_integer_color_is_improper(self, tmp_path, capsys, figure_delta, color):
+        """A boolean colour fails like a float one: True equals 1 but is no
+        colour."""
+        graph = write_graph(tmp_path, figure_delta)
+        coloring = tmp_path / "coloring.json"
+        coloring.write_text(json.dumps({"assignment": {"a": color, "b": 2, "c": 3}}))
+        code, out, err = run(capsys, ["verify", "--input", graph, "--coloring", str(coloring)])
+        assert (code, out) == (4, "")
+        assert err == "error: colors must be integers >= 1\n"
 
 
 def _json_paths(data, prefix=()):

@@ -598,6 +598,18 @@ class TestElementBudget:
         with pytest.raises(SizeExceededError, match="608"):
             injectivity_spot_check(figure_context, max_len=4)
 
+    def test_sample_budget_is_inclusive(self, figure_context, monkeypatch):
+        monkeypatch.setattr(embedding, "ELEMENT_BUDGET", 10)
+        report = injectivity_spot_check(figure_context, max_len=1, sample_count=10)
+        assert report.sample_count == 10
+
+        def never(*args):
+            raise AssertionError("enumeration started over budget")
+
+        monkeypatch.setattr(embedding, "_nontrivial_elements", never)
+        with pytest.raises(SizeExceededError, match="11 samples"):
+            injectivity_spot_check(figure_context, max_len=1, sample_count=11)
+
     def test_clique_listing_is_budgeted(self):
         """K_30 has 2^30 cliques; the listing stops once its c-cliques show
         n_c * 2^c elements over the budget."""

@@ -1,26 +1,56 @@
-"""Golden outputs: the sha256 of the JSON stdout and the exit code of fixed
-CLI runs. A change that alters any output byte of these runs fails here, so
-refactors that promise byte-identical output are checked mechanically.
+"""Golden outputs, pinned as sha256 digests.
 
-The digests were computed before the factor search in
-``graphs.minimal_subdivision`` was replaced by the closed form. To re-pin
-after a deliberate change of output, print ``golden_run``'s results for
-every case and say in the change log which bytes changed and why.
+``GOLDEN`` pins the exit code and JSON stdout of fixed CLI runs.
+``REPORT_GOLDEN`` pins ``dumps_canonical(report.to_json_dict())`` of the
+reports those runs never serialize: failing subdivision and halo reports,
+relator checks, unsquared injectivity failures, the squaring counterexample
+and pinch traces. A change that alters any output byte of these fails here,
+so refactors that promise byte-identical output are checked mechanically.
+
+The CLI digests were computed before the factor search in
+``graphs.minimal_subdivision`` was replaced by the closed form; the report
+digests before the reports were serialized through ``graphs.json_value``.
+To re-pin after a deliberate change of output, run
+
+    PYTHONPATH=src python tests/test_golden.py
+
+paste the two tables it prints over the ones below, and say in the change
+log which bytes changed and why.
 """
 import hashlib
 import io
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
+from pathlib import Path
 
 import pytest
 
-from raagbraid import SimpleGraph, graph_to_json_dict
+from raagbraid import (
+    Coloring,
+    GroupWord,
+    Halo,
+    SimpleGraph,
+    build_context,
+    build_halo,
+    check_homomorphism,
+    counterexample_report,
+    graph_to_json_dict,
+    greedy_color,
+    injectivity_spot_check,
+    is_sufficiently_subdivided,
+    pinch_trace,
+    verify_halo,
+)
 from raagbraid.cli import main
 from raagbraid.graphs import dumps_canonical
 
 from oracles import complete_graph, cycle_graph, petersen_graph
 
+FIGURE = SimpleGraph.make(["a", "b", "c"], [("a", "c")])
+
 GRAPHS = {
-    "figure": SimpleGraph.make(["a", "b", "c"], [("a", "c")]),
+    "figure": FIGURE,
     "c6": cycle_graph(6),
     "k4": complete_graph(4),  # needs subdivision
     "petersen": petersen_graph(),
@@ -67,3 +97,84 @@ def golden_run(tmp_path, graph_id: str, run_id: str) -> tuple[int, str]:
 @pytest.mark.parametrize("run_id", sorted(RUNS))
 def test_golden_output(tmp_path, graph_id, run_id):
     assert golden_run(tmp_path, graph_id, run_id) == GOLDEN[graph_id, run_id]
+
+
+@cache
+def context(graph_id: str):
+    g = GRAPHS[graph_id]
+    if graph_id == "figure":
+        return build_context(g, Coloring.make(g, {"a": 1, "b": 2, "c": 3}))
+    return build_context(g, greedy_color(g))
+
+
+def c6_halo_without_a1_loop() -> Halo:
+    h = build_halo(GRAPHS["c6"], greedy_color(GRAPHS["c6"]))
+    loops = tuple((a, loop) for a, loop in h.artin_loops if a != "a1")
+    return Halo(h.gamma, loops, h.basepoints, h.coloring, h.delta)
+
+
+PINCH_WORDS = ("c b a b^-1 c^-1 b a^-1 b^-1", "a b c a^-1 b^-1 c^-1")
+
+#: report id -> a function building that report
+REPORTS = {
+    "subdivision-k4-unsubdivided": lambda: is_sufficiently_subdivided(
+        build_halo(GRAPHS["k4"], greedy_color(GRAPHS["k4"])).gamma, 4
+    ),
+    "halo-c6-missing-loop": lambda: verify_halo(c6_halo_without_a1_loop()),
+    **{
+        f"homomorphism-{g}": (lambda g=g: check_homomorphism(context(g)))
+        for g in ("figure", "c6", "k4")
+    },
+    "injectivity-figure-unsquared": lambda: injectivity_spot_check(
+        context("figure"), max_len=8, sample_count=50, seed=1, squared=False
+    ),
+    "counterexample-figure": lambda: counterexample_report(FIGURE),
+    **{
+        f"pinch-{'squared' if squared else 'unsquared'}-{w}": (
+            lambda w=w, squared=squared: pinch_trace(
+                GroupWord.parse(w), context("figure"), squared=squared
+            )
+        )
+        for w in PINCH_WORDS
+        for squared in (True, False)
+    },
+}
+
+#: report id -> sha256 of the report's canonical JSON
+REPORT_GOLDEN = {
+    "counterexample-figure": "e6c210238e164c06cbf33099988669678d5cf668576ba2b83e0ba0ce90f01469",
+    "halo-c6-missing-loop": "a59f450f408f3cf1ee871a20737a8180481e9e4cc5ff1605a95040f70e8eaf13",
+    "homomorphism-c6": "92a41db8d0b2e28f8264031b59ff266da6bd15400ff8d519abbcf405e48ea7a5",
+    "homomorphism-figure": "a591bfa9b56bc3472fede292615b8d40e69de8a2fa61366e434a8f35801c8851",
+    "homomorphism-k4": "2b7b01221abdc479f0c045291071947c901069e294155050c23d0390b55702a1",
+    "injectivity-figure-unsquared": "9c705b71ceeed814d33058da6a2f4560e2dd23c5b0dd01efdb012f5dd3ae1af5",
+    "pinch-squared-a b c a^-1 b^-1 c^-1": "abb3cef0d78930da33c7b5499795a4ac914fc1742d7300d6dd2f57cd3d5b5f28",
+    "pinch-squared-c b a b^-1 c^-1 b a^-1 b^-1": "3c186addfe5aefafc3e444447150e587d4627df647837aa0b63fe5b4e231a9c2",
+    "pinch-unsquared-a b c a^-1 b^-1 c^-1": "d6dfe508ce50e94dee32d171b69babd16c836d471b251b08a54b8c45dc79974f",
+    "pinch-unsquared-c b a b^-1 c^-1 b a^-1 b^-1": "545d3950214b56305e5639c6618a6d58b9a2fcaaa84e0d1f4f363f0a486b2b33",
+    "subdivision-k4-unsubdivided": "3d54049258c6944b5675c2133edf632d6d5d37fbe0597a57ce73be5ed11c10e7",
+}
+
+
+def report_digest(report_id: str) -> str:
+    text = dumps_canonical(REPORTS[report_id]().to_json_dict())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("report_id", sorted(REPORTS))
+def test_report_golden(report_id):
+    assert report_digest(report_id) == REPORT_GOLDEN[report_id]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print("GOLDEN = {")
+        for graph_id in sorted(GRAPHS):
+            for run_id in sorted(RUNS):
+                code, digest = golden_run(Path(tmp), graph_id, run_id)
+                print(f'    ("{graph_id}", "{run_id}"): ({code}, "{digest}"),')
+        print("}")
+    print("REPORT_GOLDEN = {")
+    for report_id in sorted(REPORTS):
+        print(f'    "{report_id}": "{report_digest(report_id)}",')
+    print("}")

@@ -106,6 +106,12 @@ class TestColoring:
         with pytest.raises(ImproperColoringError):
             Coloring.make(g, {"a": 1})
 
+    def test_boolean_color_rejected(self):
+        # True == 1 and isinstance(True, int), yet a boolean is no color
+        g = SimpleGraph.make(["a", "b", "c"])
+        with pytest.raises(ImproperColoringError, match="colors must be integers >= 1"):
+            Coloring.make(g, {"a": True, "b": 2, "c": 3})
+
     def test_json_dict_is_a_copy(self):
         g = SimpleGraph.make(["a", "b"], [("a", "b")])
         coloring = Coloring.make(g, {"a": 1, "b": 2})
