@@ -110,9 +110,9 @@ def cmd_configspace(args) -> int:
 
 def cmd_embed(args) -> int:
     g = _load_graph(args.input)
+    word = GroupWord.parse(args.word)
     coloring = _resolve_coloring(args, g)
     ctx = embedding.build_context(g, coloring, args.path_threshold)
-    word = GroupWord.parse(args.word)
     squared = not args.unsquared
     image = embedding.phi_psi(word, ctx, squared=squared)
     trivial = is_trivial(image, ctx.a_gamma)

@@ -370,23 +370,12 @@ def _nontrivial_elements(p: RaagPresentation, max_len: int, packed: list[int]):
     return count, zero_sum
 
 
-def injectivity_spot_check(
-    ctx: EmbeddingContext,
-    max_len: int,
-    sample_count: int = 0,
-    seed: int = 0,
-    squared: bool = True,
-) -> InjectivityReport:
-    """Look for nontrivial source elements with trivial image.
-
-    Exhausts every element of geodesic length up to ``max_len``, then checks
-    ``sample_count`` seeded random words of length up to ``2 * max_len``.
-    In squared mode any failure is an implementation bug; in unsquared mode
-    failures witness the lost injectivity. An image whose exponent sums do
-    not all vanish is nontrivial; only the others are piled. Raises
-    ``SizeExceededError`` when more than ``ELEMENT_BUDGET`` elements would
-    be enumerated or more than that many samples drawn.
-    """
+def _check_spot_check_args(p: RaagPresentation, max_len: int, sample_count: int) -> None:
+    """Check the injectivity check's arguments before any work. Raise
+    ``InputError`` for a negative length or sample count, or for samples
+    with ``max_len`` 0, and ``SizeExceededError`` for more than
+    ``ELEMENT_BUDGET`` samples, or nontrivial elements of ``p`` up to
+    length ``max_len``."""
     if max_len < 0:
         raise InputError(f"max_len must be >= 0, got {max_len}")
     if sample_count < 0:
@@ -399,8 +388,62 @@ def injectivity_spot_check(
         raise SizeExceededError(
             f"{sample_count} samples to draw, over the budget of {ELEMENT_BUDGET}"
         )
-    p = ctx.source_group
     _check_element_budget(p, max_len)
+
+
+def _sample_codes(seed: int, max_length: int, own: list[int], image: list[int]):
+    """Endless seeded words over the letter codes ``0 .. len(own) - 1``,
+    each yielded as ``(codes, own_sum, image_sum)``: its codes and the sums
+    of their ``own`` and ``image`` weights, added as each letter is drawn.
+
+    The words are those ``rng = random.Random(seed)`` gives by
+    ``rng.randint(1, max_length)`` letters of ``rng.choice(range(len(own)))``
+    each. Both draw below a bound as ``Random._randbelow`` does: values of
+    ``getrandbits(bound.bit_length())`` until one is below the bound. Needs
+    ``max_length`` and ``len(own)`` at least 1.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    n_codes = len(own)
+    length_bits = max_length.bit_length()
+    code_bits = n_codes.bit_length()
+    while True:
+        length = getrandbits(length_bits)
+        while length >= max_length:
+            length = getrandbits(length_bits)
+        codes = []
+        own_sum = image_sum = 0
+        for _ in range(length + 1):
+            code = getrandbits(code_bits)
+            while code >= n_codes:
+                code = getrandbits(code_bits)
+            codes.append(code)
+            own_sum += own[code]
+            image_sum += image[code]
+        yield codes, own_sum, image_sum
+
+
+def injectivity_spot_check(
+    ctx: EmbeddingContext,
+    max_len: int,
+    sample_count: int = 0,
+    seed: int = 0,
+    squared: bool = True,
+) -> InjectivityReport:
+    """Look for nontrivial source elements with trivial image.
+
+    Exhausts every element of geodesic length up to ``max_len``, then checks
+    ``sample_count`` seeded random words of length up to ``2 * max_len``:
+    the words ``random.Random(seed)``'s ``randint`` and ``choice`` would
+    draw, with their source and image exponent sums carried as they are
+    drawn (``_sample_codes``). In squared mode any failure is an
+    implementation bug; in unsquared mode failures witness the lost
+    injectivity. An image whose exponent sums do not all vanish is
+    nontrivial; only the others are piled. Raises ``SizeExceededError``
+    when more than ``ELEMENT_BUDGET`` elements would be enumerated or more
+    than that many samples drawn.
+    """
+    p = ctx.source_group
+    _check_spot_check_args(p, max_len, sample_count)
     sample_max_len = 2 * max_len
     signed = _signed_letters(p)
     images = [GroupWord(ctx.letter_image(g, s, squared)) for g, s in signed]
@@ -414,21 +457,21 @@ def injectivity_spot_check(
     elements, zero_sum = _nontrivial_elements(p, max_len, packed)
     failures = [str(GroupWord(w)) for w in zero_sum if image_is_trivial(w)]
 
-    rng = random.Random(seed)
-    packed_of = dict(zip(signed, packed))
-    own = dict(zip(signed, _pack([{g: s} for g, s in signed], p, sample_max_len)))
+    own = _pack([{g: s} for g, s in signed], p, sample_max_len)
+    samples = _sample_codes(seed, sample_max_len, own, packed)
     sampled = 0
     attempts = 0
     while sampled < sample_count and attempts < 100 * sample_count:
         attempts += 1
-        length = rng.randint(1, sample_max_len)
-        letters = tuple(rng.choice(signed) for _ in range(length))
+        codes, own_sum, image_sum = next(samples)
         # a word whose own exponent sums do not all vanish is nontrivial
-        if not sum(own[x] for x in letters) and p.is_trivial_letters(letters):
+        if not own_sum and p.is_trivial_letters([signed[c] for c in codes]):
             continue
         sampled += 1
-        if not sum(packed_of[x] for x in letters) and image_is_trivial(letters):
-            failures.append(str(GroupWord(letters)))
+        if not image_sum:
+            letters = tuple(signed[c] for c in codes)
+            if image_is_trivial(letters):
+                failures.append(str(GroupWord(letters)))
     return InjectivityReport(
         squared=squared,
         max_len=max_len,
@@ -673,7 +716,11 @@ def verify_suite(
 ) -> VerificationReport:
     """Run every pipeline check over one input and collect a report:
     halo axioms, subdivision, the homomorphism property, the injectivity
-    spot check, and, for the matching shape, the squaring counterexample."""
+    spot check, and, for the matching shape, the squaring counterexample.
+
+    The injectivity check's arguments and budgets are checked first, so
+    they raise before any halo is built or verified."""
+    _check_spot_check_args(RaagPresentation(delta), max_len, sample_count)
     checks: list[CheckResult] = []
 
     def run(name: str, fn) -> bool:

@@ -4,7 +4,8 @@ Nothing here may import the algorithms under test: cell counts come from raw
 subset enumeration, word triviality and least spellings from breadth-first
 rewriting closures, the elements of bounded length from every freely reduced
 word (spelled by a reduction the caller passes in), colorability from
-exhaustive assignment, and graph corpora from the networkx atlas. The one
+exhaustive assignment, seeded sample words from ``random``'s own
+``randint`` and ``choice``, and graph corpora from the networkx atlas. The one
 exception is ``smallest_passing_factor``: it tries every candidate factor
 against the library's subdivision check, as a reference for the closed form
 that reads the factor off that check's violations.
@@ -20,6 +21,22 @@ from networkx.generators.atlas import graph_atlas_g
 
 from raagbraid import SimpleGraph
 from raagbraid.graphs import is_sufficiently_subdivided, subdivide_uniform
+
+
+# --- seeded sample words -----------------------------------------------------
+
+
+def reference_samples(seed: int, n_codes: int, max_length: int, count: int) -> list[list[int]]:
+    """The first ``count`` sample words of ``random.Random(seed)``, drawn
+    through the standard library: a length by ``randint(1, max_length)``,
+    then that many letter codes by ``choice`` over ``range(n_codes)``."""
+    rng = random.Random(seed)
+    codes = list(range(n_codes))
+    words = []
+    for _ in range(count):
+        length = rng.randint(1, max_length)
+        words.append([rng.choice(codes) for _ in range(length)])
+    return words
 
 
 # --- configuration-space counts and paths -----------------------------------

@@ -165,6 +165,19 @@ class TestEmbed:
         assert code == 0
         assert json.loads(out)["trivial"] is True
 
+    def test_bad_word_exit_2_before_the_context(
+        self, tmp_path, capsys, figure_delta, monkeypatch
+    ):
+        def never(*args):
+            raise AssertionError("context built before the word was parsed")
+
+        monkeypatch.setattr(embedding, "build_context", never)
+        path = write_graph(tmp_path, figure_delta)
+        code, out, err = run(capsys, ["embed", "--input", path, "a b^2"])
+        assert code == 2
+        assert out == ""
+        assert "bad letter token" in err
+
     def test_unknown_generator_exit_2(self, tmp_path, capsys, figure_delta):
         path = write_graph(tmp_path, figure_delta)
         code, _, _ = run(capsys, ["embed", "--input", path, "q r^-1"])
@@ -297,6 +310,19 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert "1000001 samples" in err
+
+    def test_corrupted_halo_with_bad_samples_exit_2(self, tmp_path, capsys, c6):
+        """The suite checks its arguments before the halo axioms."""
+        h = build_halo(c6, chromatic_number(c6))
+        data = halo_to_json_dict(h)
+        a1 = data["loops"]["a1"]
+        data["edges"] = [e for e in data["edges"] if e != sorted([a1[0], a1[1]])]
+        path = tmp_path / "halo.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["verify", "--input", str(path), "--samples", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "sample_count must be >= 0" in err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 
 import pytest
 
@@ -8,6 +8,7 @@ from raagbraid import (
     Coloring,
     GroupWord,
     Halo,
+    InputError,
     RaagPresentation,
     SimpleGraph,
     SizeExceededError,
@@ -46,6 +47,7 @@ from oracles import (
     free_word_spellings,
     petersen_graph,
     random_connected_graph,
+    reference_samples,
     replay_psi,
 )
 
@@ -481,6 +483,27 @@ class TestInjectivitySpotCheck:
         assert a == b
 
 
+class TestSampleStream:
+    """``_sample_codes`` draws the words ``random.Random``'s ``randint`` and
+    ``choice`` draw, on every alphabet and length bound. Powers of two are
+    among them: only there does ``(bound - 1).bit_length()``, a likely slip,
+    differ from the ``bound.bit_length()`` bits that ``_randbelow`` draws."""
+
+    @pytest.mark.parametrize("n_codes", range(2, 41))
+    def test_matches_randint_and_choice(self, n_codes):
+        own = list(range(n_codes))
+        image = [3 - c * c for c in own]
+        for max_length in range(1, 17):
+            for seed in range(5):
+                drawn = list(islice(embedding._sample_codes(seed, max_length, own, image), 60))
+                assert [codes for codes, _, _ in drawn] == reference_samples(
+                    seed, n_codes, max_length, 60
+                ), (seed, max_length)
+                for codes, own_sum, image_sum in drawn:
+                    assert own_sum == sum(codes)
+                    assert image_sum == sum(image[c] for c in codes)
+
+
 ENUMERATION_CASES = (
     [(f"atlas{i}", g, 3) for i, g in enumerate(atlas_connected(5))]
     + [
@@ -609,6 +632,27 @@ class TestElementBudget:
         monkeypatch.setattr(embedding, "_nontrivial_elements", never)
         with pytest.raises(SizeExceededError, match="11 samples"):
             injectivity_spot_check(figure_context, max_len=1, sample_count=11)
+
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [
+            ({"sample_count": embedding.ELEMENT_BUDGET + 1}, SizeExceededError, "1000001 samples"),
+            ({"max_len": 10}, SizeExceededError, "3524576"),
+            ({"sample_count": -1}, InputError, "sample_count must be >= 0"),
+            ({"max_len": -1}, InputError, "max_len must be >= 0"),
+            ({"max_len": 0, "sample_count": 5}, InputError, "5 samples need max_len >= 1"),
+        ],
+    )
+    def test_suite_checks_before_the_halo(
+        self, figure_delta, figure_coloring, monkeypatch, kwargs, error, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("halo built before the budgets were checked")
+
+        monkeypatch.setattr(embedding, "build_halo", never)
+        monkeypatch.setattr(embedding, "verify_halo", never)
+        with pytest.raises(error, match=message):
+            verify_suite(figure_delta, figure_coloring, **kwargs)
 
     def test_clique_listing_is_budgeted(self):
         """K_30 has 2^30 cliques; the listing stops once its c-cliques show
