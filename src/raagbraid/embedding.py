@@ -2,22 +2,24 @@
 
 From a colored graph the context assembles: the subdivided halo, the
 right-angled Artin group on the halo's edges, and a fixed orientation per
-halo edge (tail = smaller endpoint). The edge group is presented by its
-non-commutation relation: two edges fail to commute exactly when they share
-an endpoint, so each edge is blocked only by the other edges at its two
-endpoints: O(edges x max degree) pairs, where the commuting pairs number
-O(edges^2). The edge-forgetting map sends a configuration
-path to the word of crossed edges, one letter per step, signed by the
-orientation; generators of the source group map to their loop traversed
-twice (squaring is what makes the composite injective, and the
-counterexample report exhibits why once it is dropped).
+halo edge (tail = smaller endpoint). Two edges fail to commute exactly when
+they share an endpoint, so the edge group is presented by the stars of the
+halo's vertices, one clique of edges per vertex: O(edges) entries, where the
+commuting pairs number O(edges^2), and piling a letter touches the two piles
+of its endpoints. The edge-forgetting map sends a configuration path to the
+word of crossed edges, one letter per step, signed by the orientation;
+generators of the source group map to their loop traversed twice (squaring
+is what makes the composite injective, and the counterexample report
+exhibits why once it is dropped). Every letter's image is derived from the
+single loop of its generator, built and validated once: run backwards it
+is the image reversed with its signs negated, run twice it is the image
+twice.
 """
 from __future__ import annotations
 
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 from .configspace import (
     ConfigEdgePath,
@@ -30,6 +32,7 @@ from .errors import (
     SizeExceededError,
     UnknownVertexError,
     VerificationError,
+    WordFormatError,
 )
 from .graphs import Coloring, SimpleGraph, is_sufficiently_subdivided, json_value, planarity
 from .halo import Halo, build_halo, subdivided_halo, verify_halo
@@ -53,9 +56,17 @@ def edge_generator_name(edge: tuple[str, str]) -> str:
 
 
 class EmbeddingContext:
-    """Everything needed to evaluate the composite map over one halo."""
+    """Everything needed to evaluate the composite map over one halo.
 
-    def __init__(self, halo: Halo, path_threshold: str = "paper"):
+    ``source_group`` is A(Δ) when the caller has built it already; one of
+    another graph than ``halo.delta`` is not used."""
+
+    def __init__(
+        self,
+        halo: Halo,
+        path_threshold: str = "paper",
+        source_group: RaagPresentation | None = None,
+    ):
         report = is_sufficiently_subdivided(halo.gamma, halo.coloring.color_count, path_threshold)
         if not report.ok:
             raise VerificationError(
@@ -67,22 +78,22 @@ class EmbeddingContext:
         self.coloring = halo.coloring
         self.n = halo.coloring.color_count
         self.path_threshold = path_threshold
-        self.source_group = RaagPresentation(self.delta)
+        if source_group is None or source_group.graph != self.delta:
+            source_group = RaagPresentation(self.delta)
+        self.source_group = source_group
         # tail -> head runs from the smaller endpoint
         self.edge_orientation: dict[tuple[str, str], tuple[str, str]] = {
             e: (e[0], e[1]) for e in halo.gamma.edges
         }
         self._edge_to_gen = {e: edge_generator_name(e) for e in halo.gamma.edges}
         # two edges fail to commute exactly when they share an endpoint, so
-        # the blockers of an edge are the other edges at its two endpoints
+        # the edges at each vertex form a clique and these cliques cover
+        # the relation
         at: dict[str, list[str]] = {v: [] for v in halo.gamma.vertices}
         for (u, v), gen in self._edge_to_gen.items():
             at[u].append(gen)
             at[v].append(gen)
-        self.a_gamma = RaagPresentation.from_noncommuting(
-            self._edge_to_gen.values(),
-            (pair for gens in at.values() for pair in combinations(gens, 2)),
-        )
+        self.a_gamma = RaagPresentation.from_cliques(self._edge_to_gen.values(), at.values())
         self.base = artin_basepoint(halo)
         self._loop_paths: dict[tuple[str, int], ConfigEdgePath] = {}
         self._letter_images: dict[tuple[str, int, bool], tuple[Letter, ...]] = {}
@@ -113,12 +124,28 @@ class EmbeddingContext:
         return path
 
     def letter_image(self, delta_vertex: str, sign: int, squared: bool) -> tuple[Letter, ...]:
-        """Image in the edge group of one signed source letter."""
+        """Image in the edge group of one signed source letter.
+
+        Only the loop ``loop_path(delta_vertex, 1)`` is built, validated and
+        mapped by ``phi``, once: the loop run backwards crosses the same
+        edges in reverse order and the other way, so its image is the
+        reversed image with every sign negated, and the loop run twice has
+        the image twice. Both are legal closed loops because the loop is."""
         key = (delta_vertex, sign, squared)
-        if key not in self._letter_images:
-            power = sign * (2 if squared else 1)
-            self._letter_images[key] = phi(self.loop_path(delta_vertex, power), self).letters
-        return self._letter_images[key]
+        image = self._letter_images.get(key)
+        if image is None:
+            if sign not in (1, -1):
+                raise WordFormatError(f"letter sign must be +1 or -1, got {sign!r}")
+            if sign > 0 and not squared:
+                image = phi(self.loop_path(delta_vertex, 1), self).letters
+            else:
+                image = self.letter_image(delta_vertex, 1, False)
+                if sign < 0:
+                    image = tuple((g, -s) for g, s in reversed(image))
+                if squared:
+                    image += image
+            self._letter_images[key] = image
+        return image
 
 
 def build_context(
@@ -224,8 +251,8 @@ def check_homomorphism(ctx: EmbeddingContext) -> HomomorphismReport:
     for a, b in ctx.delta.edges:
         commutator = GroupWord.from_pairs([(a, 1), (b, 1), (a, -1), (b, -1)])
         trivial = is_trivial(phi_psi(commutator, ctx, squared=True), ctx.a_gamma)
-        support_a = {step.edge for step in ctx.loop_path(a, 2).steps}
-        support_b = {step.edge for step in ctx.loop_path(b, 2).steps}
+        support_a = {step.edge for step in ctx.loop_path(a, 1).steps}
+        support_b = {step.edge for step in ctx.loop_path(b, 1).steps}
         disjoint = not (support_a & support_b)
         # every cross pair commutes exactly when no endpoint is shared; a
         # shared edge shares its endpoints, so this also fails then
@@ -267,7 +294,12 @@ class InjectivityReport:
 def _check_element_budget(p: RaagPresentation, max_len: int) -> None:
     """Raise before enumerating more than ELEMENT_BUDGET elements: their
     number is predicted from the growth series, length by length, and bounded
-    from below while its cliques are listed."""
+    from below while its cliques are listed. The presentation keeps the
+    (max_len, budget) pairs that passed, so the prediction runs once for
+    each."""
+    key = (max_len, ELEMENT_BUDGET)
+    if key in p.within_budget:
+        return
     total = -1  # the identity is not enumerated
     for length, size in enumerate(p.sphere_sizes(max_len, ELEMENT_BUDGET)):
         total += size
@@ -276,6 +308,7 @@ def _check_element_budget(p: RaagPresentation, max_len: int) -> None:
                 f"{total} nontrivial elements of length at most {length} to enumerate, "
                 f"over the budget of {ELEMENT_BUDGET}"
             )
+    p.within_budget.add(key)
 
 
 def _signed_letters(p: RaagPresentation) -> list[Letter]:
@@ -719,8 +752,10 @@ def verify_suite(
     spot check, and, for the matching shape, the squaring counterexample.
 
     The injectivity check's arguments and budgets are checked first, so
-    they raise before any halo is built or verified."""
-    _check_spot_check_args(RaagPresentation(delta), max_len, sample_count)
+    they raise before any halo is built or verified, on the presentation
+    of A(Δ) that the injectivity check then uses."""
+    source = RaagPresentation(delta)
+    _check_spot_check_args(source, max_len, sample_count)
     checks: list[CheckResult] = []
 
     def run(name: str, fn) -> bool:
@@ -764,7 +799,7 @@ def verify_suite(
     if not ok:
         return VerificationReport(False, path_threshold, tuple(checks))
 
-    ctx = EmbeddingContext(sub, path_threshold)
+    ctx = EmbeddingContext(sub, path_threshold, source)
 
     def check_hom():
         report = check_homomorphism(ctx)

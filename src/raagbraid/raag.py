@@ -1,29 +1,31 @@
 """Partially commutative (right-angled Artin) presentations and their words.
 
 A presentation is a finite simple graph: vertices are generators and two
-generators commute exactly when they are adjacent. It can equally be given by
-the complementary relation, the pairs that do not commute, which is all the
-reduction reads. ``raag_reduce`` solves the word problem with the stack
-("piling") normal form: every generator keeps a pile, a pushed letter either
-cancels against the matching inverse on top of its own pile or lands there
-and drops a blocker on the pile of every non-commuting generator.
-Cancellation is legal exactly when no blocker separates the pair, which is
-the same condition as deleting a letter pair x ... x^-1 whose intervening
-letters all commute with x. Reading the piles back bottom-up, always taking
-the smallest available generator, yields a geodesic spelling that is
-identical for all words representing the same element: the least geodesic
-in generator order (Hermiller & Meier, *Algorithms and geometry for graph
-products of groups*, 1995).
+generators commute exactly when they are adjacent. The reduction reads only
+the complementary relation, the pairs that do not commute, given as cliques
+that cover it: two distinct generators fail to commute exactly when some
+clique holds both. ``raag_reduce`` solves the word problem with the stack
+("piling") normal form: every clique keeps a pile, and a pushed letter
+either cancels, when the piles of all its generator's cliques have its
+inverse on top, or lands on each of those piles. Cancellation is legal
+exactly when no letter of a non-commuting generator separates the pair,
+which is the same condition as deleting a letter pair x ... x^-1 whose
+intervening letters all commute with x. Reading the piles back bottom-up,
+always taking the smallest generator that heads all its piles, yields a
+geodesic spelling that is identical for all words representing the same
+element: the least geodesic in generator order (Hermiller & Meier,
+*Algorithms and geometry for graph products of groups*, 1995).
 
-Piling costs O(input x degree), where the degree is the most generators one
-generator fails to commute with. Reading back keeps a head index per pile
-and a min-heap of the ready generators, those whose pile head is a letter,
-so each output letter costs O(degree + log generators) rather than a scan
-of every pile.
+Piling costs O(input x cliques per generator), and a pile exists only for
+a clique the word touches, so a short word over a large group allocates
+little. Reading back keeps a min-heap of the ready generators, so each
+output letter costs O(cliques per generator + log generators) rather than a
+scan of every pile.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from math import comb
 
@@ -94,22 +96,27 @@ class GroupWord:
 
 
 class RaagPresentation:
-    """Generators and, per generator, the generators it does not commute with.
+    """Generators, and cliques that cover the non-commutation relation.
 
-    ``RaagPresentation(graph)`` reads a commutation graph: two distinct
-    generators commute exactly when they are adjacent, and ``graph`` stays
-    available as the attribute of that name. ``from_noncommuting`` takes the
-    complementary relation instead, which is the sparse side for groups where
-    most pairs commute (the edge group of a halo). Both keep one form, the
-    sorted generators and their blockers, which is all the piling reduction,
-    ``commute`` and ``link`` read.
+    Two distinct generators fail to commute exactly when some clique holds
+    both, and every generator lies in at least one clique: one that commutes
+    with all the others gets a clique of its own. ``RaagPresentation(graph)``
+    reads a commutation graph, in which two distinct generators commute
+    exactly when they are adjacent; its non-adjacent pairs are the cliques,
+    and ``graph`` stays available as the attribute of that name.
+    ``from_cliques`` takes the cliques themselves, which is the small side
+    for groups whose non-commuting generators fall into few large cliques
+    (the edge group of a halo: the edges at each vertex). The piling
+    reduction keeps one pile per clique; ``commute``, ``link`` and
+    ``sphere_sizes`` read the blockers of each generator, derived from the
+    cliques on first use.
     """
 
     def __init__(self, graph: SimpleGraph):
         adj = graph.adjacency
         gens = graph.vertices
         self.graph: SimpleGraph | None = graph
-        self._set_blockers(
+        self._set_cliques(
             gens,
             (
                 (g, h)
@@ -120,28 +127,48 @@ class RaagPresentation:
         )
 
     @classmethod
-    def from_noncommuting(cls, generators, pairs) -> "RaagPresentation":
+    def from_cliques(cls, generators, cliques) -> "RaagPresentation":
         """The group on ``generators`` in which two distinct generators
-        commute unless they form one of ``pairs``; ``graph`` is None."""
+        commute unless one of ``cliques`` holds both; ``graph`` is None."""
         p = cls.__new__(cls)
         p.graph = None
-        p._set_blockers(tuple(sorted(set(generators))), pairs)
+        p._set_cliques(tuple(sorted(set(generators))), cliques)
         return p
 
-    def _set_blockers(self, generators: tuple[str, ...], pairs) -> None:
+    def _set_cliques(self, generators: tuple[str, ...], cliques) -> None:
         self.generators = generators
         self._index = {g: i for i, g in enumerate(generators)}
-        # blockers[i] = indices of the generators that do NOT commute with i,
-        # excluding i itself
-        blockers: list[set[int]] = [set() for _ in generators]
-        for a, b in pairs:
-            i, j = self.index_of(a), self.index_of(b)
-            if i == j:
-                raise GraphFormatError(f"self-pair at {a!r} in the non-commutation relation")
-            blockers[i].add(j)
-            blockers[j].add(i)
-        self._blockers: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(b)) for b in blockers
+        members: list[tuple[int, ...]] = []
+        # per generator: the cliques holding it, in increasing order
+        of: list[list[int]] = [[] for _ in generators]
+        for clique in cliques:
+            c = len(members)
+            ids = []
+            for g in clique:
+                i = self.index_of(g)
+                if of[i] and of[i][-1] == c:
+                    raise GraphFormatError(f"generator {g!r} listed twice in one clique")
+                of[i].append(c)
+                ids.append(i)
+            members.append(tuple(ids))
+        for i, own in enumerate(of):
+            if not own:
+                own.append(len(members))
+                members.append((i,))
+        self._members: tuple[tuple[int, ...], ...] = tuple(members)
+        self._cliques: tuple[tuple[int, ...], ...] = tuple(tuple(own) for own in of)
+        #: the (length, budget) pairs whose element count a caller found
+        #: within budget, so that it predicts the count once
+        self.within_budget: set[tuple[int, int]] = set()
+
+    @cached_property
+    def _blockers(self) -> tuple[frozenset[int], ...]:
+        """Per generator: the other generators sharing a clique with it,
+        that is the generators it does not commute with."""
+        members = self._members
+        return tuple(
+            frozenset(j for c in own for j in members[c] if j != i)
+            for i, own in enumerate(self._cliques)
         )
 
     def __repr__(self) -> str:
@@ -168,73 +195,95 @@ class RaagPresentation:
         blocked.add(i)
         return frozenset(g for j, g in enumerate(self.generators) if j not in blocked)
 
-    def _pile(self, letters) -> tuple[list[list[int]], int]:
-        piles: list[list[int]] = [[] for _ in self.generators]
+    def _pile(self, letters):
+        """Pile the letters: return the piles of the cliques they touch,
+        keyed by clique, each generator met's code and piles, keyed by its
+        name, and the number of letters left on the piles.
+
+        A pile holds letter codes: 2i for generator i, 2i + 1 for its
+        inverse. A letter cancels when every pile of its generator's
+        cliques has its inverse on top, and is pushed onto each of them
+        otherwise."""
+        piles: dict[int, list[int]] = {}
+        new_pile = piles.setdefault
+        own_piles: dict[str, tuple[int, list[list[int]]]] = {}
         index = self._index
-        blockers = self._blockers
+        cliques = self._cliques
         count = 0
         for gen, sign in letters:
-            try:
-                i = index[gen]
-            except KeyError:
-                raise UnknownVertexError(f"unknown generator {gen!r}") from None
-            pile = piles[i]
-            if pile and pile[-1] == -sign:
-                pile.pop()
-                for j in blockers[i]:
-                    piles[j].pop()
-                count -= 1
+            entry = own_piles.get(gen)
+            if entry is None:
+                try:
+                    i = index[gen]
+                except KeyError:
+                    raise UnknownVertexError(f"unknown generator {gen!r}") from None
+                own = []
+                for c in cliques[i]:
+                    own.append(new_pile(c, []))
+                entry = own_piles[gen] = (2 * i, own)
+            code, own = entry
+            if sign < 0:
+                code += 1
+            inverse = code ^ 1
+            for pile in own:
+                if not pile or pile[-1] != inverse:
+                    break
             else:
-                pile.append(sign)
-                for j in blockers[i]:
-                    piles[j].append(0)
-                count += 1
-        return piles, count
+                for pile in own:
+                    pile.pop()
+                count -= 1
+                continue
+            for pile in own:
+                pile.append(code)
+            count += 1
+        return piles, own_piles, count
 
-    def _depile(self, piles: list[list[int]], count: int) -> tuple[Letter, ...]:
-        """Read the piles back bottom-up, always taking the smallest
-        generator whose pile head is a letter rather than a blocker.
+    def _depile(self, piles, own_piles, count: int) -> tuple[Letter, ...]:
+        """Read ``_pile``'s piles back bottom-up, always taking the smallest
+        generator that heads all of its piles.
 
-        The ready generators sit in a min-heap, each at most once: while i is
-        ready the head of every blocker j of i is a 0, since a letter at j's
-        head would be older than i's and would have dropped a 0 under it.
-        So emitting i's head advances the heads of i and its blockers, none
-        of which is in the heap, and pushes those now ready: O(degree +
-        log generators) per output letter. A sorted list is a heap.
+        The piles are reversed, so a head is a pile's last item, and
+        ``need`` counts per generator the piles it does not head. The
+        generators it reaches 0 for, the ready ones, sit in a min-heap, each
+        at most once: a generator sharing a clique with a ready one does not
+        head that clique. Emitting i pops i's piles and counts one down for
+        the generator each new head belongs to: O(cliques of i + log
+        generators) per output letter. A sorted list is a heap.
         """
         out: list[Letter] = []
         generators = self.generators
-        blockers = self._blockers
-        heads = [0] * len(piles)
-        ready = [i for i, pile in enumerate(piles) if pile and pile[0]]
+        piles_of = {code >> 1: own for code, own in own_piles.values()}
+        need = {i: len(own) for i, own in piles_of.items()}
+        for pile in piles.values():
+            if pile:
+                pile.reverse()
+                need[pile[-1] >> 1] -= 1
+        ready = sorted(i for i, n in need.items() if not n)
         while ready:
             i = heappop(ready)
-            pile = piles[i]
-            head = heads[i]
-            out.append((generators[i], pile[head]))
-            head += 1
-            heads[i] = head
-            if head < len(pile) and pile[head]:
-                heappush(ready, i)
-            for j in blockers[i]:
-                pile = piles[j]
-                head = heads[j] + 1
-                heads[j] = head
-                if head < len(pile) and pile[head]:
-                    heappush(ready, j)
+            own = piles_of[i]
+            need[i] = len(own)
+            for pile in own:
+                code = pile.pop()
+                if pile:
+                    j = pile[-1] >> 1
+                    n = need[j] - 1
+                    need[j] = n
+                    if not n:
+                        heappush(ready, j)
+            out.append((generators[i], -1 if code & 1 else 1))
         if len(out) != count:  # pragma: no cover - piles and count always agree
             raise AssertionError("inconsistent piles")
         return tuple(out)
 
     def reduce_letters(self, letters) -> tuple[Letter, ...]:
-        piles, count = self._pile(letters)
+        piles, own_piles, count = self._pile(letters)
         if count == 0:
             return ()
-        return self._depile(piles, count)
+        return self._depile(piles, own_piles, count)
 
     def is_trivial_letters(self, letters) -> bool:
-        _, count = self._pile(letters)
-        return count == 0
+        return self._pile(letters)[2] == 0
 
     def sphere_sizes(self, max_len: int, budget: int | None = None):
         """Yield the number of elements of geodesic length 0, 1, ..., max_len.
@@ -327,11 +376,12 @@ def in_special_subgroup(w: GroupWord, gens, p: RaagPresentation) -> bool:
     """Membership in the subgroup generated by a subset of the generators.
 
     An element lies in it exactly when its geodesic spelling only uses the
-    given generators, that is when no other generator's pile holds a letter.
+    given generators, that is when the piles hold no letter of another
+    generator.
     """
     inside = {p.index_of(g) for g in gens}
-    piles, _ = p._pile(w.letters)
-    return all(i in inside or not any(pile) for i, pile in enumerate(piles))
+    piles = p._pile(w.letters)[0]
+    return all(code >> 1 in inside for pile in piles.values() for code in pile)
 
 
 def abelianization(w: GroupWord, p: RaagPresentation) -> dict[str, int]:
@@ -361,17 +411,20 @@ def detect_pinch(w: GroupWord, v: str, p: RaagPresentation) -> PinchWitness | No
 
     The word is scanned as w_0 v^e1 w_1 v^e2 ... with the w_i free of v;
     a pinch is a consecutive pair of v-letters with opposite signs whose
-    interior reduces into the subgroup generated by link(v).
+    interior reduces into the subgroup generated by link(v). The generators
+    outside link(v) are v and those sharing a clique with it, so an interior
+    lies in that subgroup exactly when it leaves the piles of v's cliques
+    empty.
     """
-    p.index_of(v)
+    own = p._cliques[p.index_of(v)]
     occurrences = [i for i, (g, _) in enumerate(w.letters) if g == v]
-    lk = p.link(v)
     for i, j in zip(occurrences, occurrences[1:]):
         if w.letters[i][1] != -w.letters[j][1]:
             continue
-        inner = GroupWord(w.letters[i + 1 : j])
-        if in_special_subgroup(inner, lk, p):
-            return PinchWitness(stable=v, positions=(i, j), inner=inner)
+        inner = w.letters[i + 1 : j]
+        piles = p._pile(inner)[0]
+        if not any(piles.get(c) for c in own):
+            return PinchWitness(stable=v, positions=(i, j), inner=GroupWord(inner))
     return None
 
 

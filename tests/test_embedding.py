@@ -654,6 +654,21 @@ class TestElementBudget:
         with pytest.raises(error, match=message):
             verify_suite(figure_delta, figure_coloring, **kwargs)
 
+    def test_suite_predicts_once(self, figure_delta, figure_coloring, monkeypatch):
+        """The suite checks the budget before it builds the halo, and the
+        injectivity check runs on that presentation, so the element count is
+        predicted once."""
+        calls = []
+        original = RaagPresentation.sphere_sizes
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RaagPresentation, "sphere_sizes", counted)
+        assert verify_suite(figure_delta, figure_coloring, max_len=3, sample_count=20)
+        assert len(calls) == 1
+
     def test_clique_listing_is_budgeted(self):
         """K_30 has 2^30 cliques; the listing stops once its c-cliques show
         n_c * 2^c elements over the budget."""

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from raagbraid import (
     Coloring,
+    GraphFormatError,
     GroupWord,
     RaagPresentation,
     SimpleGraph,
@@ -45,6 +47,58 @@ def presentation(vertices, edges=()):
 
 FREE_AB = presentation(["a", "b"])
 COMM_AC = presentation(["a", "b", "c"], [("a", "c")])
+
+
+class TestFromCliques:
+    def test_generator_twice_in_one_clique(self):
+        with pytest.raises(GraphFormatError, match="twice"):
+            RaagPresentation.from_cliques(["a", "b"], [["a", "b", "a"]])
+
+    def test_unknown_generator(self):
+        with pytest.raises(UnknownVertexError):
+            RaagPresentation.from_cliques(["a", "b"], [["a", "z"]])
+
+    def test_relation(self):
+        """Two generators commute unless a clique holds both; a generator in
+        no clique commutes with all others and still cancels."""
+        p = RaagPresentation.from_cliques("abcde", ["abc", "abd"])
+        assert not p.commute("a", "b") and not p.commute("c", "a")
+        assert p.commute("c", "d") and p.commute("e", "a")
+        assert p.link("a") == {"e"}
+        assert p.reduce_letters(W("e a e^-1 a^-1").letters) == ()
+        assert p.reduce_letters(W("d c a b").letters) == W("c d a b").letters
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overlapping_cliques_match_the_graph(self, seed):
+        """Random cliques that share several generators give the normal
+        forms of the commutation graph they define."""
+        rng = random.Random(seed)
+        gens = "abcdefg"
+        cliques = [rng.sample(gens, rng.randint(1, 4)) for _ in range(4)]
+        p = RaagPresentation.from_cliques(gens, cliques)
+        blocked = {frozenset((g, h)) for c in cliques for g in c for h in c if g != h}
+        graph = presentation(
+            gens, [(g, h) for g, h in itertools.combinations(gens, 2) if {g, h} not in blocked]
+        )
+        for _ in range(200):
+            w = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(0, 12))]
+            assert p.reduce_letters(w) == graph.reduce_letters(w)
+            assert p.is_trivial_letters(w) == graph.is_trivial_letters(w)
+
+    def test_short_word_over_a_large_group_allocates_little(self):
+        """Piles exist only for the cliques a word touches: on a path of
+        100,000 edges, a word of two adjacent edges allocates under 64 KiB."""
+        gens = [f"e{k:06d}" for k in range(100_000)]
+        p = RaagPresentation.from_cliques(gens, zip(gens, gens[1:]))
+        w = [(gens[500], 1), (gens[501], -1)]
+        tracemalloc.start()
+        try:
+            assert not p.is_trivial_letters(w)
+            assert p.reduce_letters(w) == tuple(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10, f"peak {peak} bytes"
 
 
 class TestGroupWord:
@@ -179,6 +233,18 @@ class TestPinches:
     def test_no_pinch_outside_link(self):
         w = W("a b a^-1")  # b is not in link(a)
         assert detect_pinch(w, "a", COMM_AC) is None
+
+    def test_link_is_not_listed(self, monkeypatch):
+        """Membership in the link's subgroup is read off the piles of the
+        stable letter's cliques; the link itself is never built."""
+
+        def never(*args):
+            raise AssertionError("link listed")
+
+        monkeypatch.setattr(RaagPresentation, "link", never)
+        assert detect_pinch(W("a c a^-1"), "a", COMM_AC) is not None
+        assert detect_pinch(W("a b a^-1"), "a", COMM_AC) is None
+        assert detect_pinch(W("b c"), "a", COMM_AC) is None
 
     def test_inner_reduction_enables_pinch(self):
         # the interior reduces into the link subgroup even though it is not
