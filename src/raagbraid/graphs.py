@@ -11,8 +11,6 @@ from collections import deque
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 
-import networkx as nx
-
 from .errors import (
     GraphFormatError,
     ImproperColoringError,
@@ -491,18 +489,186 @@ def subdivide_for(g: SimpleGraph, n: int, path_threshold: str = "paper") -> Simp
 
 def is_planar(g: SimpleGraph, max_vertices: int = 64) -> bool:
     """Planarity of the abstract graph. The Euler bound |E| <= 3|V| - 6
-    rejects dense graphs before the full test runs."""
+    rejects dense graphs before the left-right test runs, so that test
+    sees O(|V|) edges."""
     if g.n_vertices > max_vertices:
         raise SizeExceededError(
             f"planarity test limited to {max_vertices} vertices, got {g.n_vertices}"
         )
     if g.n_vertices >= 3 and g.n_edges > 3 * g.n_vertices - 6:
         return False
-    G = nx.Graph()
-    G.add_nodes_from(g.vertices)
-    G.add_edges_from(g.edges)
-    ok, _ = nx.check_planarity(G)
-    return bool(ok)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adj: list[list[int]] = [[] for _ in g.vertices]
+    for u, v in g.edges:
+        adj[index[u]].append(index[v])
+        adj[index[v]].append(index[u])
+    return _left_right_planar(adj)
+
+
+def _left_right_planar(adj: list[list[int]]) -> bool:
+    """The left-right planarity test (de Fraysseix & Rosenstiehl, in the
+    form of Brandes, *The Left-Right Planarity Test*, 2009) on vertex
+    indices, without building an embedding.
+
+    Both passes are depth-first searches driven by an explicit stack, so a
+    deep graph meets no recursion limit. The orientation pass turns each
+    edge into a tree edge or a back edge to an ancestor, and gives every
+    oriented edge its lowpoint (the least height its return edges reach)
+    and second lowpoint. The testing pass visits each vertex's out-edges
+    by nesting depth, read off those two, and keeps a stack of conflict
+    pairs: a pair is two intervals of return edges, [low, high], that must
+    lie on opposite sides. Within an interval, ``ref`` links each return
+    edge to the next lower one. The graph is planar when no pair is forced
+    to put two conflicting intervals on one side."""
+    n = len(adj)
+    height = [-1] * n
+    parent_edge = [-1] * n
+    tail: list[int] = []
+    head: list[int] = []
+    low: list[int] = []
+    low2: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n)]
+
+    # orientation pass
+    step = [0] * n
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            if step[v] < len(adj[v]):
+                w = adj[v][step[v]]
+                step[v] += 1
+                if height[w] >= 0 and (height[w] >= height[v] or tail[parent_edge[v]] == w):
+                    continue  # already oriented: a descendant's back edge, or the tree edge in
+                e = len(head)
+                tail.append(v)
+                head.append(w)
+                low.append(height[v] if height[w] < 0 else height[w])
+                low2.append(height[v])
+                out[v].append(e)
+                if height[w] < 0:
+                    parent_edge[w] = e
+                    height[w] = height[v] + 1
+                    stack.append(w)
+                    continue  # e is finished when w is
+            else:
+                stack.pop()
+                e = parent_edge[v]
+                if e < 0:
+                    continue
+                v = tail[e]
+            # e = (v, .) is finished: fold its lowpoints into the edge
+            # that enters v
+            p = parent_edge[v]
+            if p >= 0:
+                if low[e] < low[p]:
+                    low2[p] = min(low[p], low2[e])
+                    low[p] = low[e]
+                elif low[e] > low[p]:
+                    low2[p] = min(low2[p], low[e])
+                else:
+                    low2[p] = min(low2[p], low2[e])
+    # visit out-edges by nesting depth: by lowpoint, a chordal edge (one
+    # whose second lowpoint is below its tail) after a plain one
+    for edges in out:
+        edges.sort(key=lambda e: 2 * low[e] + (low2[e] < height[tail[e]]))
+
+    # testing pass; a conflict pair is [left low, left high, right low,
+    # right high], with -1 for an empty interval's ends
+    m = len(head)
+    ref = [-1] * m
+    bottom: list[list[int] | None] = [None] * m
+    pairs: list[list[int]] = []
+
+    def conflicting(high: int, e: int) -> bool:
+        return high >= 0 and low[high] > low[e]
+
+    def add_constraints(ei: int, e: int) -> bool:
+        p = [-1, -1, -1, -1]
+        while True:  # merge the return edges of ei into p's right
+            q = pairs.pop()
+            if q[0] >= 0:
+                q = q[2:] + q[:2]
+            if q[0] >= 0:
+                return False
+            if low[q[2]] > low[e]:
+                if p[2] < 0:
+                    p[3] = q[3]
+                else:
+                    ref[p[2]] = q[3]
+                p[2] = q[2]
+            if (pairs[-1] if pairs else None) is bottom[ei]:
+                break
+        # merge the earlier siblings' return edges that conflict with ei
+        # into p's left
+        while pairs and (conflicting(pairs[-1][1], ei) or conflicting(pairs[-1][3], ei)):
+            q = pairs.pop()
+            if conflicting(q[3], ei):
+                q = q[2:] + q[:2]
+            if conflicting(q[3], ei):
+                return False
+            if p[2] >= 0:
+                ref[p[2]] = q[3]
+            if q[2] >= 0:
+                p[2] = q[2]
+            if p[0] < 0:
+                p[1] = q[1]
+            else:
+                ref[p[0]] = q[1]
+            p[0] = q[0]
+        if p[0] >= 0 or p[2] >= 0:
+            pairs.append(p)
+        return True
+
+    def lowest(p: list[int]) -> int:
+        if p[0] < 0:
+            return low[p[2]]
+        if p[2] < 0:
+            return low[p[0]]
+        return min(low[p[0]], low[p[2]])
+
+    def remove_back_edges(u: int) -> None:
+        # drop the pairs, then trim the intervals, whose edges return to u
+        while pairs and lowest(pairs[-1]) == height[u]:
+            pairs.pop()
+        if pairs:
+            p = pairs[-1]
+            for lo, hi in ((0, 1), (2, 3)):
+                while p[hi] >= 0 and head[p[hi]] == u:
+                    p[hi] = ref[p[hi]]
+                if p[hi] < 0:
+                    p[lo] = -1
+
+    step = [0] * n
+    for root in range(n):
+        if parent_edge[root] >= 0:
+            continue
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            if step[v] < len(out[v]):
+                ei = out[v][step[v]]
+                step[v] += 1
+                bottom[ei] = pairs[-1] if pairs else None
+                if parent_edge[head[ei]] == ei:
+                    stack.append(head[ei])
+                    continue  # ei is integrated when its head is finished
+                pairs.append([-1, -1, ei, ei])
+            else:
+                stack.pop()
+                ei = parent_edge[v]
+                if ei < 0:
+                    continue
+                v = tail[ei]
+                remove_back_edges(v)
+            # integrate the return edges of ei = (v, .)
+            if low[ei] < height[v] and ei != out[v][0]:
+                if not add_constraints(ei, parent_edge[v]):
+                    return False
+    return True
 
 
 def planarity(g: SimpleGraph) -> bool | None:

@@ -5,10 +5,11 @@ subset enumeration, word triviality and least spellings from breadth-first
 rewriting closures, the elements of bounded length from every freely reduced
 word (spelled by a reduction the caller passes in), colorability from
 exhaustive assignment, seeded sample words from ``random``'s own
-``randint`` and ``choice``, and graph corpora from the networkx atlas. The one
-exception is ``smallest_passing_factor``: it tries every candidate factor
-against the library's subdivision check, as a reference for the closed form
-that reads the factor off that check's violations.
+``randint`` and ``choice``, planarity from networkx's ``check_planarity``,
+and graph corpora from the networkx atlas. The one exception is
+``smallest_passing_factor``: it tries every candidate factor against the
+library's subdivision check, as a reference for the closed form that reads
+the factor off that check's violations.
 """
 from __future__ import annotations
 
@@ -300,6 +301,18 @@ def smallest_passing_factor(g: SimpleGraph, n: int, path_threshold: str) -> int:
 # --- graph corpora ------------------------------------------------------------
 
 
+def _from_networkx(G) -> SimpleGraph:
+    return SimpleGraph.make(
+        [f"v{i}" for i in G.nodes], [(f"v{u}", f"v{v}") for u, v in G.edges]
+    )
+
+
+def atlas_graphs() -> list[SimpleGraph]:
+    """Every graph of the networkx atlas: all graphs with 0..7 vertices up
+    to isomorphism, disconnected ones included."""
+    return [_from_networkx(G) for G in graph_atlas_g()]
+
+
 def atlas_connected(max_vertices: int, max_edges: int | None = None) -> list[SimpleGraph]:
     """Every connected graph with 1..max_vertices vertices up to isomorphism
     (the atlas is complete through 7 vertices)."""
@@ -313,9 +326,7 @@ def atlas_connected(max_vertices: int, max_edges: int | None = None) -> list[Sim
             continue
         if max_edges is not None and G.number_of_edges() > max_edges:
             continue
-        vertices = [f"v{i}" for i in G.nodes]
-        edges = [(f"v{u}", f"v{v}") for u, v in G.edges]
-        out.append(SimpleGraph.make(vertices, edges))
+        out.append(_from_networkx(G))
     return out
 
 
@@ -334,6 +345,54 @@ def random_connected_graph(rng: random.Random, n: int, extra_edges: int) -> Simp
     rng.shuffle(pool)
     edges.update(pool[:extra_edges])
     return SimpleGraph.make(names, edges)
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
+    """G(n, p): each of the n(n-1)/2 pairs is an edge with probability p."""
+    names = [f"v{i}" for i in range(n)]
+    return SimpleGraph.make(
+        names,
+        [(a, b) for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < p],
+    )
+
+
+def random_triangulation(rng: random.Random, n: int) -> SimpleGraph:
+    """A maximal planar graph on n >= 3 vertices: each new vertex is joined
+    to the three corners of a random face, then 3n random edge flips (an
+    edge of two triangles is replaced by the other diagonal, when that is
+    not already an edge) mix the degrees."""
+    edges = {(0, 1), (1, 2), (0, 2)}
+    faces = [(0, 1, 2), (0, 2, 1)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges.update({(a, v), (b, v), (c, v)})
+        faces += [(a, b, v), (b, c, v), (c, a, v)]
+    adj = {v: set() for v in range(n)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    for _ in range(3 * n):
+        a = rng.randrange(n)
+        b = rng.choice(sorted(adj[a]))
+        common = sorted(adj[a] & adj[b])
+        if len(common) == 2 and common[1] not in adj[common[0]]:
+            x, y = common
+            adj[a].discard(b)
+            adj[b].discard(a)
+            adj[x].add(y)
+            adj[y].add(x)
+    names = [f"v{i}" for i in range(n)]
+    return SimpleGraph.make(
+        names, [(names[a], names[b]) for a in range(n) for b in adj[a] if a < b]
+    )
+
+
+def nx_is_planar(g: SimpleGraph) -> bool:
+    """networkx's planarity verdict for g."""
+    G = nx.Graph()
+    G.add_nodes_from(g.vertices)
+    G.add_edges_from(g.edges)
+    return nx.check_planarity(G)[0]
 
 
 def random_proper_coloring(g: SimpleGraph, rng: random.Random):

@@ -514,3 +514,28 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "color" in proc.stdout and "verify" in proc.stdout
+
+
+def test_verify_loads_no_networkx(tmp_path, figure_delta):
+    """The CLI runs on the standard library alone: networkx is a test
+    oracle, not a runtime dependency."""
+    import os
+    import subprocess
+    import sys
+
+    path = write_graph(tmp_path, figure_delta)
+    script = (
+        "import sys\n"
+        "from raagbraid import cli\n"
+        f"assert cli.main(['verify', '--input', {path!r}]) == 0\n"
+        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -38,13 +39,17 @@ from raagbraid.graphs import (
 from oracles import (
     are_isomorphic_small,
     atlas_connected,
+    atlas_graphs,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     exhaustive_k_colorable,
+    nx_is_planar,
     path_graph,
     petersen_graph,
     random_connected_graph,
+    random_graph,
+    random_triangulation,
     smallest_passing_factor,
 )
 
@@ -391,6 +396,111 @@ class TestPlanarity:
     def test_euler_reject_path(self):
         # K7 fails the edge-count bound before any planarity search
         assert not is_planar(complete_graph(7))
+
+
+def _with_trees(rng: random.Random, g: SimpleGraph, size: int) -> SimpleGraph:
+    """g with ``size`` new vertices, each hung from a random vertex before
+    it: planar trees attached to g."""
+    vertices = list(g.vertices)
+    edges = list(g.edges)
+    for i in range(size):
+        name = f"t{i}"
+        edges.append((rng.choice(vertices), name))
+        vertices.append(name)
+    return SimpleGraph.make(vertices, edges)
+
+
+def _near_triangulation(rng: random.Random, n: int) -> SimpleGraph:
+    """A maximal planar graph with 1-6 random edges removed and up to as
+    many random non-edges added: it passes the Euler bound, and whether it
+    is planar depends on where the new edges land."""
+    g = random_triangulation(rng, n)
+    edges = set(g.edges)
+    removed = rng.randint(1, 6)
+    for e in rng.sample(sorted(edges), removed):
+        edges.discard(e)
+    for _ in range(rng.randint(0, removed)):
+        u, v = rng.sample(g.vertices, 2)
+        edges.add((u, v) if u < v else (v, u))
+    return SimpleGraph.make(g.vertices, edges)
+
+
+class TestPlanarityOracle:
+    """The left-right test agrees with networkx's ``check_planarity``."""
+
+    def test_atlas(self):
+        corpus = atlas_graphs()
+        assert len(corpus) == 1253
+        for g in corpus:
+            assert is_planar(g) == nx_is_planar(g), g
+
+    def test_random_graphs(self):
+        rng = random.Random(1010)
+        planar = disconnected = isolated = 0
+        for i in range(600):
+            n = rng.randint(8, 60)
+            if i % 2:
+                # mean degree 0.5-5: sparse forests up to dense graphs
+                g = random_graph(rng, n, rng.uniform(0.5, 5.0) / (n - 1))
+            else:
+                g = _near_triangulation(rng, n)
+            verdict = nx_is_planar(g)
+            assert is_planar(g) == verdict, g
+            planar += verdict
+            disconnected += not g.is_connected()
+            isolated += any(not g.adjacency[v] for v in g.vertices)
+        assert 150 < planar < 450
+        assert disconnected > 50 and isolated > 50
+
+    @pytest.mark.parametrize("base", [complete_graph(5), complete_bipartite(3, 3)], ids=["K5", "K33"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_subdivided_kuratowski_with_trees(self, base, k):
+        rng = random.Random(k)
+        subdivided, _ = subdivide_uniform(base, k)
+        for size in (0, 1, 5, 20):
+            g = _with_trees(rng, subdivided, size)
+            assert not nx_is_planar(g)
+            assert not is_planar(g), (k, size)
+
+    def test_halos(self, figure_delta, figure_coloring):
+        # the named verify graphs under the cap, coloured as verify colours
+        # them (the halos of Petersen and C12 are over it), then C8, whose
+        # halo is planar, and C10, whose halo is not
+        from raagbraid import build_halo
+
+        halos = [build_halo(g, chromatic_number(g)).gamma for g in atlas_connected(5)]
+        halos.append(build_halo(figure_delta, figure_coloring).gamma)
+        halos += [
+            build_halo(g, greedy_color(g)).gamma
+            for g in (cycle_graph(6), path_graph(6), complete_graph(5), cycle_graph(8), cycle_graph(10))
+        ]
+        verdicts = []
+        for h in halos:
+            assert h.n_vertices <= 64
+            verdicts.append(nx_is_planar(h))
+            assert is_planar(h) == verdicts[-1], h
+        assert verdicts[-2:] == [True, False]
+
+
+class TestPlanarityIsIterative:
+    """Both depth-first passes run on an explicit stack: graphs deeper than
+    the default recursion limit are decided without a RecursionError."""
+
+    @pytest.fixture(autouse=True)
+    def default_recursion_limit(self):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        yield
+        sys.setrecursionlimit(saved)
+
+    def test_long_cycle_planar(self):
+        g = cycle_graph(20_000)
+        assert is_planar(g, max_vertices=g.n_vertices)
+
+    def test_long_subdivided_k33_not_planar(self):
+        g, _ = subdivide_uniform(complete_bipartite(3, 3), 1112)
+        assert g.n_vertices > 10_000
+        assert not is_planar(g, max_vertices=g.n_vertices)
 
 
 class TestSerialization:
