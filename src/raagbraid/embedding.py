@@ -13,7 +13,12 @@ is what makes the composite injective, and the counterexample report
 exhibits why once it is dropped). Every letter's image is derived from the
 single loop of its generator, built and validated once: run backwards it
 is the image reversed with its signs negated, run twice it is the image
-twice.
+twice. The injectivity check piles only images whose exponent sums vanish.
+When each generator's image has an edge of its own with a nonzero sum, as
+on every halo that meets the axioms, these are the words whose source sums
+vanish, and the walk over the elements skips the subtrees that cannot
+reach zero sums. Rotations of a word and of its inverse have conjugate or
+inverse images, so one word per such class is piled.
 """
 from __future__ import annotations
 
@@ -291,15 +296,17 @@ class InjectivityReport:
         return {"ok": self.ok, **json_value(self)}
 
 
-def _check_element_budget(p: RaagPresentation, max_len: int) -> None:
-    """Raise before enumerating more than ELEMENT_BUDGET elements: their
-    number is predicted from the growth series, length by length, and bounded
-    from below while its cliques are listed. The presentation keeps the
-    (max_len, budget) pairs that passed, so the prediction runs once for
+def _check_element_budget(p: RaagPresentation, max_len: int) -> int:
+    """Return the number of nontrivial elements of length at most max_len,
+    predicted from the growth series, length by length, and raise before
+    enumerating more than ELEMENT_BUDGET of them: the count is bounded from
+    below while its cliques are listed. The presentation keeps the counts
+    within budget by (max_len, budget), so the prediction runs once for
     each."""
     key = (max_len, ELEMENT_BUDGET)
-    if key in p.within_budget:
-        return
+    total = p.within_budget.get(key)
+    if total is not None:
+        return total
     total = -1  # the identity is not enumerated
     for length, size in enumerate(p.sphere_sizes(max_len, ELEMENT_BUDGET)):
         total += size
@@ -308,7 +315,8 @@ def _check_element_budget(p: RaagPresentation, max_len: int) -> None:
                 f"{total} nontrivial elements of length at most {length} to enumerate, "
                 f"over the budget of {ELEMENT_BUDGET}"
             )
-    p.within_budget.add(key)
+    p.within_budget[key] = total
+    return total
 
 
 def _signed_letters(p: RaagPresentation) -> list[Letter]:
@@ -342,9 +350,10 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _nontrivial_elements(p: RaagPresentation, max_len: int, packed: list[int]):
-    """Count the nontrivial elements of geodesic length at most max_len and
-    return the spellings of those whose image exponent sums all vanish.
+def _nontrivial_elements(p: RaagPresentation, max_len: int, packed: list[int] | None = None):
+    """The spellings of the nontrivial elements of geodesic length at most
+    max_len whose exponent sums all vanish: the sums ``packed`` holds per
+    letter code (``_pack``), or the source exponent sums when it is None.
 
     The search runs depth first over the spellings ``p.reduce_letters``
     gives, the geodesics least in generator order, and visits each element
@@ -355,8 +364,14 @@ def _nontrivial_elements(p: RaagPresentation, max_len: int, packed: list[int]):
     So after a letter x of generator g, the extending letters are those of
     generators not commuting with g, except x's inverse, and those of larger
     generators commuting with g that extended the word before x.
-    ``packed`` holds each code's packed image exponent sums (``_pack``);
-    the running sum is carried down the search.
+
+    The running packed sums are carried down the search, and so is the L1
+    norm of the source exponent sums: each letter moves it by exactly 1,
+    down when the letter is ``toward`` zero on its generator. Every prefix
+    of a spelling the search gives is one it gives, so when the source sums
+    are the filter, a spelling whose norm exceeds the letters that may
+    still follow it has no zero-sum extension and is not entered. With
+    ``packed`` given, every element is walked.
     """
     signed = _signed_letters(p)
     k = len(p.generators)
@@ -368,47 +383,63 @@ def _nontrivial_elements(p: RaagPresentation, max_len: int, packed: list[int]):
         later.append(sum(by_gen[j] for j in link if j > i))
         blocking.append(sum(by_gen[j] for j in range(k) if j not in link))
     follow = [blocking[code >> 1] & ~(1 << (code ^ 1)) for code in range(2 * k)]
-    cancelling: dict[int, int] = {}  # packed sums -> codes whose image has them
+    prune = packed is None
+    if prune:
+        packed = _pack([{g: s} for g, s in signed], p, max_len)
+    cancelling: dict[int, int] = {}  # packed sums -> codes that have them
     for code, sums in enumerate(packed):
         cancelling[sums] = cancelling.get(sums, 0) | 1 << code
     word: list[int] = []
-    count = 0
+    source_sums = [0] * k
     zero_sum: list[tuple[Letter, ...]] = []
     # one frame per letter of the word and one for the empty word: the
-    # letters extending it, its running sums, the extensions not yet entered
+    # letters extending it, its running packed sums, the extensions not yet
+    # entered, its source norm and the letters that would lower that norm
     stack: list[list[int]] = []
 
-    def enter(allowed: int, sums: int) -> None:
-        nonlocal count
-        count += allowed.bit_count()
+    def enter(allowed: int, sums: int, norm: int, toward: int) -> None:
         for code in _bits(allowed & cancelling.get(-sums, 0)):
             zero_sum.append(tuple(signed[c] for c in word) + (signed[code],))
-        stack.append([allowed, sums, allowed if len(word) + 1 < max_len else 0])
+        todo = allowed if len(word) + 1 < max_len else 0
+        if prune and norm >= max_len - len(word) - 1:
+            todo &= toward  # an extension raising the norm could not reach 0
+        stack.append([allowed, sums, todo, norm, toward])
 
     if max_len > 0:
-        enter((1 << 2 * k) - 1, 0)
+        enter((1 << 2 * k) - 1, 0, 0, 0)
     while stack:
         frame = stack[-1]
         todo = frame[2]
         if not todo:
             stack.pop()
             if word:
-                word.pop()
+                code = word.pop()
+                source_sums[code >> 1] += 2 * (code & 1) - 1
             continue
         low = todo & -todo
         frame[2] = todo ^ low
         code = low.bit_length() - 1
         word.append(code)
-        enter(follow[code] | frame[0] & later[code >> 1], frame[1] + packed[code])
-    return count, zero_sum
+        i = code >> 1
+        d = source_sums[i] = source_sums[i] + 1 - 2 * (code & 1)
+        toward = frame[4] & ~by_gen[i]
+        if d:
+            toward |= 1 << (2 * i + (d > 0))
+        enter(
+            follow[code] | frame[0] & later[i],
+            frame[1] + packed[code],
+            frame[3] + (-1 if frame[4] & low else 1),
+            toward,
+        )
+    return zero_sum
 
 
-def _check_spot_check_args(p: RaagPresentation, max_len: int, sample_count: int) -> None:
-    """Check the injectivity check's arguments before any work. Raise
-    ``InputError`` for a negative length or sample count, or for samples
-    with ``max_len`` 0, and ``SizeExceededError`` for more than
-    ``ELEMENT_BUDGET`` samples, or nontrivial elements of ``p`` up to
-    length ``max_len``."""
+def _check_spot_check_args(p: RaagPresentation, max_len: int, sample_count: int) -> int:
+    """Check the injectivity check's arguments before any work, and return
+    the number of nontrivial elements of ``p`` up to length ``max_len``.
+    Raise ``InputError`` for a negative length or sample count, or for
+    samples with ``max_len`` 0, and ``SizeExceededError`` for more than
+    ``ELEMENT_BUDGET`` samples or elements."""
     if max_len < 0:
         raise InputError(f"max_len must be >= 0, got {max_len}")
     if sample_count < 0:
@@ -421,7 +452,7 @@ def _check_spot_check_args(p: RaagPresentation, max_len: int, sample_count: int)
         raise SizeExceededError(
             f"{sample_count} samples to draw, over the budget of {ELEMENT_BUDGET}"
         )
-    _check_element_budget(p, max_len)
+    return _check_element_budget(p, max_len)
 
 
 def _sample_codes(seed: int, max_length: int, own: list[int], image: list[int]):
@@ -455,6 +486,33 @@ def _sample_codes(seed: int, max_length: int, own: list[int], image: list[int]):
         yield codes, own_sum, image_sum
 
 
+def _sums_follow_the_source(ctx: EmbeddingContext) -> bool:
+    """Whether every source generator's unsquared image has an edge
+    generator that no other generator's image uses, with a nonzero exponent
+    sum. Then a word's image exponent sums vanish exactly when its source
+    exponent sums do: on that edge generator they read the word's exponent
+    sum of its source generator times a nonzero constant. A halo that meets
+    the axioms passes, as loops of distinct generators share no edge and
+    each loop crosses each of its edges once. O(total image length)."""
+    owner: dict[str, str | None] = {}  # edge generator -> its one user, if one
+    sums: dict[str, int] = {}
+    for g in ctx.source_group.generators:
+        for e, s in ctx.letter_image(g, 1, False):
+            if owner.setdefault(e, g) != g:
+                owner[e] = None
+            sums[e] = sums.get(e, 0) + s
+    certified = {g for e, g in owner.items() if g is not None and sums[e]}
+    return len(certified) == len(ctx.source_group.generators)
+
+
+def _conjugacy_key(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The least cyclic rotation of the word or of its inverse. Words with
+    one key have conjugate or mutually inverse images under φ∘ψ, which
+    concatenates letter images, so their images are trivial together."""
+    inverse = tuple((g, -s) for g, s in reversed(letters))
+    return min(w[i:] + w[:i] for w in (letters, inverse) for i in range(len(w)))
+
+
 def injectivity_spot_check(
     ctx: EmbeddingContext,
     max_len: int,
@@ -471,27 +529,44 @@ def injectivity_spot_check(
     drawn (``_sample_codes``). In squared mode any failure is an
     implementation bug; in unsquared mode failures witness the lost
     injectivity. An image whose exponent sums do not all vanish is
-    nontrivial; only the others are piled. Raises ``SizeExceededError``
-    when more than ``ELEMENT_BUDGET`` elements would be enumerated or more
-    than that many samples drawn.
+    nontrivial; only the others are piled.
+
+    When the letter images certify that the image sums vanish exactly with
+    the source sums (``_sums_follow_the_source``), as on every halo that
+    meets the axioms, the source sums stand in for them, and the walk
+    enters only the subtrees that can still reach zero sums; otherwise the
+    image sums over every edge generator are packed and every element is
+    walked. One word per conjugacy class (``_conjugacy_key``) is piled.
+    ``exhaustive_elements`` is the count predicted from the growth series.
+    Raises ``SizeExceededError`` when that count, or the number of
+    samples, exceeds ``ELEMENT_BUDGET``.
     """
     p = ctx.source_group
-    _check_spot_check_args(p, max_len, sample_count)
+    elements = _check_spot_check_args(p, max_len, sample_count)
     sample_max_len = 2 * max_len
     signed = _signed_letters(p)
-    images = [GroupWord(ctx.letter_image(g, s, squared)) for g, s in signed]
-    packed = _pack(
-        [abelianization(w, ctx.a_gamma) for w in images], ctx.a_gamma, sample_max_len
-    )
+    own = _pack([{g: s} for g, s in signed], p, sample_max_len)
+    packed = None  # the source sums filter
+    if not _sums_follow_the_source(ctx):
+        images = [GroupWord(ctx.letter_image(g, s, squared)) for g, s in signed]
+        packed = _pack(
+            [abelianization(w, ctx.a_gamma) for w in images], ctx.a_gamma, sample_max_len
+        )
 
     def image_is_trivial(letters) -> bool:
         return ctx.a_gamma.is_trivial_letters(_image_letters(ctx, letters, squared))
 
-    elements, zero_sum = _nontrivial_elements(p, max_len, packed)
-    failures = [str(GroupWord(w)) for w in zero_sum if image_is_trivial(w)]
+    trivial_class: dict[tuple[Letter, ...], bool] = {}
+    failures = []
+    for w in _nontrivial_elements(p, max_len, packed):
+        key = _conjugacy_key(w)
+        trivial = trivial_class.get(key)
+        if trivial is None:
+            trivial = trivial_class[key] = image_is_trivial(key)
+        if trivial:
+            failures.append(str(GroupWord(w)))
 
-    own = _pack([{g: s} for g, s in signed], p, sample_max_len)
-    samples = _sample_codes(seed, sample_max_len, own, packed)
+    samples = _sample_codes(seed, sample_max_len, own, own if packed is None else packed)
     sampled = 0
     attempts = 0
     while sampled < sample_count and attempts < 100 * sample_count:
@@ -730,7 +805,10 @@ class VerificationReport:
             status = "pass" if c.passed else "FAIL"
             lines.append(f"[{status}] {c.name} ({c.seconds:.3f}s)")
             for key, value in sorted(c.details.items()):
-                lines.append(f"    {key}: {'unknown' if value is None else value}")
+                # as the other commands' text output renders them
+                if value is None or isinstance(value, bool):
+                    value = "unknown" if value is None else str(value).lower()
+                lines.append(f"    {key}: {value}")
             for w in c.witnesses:
                 lines.append(f"    witness: {w}")
         lines.append("overall: " + ("pass" if self.passed else "FAIL"))

@@ -157,9 +157,9 @@ class RaagPresentation:
                 members.append((i,))
         self._members: tuple[tuple[int, ...], ...] = tuple(members)
         self._cliques: tuple[tuple[int, ...], ...] = tuple(tuple(own) for own in of)
-        #: the (length, budget) pairs whose element count a caller found
-        #: within budget, so that it predicts the count once
-        self.within_budget: set[tuple[int, int]] = set()
+        #: (length, budget) -> the element count a caller predicted within
+        #: that budget, so that it predicts the count once
+        self.within_budget: dict[tuple[int, int], int] = {}
 
     @cached_property
     def _blockers(self) -> tuple[frozenset[int], ...]:

@@ -356,6 +356,21 @@ def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
     )
 
 
+def random_multipartite(rng: random.Random, parts: int, size: int, p: float) -> SimpleGraph:
+    """``parts`` independent sets of ``size`` vertices; two vertices of
+    different parts are joined with probability p."""
+    names = [f"m{i}_{j}" for i in range(parts) for j in range(size)]
+    return SimpleGraph.make(
+        names,
+        [
+            (a, b)
+            for i, a in enumerate(names)
+            for b in names[i + 1 :]
+            if a.split("_")[0] != b.split("_")[0] and rng.random() < p
+        ],
+    )
+
+
 def random_triangulation(rng: random.Random, n: int) -> SimpleGraph:
     """A maximal planar graph on n >= 3 vertices: each new vertex is joined
     to the three corners of a random face, then 3n random edge flips (an

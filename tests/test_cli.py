@@ -360,6 +360,23 @@ class TestPlanarityCap:
         assert "planar: unknown\n" in out
 
 
+class TestTextPlanarity:
+    """``verify`` and ``halo`` print planarity alike as text, ``true`` or
+    ``false`` as JSON spells them."""
+
+    @pytest.mark.parametrize("n, planar", [(6, "true"), (7, "false")])
+    def test_verify_and_halo_agree(self, tmp_path, capsys, n, planar):
+        path = write_graph(tmp_path, cycle_graph(n))
+        argv = ["verify", "--input", path, "--max-len", "2", "--samples", "20"]
+        code, verify_out, _ = run(capsys, argv + ["--format", "text"])
+        assert code == 0
+        code, halo_out, _ = run(capsys, ["halo", "--input", path, "--format", "text"])
+        assert code == 0
+        assert f"\n    planar: {planar}\n" in verify_out
+        assert f"\nplanar: {planar}\n" in halo_out
+        assert "True" not in verify_out and "False" not in verify_out
+
+
 class TestMalformedInput:
     """Wrongly typed JSON values exit 2 with an error line, never a traceback."""
 

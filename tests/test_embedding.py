@@ -37,7 +37,7 @@ from raagbraid import (
     verify_suite,
 )
 from raagbraid import configspace, embedding, graphs
-from raagbraid.embedding import edge_generator_name
+from raagbraid.embedding import InjectivityReport, edge_generator_name
 
 from oracles import (
     atlas_connected,
@@ -47,6 +47,7 @@ from oracles import (
     free_word_spellings,
     petersen_graph,
     random_connected_graph,
+    random_multipartite,
     reference_samples,
     replay_psi,
 )
@@ -472,6 +473,22 @@ class TestInjectivitySpotCheck:
             assert len(w) == 8 and not is_trivial(w, figure_context.source_group)
             assert is_trivial(phi_psi(w, figure_context, squared=False), figure_context.a_gamma)
 
+    def test_one_pile_per_conjugacy_class(self, c6, monkeypatch):
+        """C6's 72 zero-sum elements up to length 4 fall into 9 classes under
+        cyclic rotation and inversion, and one image is piled per class."""
+        ctx = build_context(c6, chromatic_number(c6))
+        piled = []
+        original = RaagPresentation.is_trivial_letters
+
+        def counted(self, letters):
+            if self is ctx.a_gamma:
+                piled.append(letters)
+            return original(self, letters)
+
+        monkeypatch.setattr(RaagPresentation, "is_trivial_letters", counted)
+        assert injectivity_spot_check(ctx, max_len=4, sample_count=0).ok
+        assert 0 < len(piled) <= 9
+
     def test_max_len_zero_vacuous(self, figure_context):
         report = injectivity_spot_check(figure_context, max_len=0, sample_count=0)
         assert report.ok
@@ -520,9 +537,9 @@ class TestElementEnumeration:
 
     @staticmethod
     def spellings(p: RaagPresentation, max_len: int) -> set:
-        # with all image exponent sums zero every element is returned
-        count, found = embedding._nontrivial_elements(p, max_len, [0] * (2 * len(p.generators)))
-        assert count == len(found) == len(set(found))
+        # with all packed sums zero the walk, unpruned, returns every element
+        found = embedding._nontrivial_elements(p, max_len, [0] * (2 * len(p.generators)))
+        assert len(found) == len(set(found))
         return set(found)
 
     @pytest.mark.parametrize(
@@ -541,9 +558,8 @@ class TestElementEnumeration:
         rng = random.Random(5)
         packed = [rng.randint(-2, 2) for _ in range(6)]
         weight = dict(zip(embedding._signed_letters(p), packed))
-        count, found = embedding._nontrivial_elements(p, 5, packed)
+        found = embedding._nontrivial_elements(p, 5, packed)
         reference = free_word_spellings(p.generators, p.reduce_letters, 5)
-        assert count == len(reference)
         assert sorted(found) == sorted(
             w for w in reference if sum(weight[x] for x in w) == 0
         )
@@ -603,6 +619,77 @@ class TestElementEnumeration:
         assert list(free.sphere_sizes(4)) == [1, 4, 12, 36, 108]
         abelian = RaagPresentation(complete_graph(2))
         assert list(abelian.sphere_sizes(4)) == [1, 4, 8, 12, 16]
+
+
+PRUNING_CASES = [case[:2] for case in ENUMERATION_CASES] + [
+    (f"multipartite{seed}", random_multipartite(random.Random(seed), 3, 2, 0.6))
+    for seed in range(3)
+]
+
+
+class TestPrunedWalk:
+    """Filtering on the source exponent sums, the walk enters only the
+    subtrees whose L1 norm the letters still to come can bring to zero, and
+    finds every zero-sum element the full walk finds, in the same order."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [case[1] for case in PRUNING_CASES],
+        ids=[case[0] for case in PRUNING_CASES],
+    )
+    def test_pruned_walk_finds_the_unpruned_candidates(self, graph):
+        p = RaagPresentation(graph)
+        signed = embedding._signed_letters(p)
+        for max_len in range(1, 6):
+            own = embedding._pack([{g: s} for g, s in signed], p, max_len)
+            pruned = embedding._nontrivial_elements(p, max_len)
+            assert pruned == embedding._nontrivial_elements(p, max_len, own), max_len
+
+
+class TestSumCertificate:
+    def test_axiom_halos_are_certified(self, figure_context):
+        assert embedding._sums_follow_the_source(figure_context)
+        for g in atlas_connected(5) + [cycle_graph(6), complete_graph(4), petersen_graph()]:
+            assert embedding._sums_follow_the_source(build_context(g, greedy_color(g)))
+
+    @pytest.mark.parametrize("gen", ["a", "b"])
+    def test_out_and_back_loop_matches_piling_every_image(
+        self, figure_delta, figure_coloring, gen
+    ):
+        """A loop run round and then back has zero exponent sums on every
+        edge, so the certificate fails: the check keeps the image sums over
+        every edge generator and walks every element, and reports what
+        piling every element's image reports."""
+        h = build_halo(figure_delta, figure_coloring)
+        corrupted = Halo(
+            gamma=h.gamma,
+            artin_loops=tuple(
+                (a, loop + loop[-2::-1] if a == gen else loop) for a, loop in h.artin_loops
+            ),
+            basepoints=h.basepoints,
+            coloring=h.coloring,
+            delta=h.delta,
+        )
+        ctx = context_from_halo(corrupted, require_verified=False)
+        assert not embedding._sums_follow_the_source(ctx)
+        max_len = 5
+        p = ctx.source_group
+        elements = free_word_spellings(p.generators, p.reduce_letters, max_len)
+        failures = sorted(
+            str(GroupWord(w))
+            for w in elements
+            if is_trivial(phi_psi(GroupWord(w), ctx), ctx.a_gamma)
+        )
+        assert gen in failures
+        assert injectivity_spot_check(ctx, max_len=max_len) == InjectivityReport(
+            squared=True,
+            max_len=max_len,
+            exhaustive_elements=len(elements),
+            sample_count=0,
+            sample_max_len=2 * max_len,
+            seed=0,
+            failures=tuple(failures),
+        )
 
 
 class TestElementBudget:

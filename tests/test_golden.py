@@ -3,13 +3,16 @@
 ``GOLDEN`` pins the exit code and JSON stdout of fixed CLI runs.
 ``REPORT_GOLDEN`` pins ``dumps_canonical(report.to_json_dict())`` of the
 reports those runs never serialize: failing subdivision and halo reports,
-relator checks, unsquared injectivity failures, the squaring counterexample
-and pinch traces. A change that alters any output byte of these fails here,
+relator checks, unsquared injectivity failures, the squaring counterexample,
+pinch traces, and the suite over a 40-vertex Δ, larger than the CLI runs'
+graphs. A change that alters any output byte of these fails here,
 so refactors that promise byte-identical output are checked mechanically.
 
 The CLI digests were computed before the factor search in
 ``graphs.minimal_subdivision`` was replaced by the closed form; the report
-digests before the reports were serialized through ``graphs.json_value``.
+digests before the reports were serialized through ``graphs.json_value``;
+the rand40 suite's before the injectivity check read the source exponent
+sums in place of the image sums over all 3,640 edge generators of its halo.
 To re-pin after a deliberate change of output, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -19,6 +22,7 @@ log which bytes changed and why.
 """
 import hashlib
 import io
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
@@ -41,11 +45,12 @@ from raagbraid import (
     is_sufficiently_subdivided,
     pinch_trace,
     verify_halo,
+    verify_suite,
 )
 from raagbraid.cli import main
 from raagbraid.graphs import dumps_canonical
 
-from oracles import complete_graph, cycle_graph, petersen_graph
+from oracles import complete_graph, cycle_graph, petersen_graph, random_connected_graph
 
 FIGURE = SimpleGraph.make(["a", "b", "c"], [("a", "c")])
 
@@ -56,6 +61,9 @@ GRAPHS = {
     "petersen": petersen_graph(),
     "c12": cycle_graph(12),
 }
+
+#: 40 vertices, greedily 4-coloured
+RAND40 = random_connected_graph(random.Random(40), 40, 20)
 
 RUNS = {
     "verify": ["verify", "--max-len", "3", "--samples", "50"],
@@ -129,6 +137,9 @@ REPORTS = {
         context("figure"), max_len=8, sample_count=50, seed=1, squared=False
     ),
     "counterexample-figure": lambda: counterexample_report(FIGURE),
+    "verify-rand40": lambda: verify_suite(
+        RAND40, greedy_color(RAND40), max_len=2, sample_count=100
+    ),
     **{
         f"pinch-{'squared' if squared else 'unsquared'}-{w}": (
             lambda w=w, squared=squared: pinch_trace(
@@ -153,6 +164,7 @@ REPORT_GOLDEN = {
     "pinch-unsquared-a b c a^-1 b^-1 c^-1": "d6dfe508ce50e94dee32d171b69babd16c836d471b251b08a54b8c45dc79974f",
     "pinch-unsquared-c b a b^-1 c^-1 b a^-1 b^-1": "545d3950214b56305e5639c6618a6d58b9a2fcaaa84e0d1f4f363f0a486b2b33",
     "subdivision-k4-unsubdivided": "3d54049258c6944b5675c2133edf632d6d5d37fbe0597a57ce73be5ed11c10e7",
+    "verify-rand40": "c8e0d3f2b658736c8e6a063069df0ab716bb89ad65676158ce1829370648428f",
 }
 
 
