@@ -2,11 +2,18 @@
 
 Exit codes: 0 success, 2 input error, 3 resource bound exceeded, 4
 verification failure. Outputs are deterministic: identical inputs and seed
-produce byte-identical JSON.
+produce byte-identical JSON. Each sub-command offers only the output
+formats it writes, so an unoffered one is a usage error (exit 2).
+
+The argument parser is built on the first ``main`` call and reused by every
+later call in the process (``build_parser`` is cached). Reuse is safe:
+``parse_args`` returns a fresh namespace, every default is immutable, and a
+usage error exits through ``SystemExit`` without changing the parser.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -52,13 +59,14 @@ def _resolve_coloring(args, graph: SimpleGraph) -> Coloring:
     return graphs.greedy_color(graph)
 
 
-def _emit(args, payload: dict, text: str | None = None, dot: str | None = None) -> None:
+def _emit(args, payload: dict, text: str, dot: str | None = None) -> None:
+    """Write ``payload`` as JSON, ``text``, or ``dot`` for the sub-commands
+    that offer it."""
     if args.format == "json":
-        sys.stdout.write(graphs.dumps_canonical(payload))
-    elif args.format == "dot" and dot is not None:
-        sys.stdout.write(dot)
-    else:
-        sys.stdout.write(text if text is not None else graphs.dumps_canonical(payload))
+        text = graphs.dumps_canonical(payload)
+    elif args.format == "dot":
+        text = dot
+    sys.stdout.write(text)
 
 
 def cmd_color(args) -> int:
@@ -77,7 +85,9 @@ def cmd_halo(args) -> int:
     built = halo_mod.build_halo(g, coloring)
     sub = halo_mod.subdivided_halo(built, coloring.color_count, args.path_threshold)
     report = halo_mod.verify_halo(sub)
-    planar = graphs.planarity(sub.gamma)
+    # subdividing never changes planarity; the unsubdivided halo is smaller,
+    # and it is the one verify_suite tests
+    planar = graphs.planarity(built.gamma)
     payload = {
         "halo": halo_mod.halo_to_json_dict(sub),
         "report": report.to_json_dict(),
@@ -155,6 +165,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="raagbraid",
@@ -165,12 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--input", required=True, help="path to a graph JSON file")
+    def output(p, formats):
         p.add_argument(
-            "--format", choices=("json", "dot", "text"), default="json",
+            "--format", choices=formats, default="json",
             help="output format (default json)",
         )
+
+    def common(p, formats):
+        p.add_argument("--input", required=True, help="path to a graph JSON file")
+        output(p, formats)
         p.add_argument("--coloring", help="path to a coloring JSON file")
         p.add_argument(
             "--exact", action="store_true",
@@ -185,16 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_color = sub.add_parser("color", help="color a graph")
     p_color.add_argument("--input", required=True)
     p_color.add_argument("--exact", action="store_true")
-    p_color.add_argument("--format", choices=("json", "dot", "text"), default="json")
+    output(p_color, ("json", "dot", "text"))
     p_color.set_defaults(func=cmd_color)
 
     p_halo = sub.add_parser("halo", help="build, subdivide and verify a halo")
-    common(p_halo)
+    common(p_halo, ("json", "dot", "text"))
     p_halo.set_defaults(func=cmd_halo)
 
     p_cfg = sub.add_parser("configspace", help="count configuration-space cells")
     p_cfg.add_argument("--input", required=True)
-    p_cfg.add_argument("--format", choices=("json", "text"), default="json")
+    output(p_cfg, ("json", "text"))
     p_cfg.add_argument("--n", type=int, default=2, help="strand count (default 2)")
     p_cfg.add_argument(
         "--budget", type=int, default=1_000_000, help="cell budget (default 1000000)"
@@ -202,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cfg.set_defaults(func=cmd_configspace)
 
     p_embed = sub.add_parser("embed", help="map a word through the composite")
-    common(p_embed)
+    common(p_embed, ("json", "text"))
     p_embed.add_argument("word", help="word in the text format, e.g. 'c b a b^-1'")
     p_embed.add_argument(
         "--unsquared", action="store_true",
@@ -211,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_embed.set_defaults(func=cmd_embed)
 
     p_verify = sub.add_parser("verify", help="run the full verification suite")
-    common(p_verify)
+    common(p_verify, ("json", "text"))
     p_verify.add_argument("--max-len", type=int, default=4, dest="max_len")
     p_verify.add_argument("--samples", type=int, default=500)
     p_verify.add_argument("--seed", type=int, default=0)

@@ -22,6 +22,7 @@ inverse images, so one word per such class is piled.
 """
 from __future__ import annotations
 
+import json
 import random
 import time
 from dataclasses import dataclass
@@ -805,9 +806,12 @@ class VerificationReport:
             status = "pass" if c.passed else "FAIL"
             lines.append(f"[{status}] {c.name} ({c.seconds:.3f}s)")
             for key, value in sorted(c.details.items()):
-                # as the other commands' text output renders them
+                # as the other commands' text output renders them; nested
+                # values as the JSON report spells them, on one line
                 if value is None or isinstance(value, bool):
                     value = "unknown" if value is None else str(value).lower()
+                elif isinstance(value, (list, tuple, dict)):
+                    value = json.dumps(value, sort_keys=True)
                 lines.append(f"    {key}: {value}")
             for w in c.witnesses:
                 lines.append(f"    witness: {w}")

@@ -18,7 +18,7 @@ from raagbraid import (
     halo_to_json_dict,
 )
 from raagbraid import embedding
-from raagbraid.cli import main
+from raagbraid.cli import build_parser, main
 from raagbraid.graphs import dumps_canonical
 
 from oracles import complete_graph, cycle_graph, petersen_graph
@@ -67,6 +67,29 @@ class TestColor:
         code, out, _ = run(capsys, ["color", "--input", path, "--format", "dot"])
         assert code == 0
         assert out.startswith("graph G {")
+
+
+class TestFormats:
+    """Each sub-command offers only the output formats it writes."""
+
+    def test_halo_dot_output(self, tmp_path, capsys, c6):
+        path = write_graph(tmp_path, c6)
+        code, out, _ = run(capsys, ["halo", "--input", path, "--format", "dot"])
+        assert code == 0
+        assert out.startswith("graph Halo {")
+
+    @pytest.mark.parametrize(
+        "command", [["verify"], ["embed", "a"], ["configspace"]],
+        ids=["verify", "embed", "configspace"],
+    )
+    def test_no_dot_exit_2(self, tmp_path, capsys, figure_delta, command):
+        path = write_graph(tmp_path, figure_delta)
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--input", path, "--format", "dot"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'dot'" in captured.err
 
 
 class TestHalo:
@@ -266,6 +289,35 @@ class TestVerify:
         assert code == 0
         assert "overall: pass" in out
 
+    def test_text_renders_nested_details_as_json(self, tmp_path, capsys, c6):
+        h = build_halo(c6, chromatic_number(c6))
+        data = halo_to_json_dict(h)
+        a1 = data["loops"]["a1"]
+        data["edges"] = [e for e in data["edges"] if e != sorted([a1[0], a1[1]])]
+        path = tmp_path / "halo.json"
+        path.write_text(json.dumps(data))
+        argv = ["verify", "--input", str(path), "--samples", "0"]
+        code, out, _ = run(capsys, argv)
+        assert code == 4
+        (axioms,) = json.loads(out)["checks"]
+        assert axioms["details"]["axioms_violated"] == ["simple-loop"]
+        code, out, _ = run(capsys, argv + ["--format", "text"])
+        assert code == 4
+        assert "    axioms_violated: [\"simple-loop\"]\n" in out
+        assert "['" not in out
+
+    def test_text_nested_values_spell_json_literals(self):
+        check = embedding.CheckResult(
+            name="made-up",
+            passed=True,
+            details={"pairs": [{"ok": True, "planar": None}], "ids": ("x",)},
+            witnesses=(),
+            seconds=0.0,
+        )
+        text = embedding.VerificationReport(True, "paper", (check,)).to_text()
+        assert '    ids: ["x"]\n' in text
+        assert '    pairs: [{"ok": true, "planar": null}]\n' in text
+
     def test_negative_samples_exit_2(self, tmp_path, capsys, figure_delta):
         path = write_graph(tmp_path, figure_delta)
         code, out, err = run(
@@ -375,6 +427,76 @@ class TestTextPlanarity:
         assert f"\n    planar: {planar}\n" in verify_out
         assert f"\nplanar: {planar}\n" in halo_out
         assert "True" not in verify_out and "False" not in verify_out
+
+    def test_k6_verify_and_halo_agree(self, tmp_path, capsys):
+        """K6's subdivided halo (79 vertices) is over the planarity cap and
+        its unsubdivided one (23) is not: both commands test the latter."""
+        path = write_graph(tmp_path, complete_graph(6))
+        argv = ["verify", "--input", path, "--max-len", "2", "--samples", "20"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        (axioms,) = [c for c in json.loads(out)["checks"] if c["name"] == "halo-axioms"]
+        assert axioms["details"]["planar"] is True
+        code, out, _ = run(capsys, ["halo", "--input", path])
+        assert code == 0
+        assert json.loads(out)["planar"] is True
+        code, out, _ = run(capsys, ["halo", "--input", path, "--format", "text"])
+        assert code == 0
+        assert "gamma vertices: 79\n" in out
+        assert "\nplanar: true\n" in out
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and reuses it: no call
+    leaves anything behind for the next."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        build_parser.cache_clear()
+
+    def verify_argv(self, tmp_path, figure_delta):
+        path = write_graph(tmp_path, figure_delta)
+        return ["verify", "--input", path, "--max-len", "1", "--samples", "5"]
+
+    def test_built_once(self, tmp_path, capsys, figure_delta):
+        argv = self.verify_argv(tmp_path, figure_delta)
+        for _ in range(3):
+            assert run(capsys, argv)[0] == 0
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert build_parser() is build_parser()
+
+    def test_flags_do_not_leak(self, tmp_path, capsys, figure_delta):
+        argv = self.verify_argv(tmp_path, figure_delta)
+        alone = run(capsys, argv)
+        build_parser.cache_clear()
+        code, out, _ = run(capsys, argv + ["--timings", "--format", "text"])
+        assert code == 0 and out.startswith("[pass]")
+        code, out, _ = run(capsys, argv + ["--timings"])
+        assert code == 0 and all("seconds" in c for c in json.loads(out)["checks"])
+        after = run(capsys, argv)
+        assert after == alone
+        assert all("seconds" not in c for c in json.loads(after[1])["checks"])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["bogus"], ["verify", "--max-len", "x"], ["verify", "--format", "dot"], []],
+        ids=["unknown-command", "bad-int", "unoffered-format", "no-command"],
+    )
+    def test_usage_error_leaves_the_parser_as_it_was(
+        self, tmp_path, capsys, figure_delta, bad
+    ):
+        argv = self.verify_argv(tmp_path, figure_delta)
+        alone = run(capsys, argv)
+        build_parser.cache_clear()
+        if bad[:1] == ["verify"]:
+            bad = argv + bad[1:]
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert run(capsys, argv) == alone
+        assert build_parser.cache_info().misses == 1
 
 
 class TestMalformedInput:
