@@ -59,14 +59,18 @@ def _resolve_coloring(args, graph: SimpleGraph) -> Coloring:
     return graphs.greedy_color(graph)
 
 
-def _emit(args, payload: dict, text: str, dot: str | None = None) -> None:
-    """Write ``payload`` as JSON, ``text``, or ``dot`` for the sub-commands
-    that offer it."""
+def _emit(args, payload, text, dot=None) -> None:
+    """Write the output ``--format`` asks for. Each argument is a function
+    that builds one format, and only the one asked for is called:
+    ``payload`` the object written as JSON, ``text`` the text, and ``dot``
+    the DOT drawing for the sub-commands that offer it."""
     if args.format == "json":
-        text = graphs.dumps_canonical(payload)
+        out = graphs.dumps_canonical(payload())
     elif args.format == "dot":
-        text = dot
-    sys.stdout.write(text)
+        out = dot()
+    else:
+        out = text()
+    sys.stdout.write(out)
 
 
 def cmd_color(args) -> int:
@@ -74,8 +78,12 @@ def cmd_color(args) -> int:
     coloring = (
         graphs.chromatic_number(g) if args.exact else graphs.greedy_color(g)
     )
-    text = "\n".join(f"{v} {c}" for v, c in coloring.assignment) + "\n"
-    _emit(args, coloring.to_json_dict(), text=text, dot=graphs.to_dot(g, coloring))
+    _emit(
+        args,
+        coloring.to_json_dict,
+        text=lambda: "\n".join(f"{v} {c}" for v, c in coloring.assignment) + "\n",
+        dot=lambda: graphs.to_dot(g, coloring),
+    )
     return EXIT_OK
 
 
@@ -88,20 +96,25 @@ def cmd_halo(args) -> int:
     # subdividing never changes planarity; the unsubdivided halo is smaller,
     # and it is the one verify_suite tests
     planar = graphs.planarity(built.gamma)
-    payload = {
-        "halo": halo_mod.halo_to_json_dict(sub),
-        "report": report.to_json_dict(),
-        "planar": planar,
-        "path_threshold": args.path_threshold,
-    }
-    text = (
-        f"loops: {len(sub.artin_loops)}\n"
-        f"gamma vertices: {sub.gamma.n_vertices}\n"
-        f"gamma edges: {sub.gamma.n_edges}\n"
-        f"planar: {'unknown' if planar is None else str(planar).lower()}\n"
-        f"verified: {str(report.ok).lower()}\n"
-    )
-    _emit(args, payload, text=text, dot=halo_mod.halo_to_dot(sub))
+
+    def payload():
+        return {
+            "halo": halo_mod.halo_to_json_dict(sub),
+            "report": report.to_json_dict(),
+            "planar": planar,
+            "path_threshold": args.path_threshold,
+        }
+
+    def text():
+        return (
+            f"loops: {len(sub.artin_loops)}\n"
+            f"gamma vertices: {sub.gamma.n_vertices}\n"
+            f"gamma edges: {sub.gamma.n_edges}\n"
+            f"planar: {'unknown' if planar is None else str(planar).lower()}\n"
+            f"verified: {str(report.ok).lower()}\n"
+        )
+
+    _emit(args, payload, text=text, dot=lambda: halo_mod.halo_to_dot(sub))
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
@@ -109,12 +122,13 @@ def cmd_configspace(args) -> int:
     g = _load_graph(args.input)
     space = configspace.build_udc(g, args.n, cell_budget=args.budget)
     payload = space.counts_json_dict()
-    text = (
-        f"n: {payload['n']}\n"
-        f"zero_cells: {payload['zero_cells']}\n"
-        f"one_cells: {payload['one_cells']}\n"
+    _emit(
+        args,
+        lambda: payload,
+        text=lambda: "".join(
+            f"{key}: {payload[key]}\n" for key in ("n", "zero_cells", "one_cells")
+        ),
     )
-    _emit(args, payload, text=text)
     return EXIT_OK
 
 
@@ -126,19 +140,24 @@ def cmd_embed(args) -> int:
     squared = not args.unsquared
     image = embedding.phi_psi(word, ctx, squared=squared)
     trivial = is_trivial(image, ctx.a_gamma)
-    payload = {
-        "word": str(word),
-        "squared": squared,
-        "image": str(image),
-        "image_length": len(image),
-        "trivial": trivial,
-    }
-    text = (
-        f"word: {word}\n"
-        f"squared: {str(squared).lower()}\n"
-        f"image_length: {len(image)}\n"
-        f"trivial: {str(trivial).lower()}\n"
-    )
+
+    def payload():
+        return {
+            "word": str(word),
+            "squared": squared,
+            "image": str(image),
+            "image_length": len(image),
+            "trivial": trivial,
+        }
+
+    def text():
+        return (
+            f"word: {word}\n"
+            f"squared: {str(squared).lower()}\n"
+            f"image_length: {len(image)}\n"
+            f"trivial: {str(trivial).lower()}\n"
+        )
+
     _emit(args, payload, text=text)
     return EXIT_OK
 
@@ -161,7 +180,11 @@ def cmd_verify(args) -> int:
         path_threshold=args.path_threshold,
         halo=halo,
     )
-    _emit(args, report.to_json_dict(include_timings=args.timings), text=report.to_text())
+    _emit(
+        args,
+        lambda: report.to_json_dict(include_timings=args.timings),
+        text=report.to_text,
+    )
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 

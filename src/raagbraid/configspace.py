@@ -187,11 +187,12 @@ def edge_path(gamma: SimpleGraph, base: Configuration, moves) -> ConfigEdgePath:
     for cell in base.cells:
         if not isinstance(cell, str):
             raise GraphFormatError("path base must be an all-vertex configuration")
+    adjacency = gamma.adjacency
     steps = []
     occupied = set(base.cells)
     for edge, source in moves:
         edge = normalize_edge(*edge)
-        if not gamma.has_edge(*edge):
+        if edge[1] not in adjacency.get(edge[0], ()):
             raise GraphFormatError(f"{edge} is not an edge of the graph")
         if source not in edge:
             raise IllegalStepError(f"step source {source!r} is not on edge {edge}")

@@ -253,18 +253,19 @@ def check_homomorphism(ctx: EmbeddingContext) -> HomomorphismReport:
     """Every commutation relator of the source must map to a trivial word,
     and more strongly the images of adjacent generators must use disjoint,
     pairwise-commuting sets of edge generators."""
+    # per generator in a relator: the edges its loop crosses and their
+    # endpoints, built once however many relators hold it
+    held = sorted({v for e in ctx.delta.edges for v in e})
+    edges_of = {a: {step.edge for step in ctx.loop_path(a, 1).steps} for a in held}
+    ends_of = {a: {v for e in edges for v in e} for a, edges in edges_of.items()}
     relators = []
     for a, b in ctx.delta.edges:
         commutator = GroupWord.from_pairs([(a, 1), (b, 1), (a, -1), (b, -1)])
         trivial = is_trivial(phi_psi(commutator, ctx, squared=True), ctx.a_gamma)
-        support_a = {step.edge for step in ctx.loop_path(a, 1).steps}
-        support_b = {step.edge for step in ctx.loop_path(b, 1).steps}
-        disjoint = not (support_a & support_b)
+        disjoint = edges_of[a].isdisjoint(edges_of[b])
         # every cross pair commutes exactly when no endpoint is shared; a
         # shared edge shares its endpoints, so this also fails then
-        cross = {v for e in support_a for v in e}.isdisjoint(
-            v for e in support_b for v in e
-        )
+        cross = ends_of[a].isdisjoint(ends_of[b])
         relators.append(
             RelatorCheck(
                 edge=(a, b),

@@ -96,24 +96,31 @@ class SimpleGraph:
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
 
-    def components(self) -> tuple[tuple[str, ...], ...]:
+    @cached_property
+    def _components(self) -> tuple[tuple[str, ...], ...]:
+        # components' memo: one traversal per graph instance
+        adjacency = self.adjacency
         seen: set[str] = set()
         comps = []
         for start in self.vertices:
             if start in seen:
                 continue
-            comp = []
-            queue = deque([start])
             seen.add(start)
-            while queue:
-                x = queue.popleft()
-                comp.append(x)
-                for y in sorted(self.adjacency[x]):
+            comp = [start]
+            stack = [start]
+            while stack:
+                for y in adjacency[stack.pop()]:
                     if y not in seen:
                         seen.add(y)
-                        queue.append(y)
+                        comp.append(y)
+                        stack.append(y)
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
+
+    def components(self) -> tuple[tuple[str, ...], ...]:
+        """The vertex sets of the connected components, each sorted, in the
+        order of their smallest vertices. Computed once per instance."""
+        return self._components
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -271,7 +278,7 @@ def delete_vertex(g: SimpleGraph, v: str) -> SimpleGraph:
 
 def essential_vertices(g: SimpleGraph) -> frozenset[str]:
     """Vertices of degree at least 3."""
-    return frozenset(v for v in g.vertices if g.degree(v) >= 3)
+    return frozenset(v for v, ns in g.adjacency.items() if len(ns) >= 3)
 
 
 # --- subdivision -----------------------------------------------------------
@@ -313,47 +320,70 @@ def _path_required(n: int, path_threshold: str) -> int:
 
 def _arcs(g: SimpleGraph):
     """Maximal paths between distinct essential vertices whose interior
-    vertices are all non-essential. Yields (u, w, interior) once per arc."""
+    vertices are all non-essential. Yields (u, w, interior) once per arc,
+    u < w, in the order of (u, the arc's first vertex after u).
+
+    Every interior vertex has degree 2, so a walk can enter its chain only
+    from one of the chain's two ends, and each chain is walked once: from
+    its smaller essential end, whose turn comes first, or from the end it
+    loops back to. The other end skips a first step into a walked vertex.
+    A direct edge between two essential vertices is taken from its smaller
+    end. Walks that loop back to their start or stop at a vertex of degree
+    1 are not arcs."""
+    adjacency = g.adjacency
     ess = essential_vertices(g)
-    seen = set()
+    walked: set[str] = set()
     for u in sorted(ess):
-        for z in sorted(g.adjacency[u]):
+        for z in sorted(adjacency[u]):
+            if z in ess:
+                if u < z:
+                    yield (u, z, ())
+                continue
+            if z in walked:
+                continue
             prev, cur = u, z
             interior: list[str] = []
-            steps = 0
-            while cur not in ess and g.degree(cur) == 2:
-                nxt = next(x for x in g.adjacency[cur] if x != prev)
+            while cur not in ess and len(adjacency[cur]) == 2:
+                walked.add(cur)
                 interior.append(cur)
-                prev, cur = cur, nxt
-                steps += 1
-                if steps > g.n_vertices:  # cannot happen in a simple graph
+                a, b = adjacency[cur]
+                prev, cur = cur, (b if a == prev else a)
+                if len(interior) > g.n_vertices:  # cannot happen in a simple graph
                     raise GraphFormatError("runaway chain walk")
             if cur not in ess or cur == u:
                 continue
             if u < cur:
-                key = (u, cur, tuple(interior))
+                yield (u, cur, tuple(interior))
             else:
-                key = (cur, u, tuple(reversed(interior)))
-            if key not in seen:
-                seen.add(key)
-                yield key
+                yield (cur, u, tuple(reversed(interior)))
 
 
 def _has_cycle_within(g: SimpleGraph, max_edges: int) -> bool:
     """Whether some simple cycle has at most max_edges edges.
 
-    A breadth-first search from each vertex, cut off at radius
-    max_edges // 2: a non-tree edge x-y closes a cycle of at most
-    dist[x] + dist[y] + 1 edges, and a shortest cycle through the root
-    closes with exactly that many."""
+    A cycle that passes through no vertex of degree at least 3 has only
+    vertices of degree 2, so it is a whole component: such a component is
+    tested by its size. Every other cycle passes through an essential
+    vertex, so a breadth-first search from each essential vertex, cut off
+    at radius max_edges // 2, finds it: a non-tree edge x-y closes a closed
+    walk of dist[x] + dist[y] + 1 edges, which holds a cycle, and each edge
+    of a cycle of L edges through the root has dist[x] + dist[y] + 1 <= L,
+    one of them off the tree. Degree-2 vertices, most of a subdivided
+    graph, are never roots."""
+    adjacency = g.adjacency
+    for comp in g.components():
+        if len(comp) <= max_edges and all(len(adjacency[v]) == 2 for v in comp):
+            return True
     radius = max_edges // 2
     for root in g.vertices:
+        if len(adjacency[root]) < 3:
+            continue
         dist = {root: 0}
         parent = {root: root}
         queue = deque([root])
         while queue:
             x = queue.popleft()
-            for y in g.adjacency[x]:
+            for y in adjacency[x]:
                 if y not in dist:
                     if dist[x] < radius:
                         dist[y] = dist[x] + 1

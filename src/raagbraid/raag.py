@@ -137,7 +137,7 @@ class RaagPresentation:
 
     def _set_cliques(self, generators: tuple[str, ...], cliques) -> None:
         self.generators = generators
-        self._index = {g: i for i, g in enumerate(generators)}
+        self._index = index = {g: i for i, g in enumerate(generators)}
         members: list[tuple[int, ...]] = []
         # per generator: the cliques holding it, in increasing order
         of: list[list[int]] = [[] for _ in generators]
@@ -145,7 +145,10 @@ class RaagPresentation:
             c = len(members)
             ids = []
             for g in clique:
-                i = self.index_of(g)
+                try:
+                    i = index[g]
+                except KeyError:
+                    raise UnknownVertexError(f"unknown generator {g!r}") from None
                 if of[i] and of[i][-1] == c:
                     raise GraphFormatError(f"generator {g!r} listed twice in one clique")
                 of[i].append(c)

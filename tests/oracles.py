@@ -6,10 +6,11 @@ rewriting closures, the elements of bounded length from every freely reduced
 word (spelled by a reduction the caller passes in), colorability from
 exhaustive assignment, seeded sample words from ``random``'s own
 ``randint`` and ``choice``, planarity from networkx's ``check_planarity``,
-and graph corpora from the networkx atlas. The one exception is
-``smallest_passing_factor``: it tries every candidate factor against the
-library's subdivision check, as a reference for the closed form that reads
-the factor off that check's violations.
+graph corpora from the networkx atlas, and the arcs between essential
+vertices from the components networkx finds once those vertices are
+deleted. The one exception is ``smallest_passing_factor``: it tries every
+candidate factor against the library's subdivision check, as a reference
+for the closed form that reads the factor off that check's violations.
 """
 from __future__ import annotations
 
@@ -287,6 +288,37 @@ def are_isomorphic_small(g1: SimpleGraph, g2: SimpleGraph) -> bool:
 
 
 # --- subdivision --------------------------------------------------------------
+
+
+def arcs_by_deletion(g: SimpleGraph) -> list[tuple[str, str, tuple[str, ...]]]:
+    """The arcs between distinct essential (degree >= 3) vertices, as
+    (u, w, interior) with u < w, read off the graph left after deleting the
+    essential vertices: every edge joining two essential vertices is an arc
+    with no interior, and so is every component of what is left whose
+    vertices all have degree 2 and whose two ends attach to two different
+    essential vertices. Components come from networkx. Sorted by u, then by
+    the arc's first vertex after u."""
+    G = nx.Graph(list(g.edges))
+    G.add_nodes_from(g.vertices)
+    ess = {v for v in G if G.degree(v) >= 3}
+    arcs = [(u, w, ()) for u, w in g.edges if u in ess and w in ess]
+    for comp in nx.connected_components(G.subgraph(set(G) - ess)):
+        if any(G.degree(v) != 2 for v in comp):
+            continue  # a dead end
+        attached = [(v, w) for v in comp for w in G[v] if w in ess]
+        if not attached:
+            continue  # a cycle of degree-2 vertices
+        # comp is a path; walk it from one attachment to the other
+        (start, u), (_, w) = sorted(attached)
+        if u == w:
+            continue  # a loop back to one essential vertex
+        interior, prev = [start], u
+        while len(interior) < len(comp):
+            nxt = next(x for x in G[interior[-1]] if x != prev and x in comp)
+            prev = interior[-1]
+            interior.append(nxt)
+        arcs.append((u, w, tuple(interior)) if u < w else (w, u, tuple(reversed(interior))))
+    return sorted(arcs, key=lambda arc: (arc[0], (*arc[2], arc[1])[0]))
 
 
 def smallest_passing_factor(g: SimpleGraph, n: int, path_threshold: str) -> int:

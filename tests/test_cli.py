@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -90,6 +91,57 @@ class TestFormats:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid choice: 'dot'" in captured.err
+
+
+class TestOnlyTheRequestedFormat:
+    """``_emit`` builds only the format asked for: the other renderers may
+    raise, and the bytes are those of a run that did not touch them, but
+    for the check times that ``verify --format text`` prints."""
+
+    def _both(self, capsys, monkeypatch, argv, renderers):
+        def untimed(result):
+            code, out, err = result
+            return code, re.sub(r"\(\d+\.\d{3}s\)", "(-)", out), err
+
+        expected = untimed(run(capsys, argv))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rendered a format that was not asked for")
+
+        for owner, name in renderers:
+            monkeypatch.setattr(owner, name, refuse)
+        assert untimed(run(capsys, argv)) == expected
+        return expected
+
+    def test_json_runs(self, tmp_path, capsys, monkeypatch, c6):
+        from raagbraid import halo as halo_mod
+
+        path = write_graph(tmp_path, c6)
+        renderers = [
+            (embedding.VerificationReport, "to_text"),
+            (halo_mod, "halo_to_dot"),
+        ]
+        for argv in (["verify", "--input", path, "--samples", "20"], ["halo", "--input", path]):
+            code, out, _ = self._both(capsys, monkeypatch, argv, renderers)
+            assert code == 0
+            json.loads(out)
+
+    def test_text_runs(self, tmp_path, capsys, monkeypatch, c6):
+        from raagbraid import halo as halo_mod
+
+        path = write_graph(tmp_path, c6)
+        renderers = [
+            (embedding.VerificationReport, "to_json_dict"),
+            (halo_mod, "halo_to_json_dict"),
+            (halo_mod, "halo_to_dot"),
+        ]
+        for argv in (
+            ["verify", "--input", path, "--samples", "20", "--format", "text"],
+            ["halo", "--input", path, "--format", "text"],
+        ):
+            code, out, _ = self._both(capsys, monkeypatch, argv, renderers)
+            assert code == 0
+            assert out.endswith("\n") and not out.startswith("{")
 
 
 class TestHalo:

@@ -884,6 +884,22 @@ class TestVerifySuite:
         assert not report.passed
         assert [c.name for c in report.checks] == ["halo-axioms"]
 
+    def test_axioms_checked_once(self, figure_delta, figure_coloring, monkeypatch):
+        """``build_halo`` checks the halo it builds, and the suite's axiom
+        check reads that report, so it is computed once."""
+        from raagbraid import halo as halo_mod
+
+        checked = []
+        original = halo_mod._halo_report
+
+        def counted(h):
+            checked.append(h)
+            return original(h)
+
+        monkeypatch.setattr(halo_mod, "_halo_report", counted)
+        assert verify_suite(figure_delta, figure_coloring, max_len=2, sample_count=10)
+        assert len(checked) == 1
+
     def test_json_excludes_timings_by_default(self, figure_delta, figure_coloring):
         report = verify_suite(
             figure_delta, figure_coloring, max_len=1, sample_count=5, seed=0

@@ -29,6 +29,7 @@ from raagbraid import (
 )
 from raagbraid import graphs
 from raagbraid.graphs import (
+    _arcs,
     _has_cycle_within,
     dumps_canonical,
     minimal_subdivision,
@@ -37,6 +38,7 @@ from raagbraid.graphs import (
 )
 
 from oracles import (
+    arcs_by_deletion,
     are_isomorphic_small,
     atlas_connected,
     atlas_graphs,
@@ -319,6 +321,56 @@ def _factor_corpus() -> list[SimpleGraph]:
     return corpus
 
 
+def _component_corpus() -> list[SimpleGraph]:
+    """Graphs with a cycle through no vertex of degree 3 or more, or with
+    no cycle at all: the short-cycle search tests these by component."""
+
+    def union(*parts):
+        return SimpleGraph.make(
+            [v for g in parts for v in g.vertices], [e for g in parts for e in g.edges]
+        )
+
+    forest = SimpleGraph.make(
+        ["r", "s", "t", "u", "v", "w", "x"],
+        [("r", "s"), ("r", "t"), ("r", "u"), ("v", "w")],
+    )
+    return [
+        cycle_graph(3),
+        cycle_graph(4),
+        union(petersen_graph(), cycle_graph(4, prefix="c")),
+        union(complete_graph(4), cycle_graph(5, prefix="c")),
+        union(cycle_graph(7), cycle_graph(3, prefix="c")),
+        forest,
+        path_graph(5),
+    ]
+
+
+def _arc_shapes() -> list[SimpleGraph]:
+    """Essential vertices joined by direct edges, parallel arcs, a loop back
+    to one essential vertex, dead ends and a lone cycle."""
+    return [
+        # theta graph: three parallel arcs between u and w
+        SimpleGraph.make(
+            ["u", "w", "a", "b", "c"],
+            [("u", "a"), ("a", "w"), ("u", "b"), ("b", "w"), ("u", "c"), ("c", "w")],
+        ),
+        # a loop through u, a dead end at u, and a direct edge u-w
+        SimpleGraph.make(
+            ["u", "w", "l1", "l2", "d", "w1", "w2"],
+            [("u", "l1"), ("l1", "l2"), ("l2", "u"), ("u", "d"), ("u", "w"),
+             ("w", "w1"), ("w", "w2")],
+        ),
+        # K4 beside a lone cycle and a path
+        SimpleGraph.make(
+            ["k1", "k2", "k3", "k4", "c1", "c2", "c3", "q1", "q2"],
+            [("k1", "k2"), ("k1", "k3"), ("k1", "k4"), ("k2", "k3"), ("k2", "k4"),
+             ("k3", "k4"), ("c1", "c2"), ("c2", "c3"), ("c1", "c3"), ("q1", "q2")],
+        ),
+        complete_bipartite(3, 3),
+        petersen_graph(),
+    ]
+
+
 class TestSubdivisionFactor:
     """The factor read off the violations equals the least factor a search
     over every candidate finds."""
@@ -334,12 +386,22 @@ class TestSubdivisionFactor:
     def test_short_cycle_search_matches_girth(self):
         import networkx as nx
 
-        for g in _factor_corpus():
+        for g in _factor_corpus() + _component_corpus():
             G = nx.Graph(list(g.edges))
             G.add_nodes_from(g.vertices)
             girth = nx.girth(G)
             for m in range(9):
                 assert _has_cycle_within(g, m) == (girth <= m), (g, m)
+
+    def test_arcs_match_deletion_oracle(self):
+        """Each arc once, in the order of its smaller end and then its
+        first vertex after that end."""
+        corpus = _factor_corpus() + _component_corpus() + _arc_shapes()
+        corpus += [subdivide_uniform(g, 3)[0] for g in _arc_shapes()]
+        for g in corpus:
+            arcs = list(_arcs(g))
+            assert arcs == arcs_by_deletion(g), g
+            assert len(set(arcs)) == len(arcs)
 
     def test_passing_graph_is_returned_as_is(self):
         for g in (cycle_graph(3), cycle_graph(6), petersen_graph()):

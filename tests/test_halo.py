@@ -248,6 +248,45 @@ class TestVerifyHalo:
         assert not report.ok
         assert AXIOM_CONNECTED in report.axioms_violated()
 
+    def test_junction_on_a_third_loop(self):
+        """Four loops of four colours through one vertex v: every pair meets
+        only at v, a junction that lies on the other two loops."""
+        names = ["a", "b", "c", "d"]
+        delta = SimpleGraph.make(names)
+        coloring = Coloring.make(delta, {a: i for i, a in enumerate(names, start=1)})
+        loops = {
+            a: (f"x_{i}", f"p~{a}~1", "v", f"p~{a}~2", f"x_{i}")
+            for i, a in enumerate(names, start=1)
+        }
+        gamma = SimpleGraph.make(
+            [v for loop in loops.values() for v in loop],
+            [e for loop in loops.values() for e in zip(loop, loop[1:])],
+        )
+        h = Halo(
+            gamma=gamma,
+            artin_loops=tuple(sorted(loops.items())),
+            basepoints=tuple((i, f"x_{i}") for i in range(1, 5)),
+            coloring=coloring,
+            delta=delta,
+        )
+        report = verify_halo(h)
+        assert not report.ok
+        assert [(v.axiom, v.message, v.witnesses) for v in report.violations] == [
+            (
+                AXIOM_NON_EDGE,
+                f"junction 'v' of {a!r}, {b!r} also lies on loops {others}",
+                (a, b, "v", *others),
+            )
+            for a, b, others in [
+                ("a", "b", ["c", "d"]),
+                ("a", "c", ["b", "d"]),
+                ("a", "d", ["b", "c"]),
+                ("b", "c", ["a", "d"]),
+                ("b", "d", ["a", "c"]),
+                ("c", "d", ["a", "b"]),
+            ]
+        ]
+
 
 class TestSubdividedHalo:
     def test_single_vertex_n1_unchanged(self):
