@@ -52,6 +52,8 @@ def _load_graph(path: str) -> SimpleGraph:
 
 
 def _resolve_coloring(args, graph: SimpleGraph) -> Coloring:
+    """The coloring ``--coloring`` names, else the exact one with
+    ``--exact``, else the greedy one."""
     if getattr(args, "coloring", None):
         return graphs.coloring_from_json_dict(graph, _load_json(args.coloring))
     if getattr(args, "exact", False):
@@ -75,9 +77,7 @@ def _emit(args, payload, text, dot=None) -> None:
 
 def cmd_color(args) -> int:
     g = _load_graph(args.input)
-    coloring = (
-        graphs.chromatic_number(g) if args.exact else graphs.greedy_color(g)
-    )
+    coloring = _resolve_coloring(args, g)
     _emit(
         args,
         coloring.to_json_dict,

@@ -13,12 +13,15 @@ is what makes the composite injective, and the counterexample report
 exhibits why once it is dropped). Every letter's image is derived from the
 single loop of its generator, built and validated once: run backwards it
 is the image reversed with its signs negated, run twice it is the image
-twice. The injectivity check piles only images whose exponent sums vanish.
-When each generator's image has an edge of its own with a nonzero sum, as
-on every halo that meets the axioms, these are the words whose source sums
-vanish, and the walk over the elements skips the subtrees that cannot
-reach zero sums. Rotations of a word and of its inverse have conjugate or
-inverse images, so one word per such class is piled.
+twice. The injectivity check carries only the words' source exponent
+sums. When each generator's image has an edge of its own with a nonzero
+sum, as on every halo that meets the axioms, an image's sums vanish exactly
+when the word's do, and only those words are piled: an image with a
+nonzero exponent sum is nontrivial. The walk over the elements reads zero
+sums off the L1 norm of the sums it carries, and skips the subtrees that
+cannot reach them. Over any other halo every image is piled. Rotations of
+a word and of its inverse have conjugate or inverse images, so one word per
+such class is piled.
 """
 from __future__ import annotations
 
@@ -45,7 +48,6 @@ from .halo import Halo, build_halo, subdivided_halo, verify_halo
 from .raag import (
     GroupWord,
     RaagPresentation,
-    abelianization,
     detect_pinch,
     is_trivial,
 )
@@ -87,10 +89,6 @@ class EmbeddingContext:
         if source_group is None or source_group.graph != self.delta:
             source_group = RaagPresentation(self.delta)
         self.source_group = source_group
-        # tail -> head runs from the smaller endpoint
-        self.edge_orientation: dict[tuple[str, str], tuple[str, str]] = {
-            e: (e[0], e[1]) for e in halo.gamma.edges
-        }
         self._edge_to_gen = {e: edge_generator_name(e) for e in halo.gamma.edges}
         # two edges fail to commute exactly when they share an endpoint, so
         # the edges at each vertex form a clique and these cliques cover
@@ -181,12 +179,12 @@ def context_from_halo(
 
 def phi(path: ConfigEdgePath, ctx: EmbeddingContext) -> GroupWord:
     """Forget all resting tokens: one letter per crossed edge, sign positive
-    when the move runs tail to head."""
+    when the move runs tail to head, from the edge's smaller endpoint, the
+    one stored first."""
     letters = []
     for step in path.steps:
         gen = ctx.edge_generator(step.edge)
-        tail, _head = ctx.edge_orientation[step.edge]
-        letters.append((gen, 1 if step.source == tail else -1))
+        letters.append((gen, 1 if step.source == step.edge[0] else -1))
     return GroupWord(tuple(letters))
 
 
@@ -327,21 +325,18 @@ def _signed_letters(p: RaagPresentation) -> list[Letter]:
     return [(g, s) for g in p.generators for s in (1, -1)]
 
 
-def _pack(per_letter: list[dict[str, int]], p: RaagPresentation, max_len: int) -> list[int]:
-    """Each letter's exponent sums d_g over the generators of ``p`` packed
-    into one integer sum_g d_g * base**index(g), so that a word's packed
-    sums are the sum over its letters.
+def _pack(p: RaagPresentation, max_len: int) -> list[int]:
+    """Each letter code's source exponent sums packed into one integer, so
+    that a word's packed sums are the sum over its letters: generator i
+    weighs ``(max_len + 1) ** i`` and its inverse the negative of that.
 
-    ``base`` exceeds the size of any exponent sum a word of at most
-    ``max_len`` letters can reach, so the packed sums of such a word are 0
-    exactly when all its exponent sums vanish: at the least index with
-    d_g != 0, base would have to divide d_g.
+    A word of at most ``max_len`` letters has exponent sums of size at most
+    ``max_len``, so its packed sums are 0 exactly when all its exponent sums
+    vanish: at the least i with d_i != 0, max_len + 1 would have to divide
+    d_i.
     """
-    largest = max((abs(d) for sums in per_letter for d in sums.values()), default=0)
-    base = max_len * largest + 1
-    return [
-        sum(d * base ** p.index_of(g) for g, d in sums.items() if d) for sums in per_letter
-    ]
+    base = max_len + 1
+    return [s * base**i for i in range(len(p.generators)) for s in (1, -1)]
 
 
 def _bits(mask: int):
@@ -352,10 +347,10 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _nontrivial_elements(p: RaagPresentation, max_len: int, packed: list[int] | None = None):
+def _nontrivial_elements(p: RaagPresentation, max_len: int, zero_sum: bool = True):
     """The spellings of the nontrivial elements of geodesic length at most
-    max_len whose exponent sums all vanish: the sums ``packed`` holds per
-    letter code (``_pack``), or the source exponent sums when it is None.
+    max_len whose source exponent sums all vanish, or of every one of them
+    when ``zero_sum`` is false.
 
     The search runs depth first over the spellings ``p.reduce_letters``
     gives, the geodesics least in generator order, and visits each element
@@ -367,13 +362,13 @@ def _nontrivial_elements(p: RaagPresentation, max_len: int, packed: list[int] | 
     generators not commuting with g, except x's inverse, and those of larger
     generators commuting with g that extended the word before x.
 
-    The running packed sums are carried down the search, and so is the L1
-    norm of the source exponent sums: each letter moves it by exactly 1,
-    down when the letter is ``toward`` zero on its generator. Every prefix
-    of a spelling the search gives is one it gives, so when the source sums
-    are the filter, a spelling whose norm exceeds the letters that may
-    still follow it has no zero-sum extension and is not entered. With
-    ``packed`` given, every element is walked.
+    The L1 norm of the source exponent sums is carried down the search: each
+    letter moves it by exactly 1, down when the letter is ``toward`` zero on
+    its generator. So an extension has zero sums exactly when the spelling's
+    norm is 1 and the letter is ``toward``. Every prefix of a spelling the
+    search gives is one it gives, so a spelling whose norm exceeds the
+    letters that may still follow it has no zero-sum extension and, with
+    ``zero_sum``, is not entered.
     """
     signed = _signed_letters(p)
     k = len(p.generators)
@@ -385,33 +380,29 @@ def _nontrivial_elements(p: RaagPresentation, max_len: int, packed: list[int] | 
         later.append(sum(by_gen[j] for j in link if j > i))
         blocking.append(sum(by_gen[j] for j in range(k) if j not in link))
     follow = [blocking[code >> 1] & ~(1 << (code ^ 1)) for code in range(2 * k)]
-    prune = packed is None
-    if prune:
-        packed = _pack([{g: s} for g, s in signed], p, max_len)
-    cancelling: dict[int, int] = {}  # packed sums -> codes that have them
-    for code, sums in enumerate(packed):
-        cancelling[sums] = cancelling.get(sums, 0) | 1 << code
     word: list[int] = []
     source_sums = [0] * k
-    zero_sum: list[tuple[Letter, ...]] = []
+    found: list[tuple[Letter, ...]] = []
     # one frame per letter of the word and one for the empty word: the
-    # letters extending it, its running packed sums, the extensions not yet
-    # entered, its source norm and the letters that would lower that norm
+    # letters extending it, the extensions not yet entered, its source norm
+    # and the letters that would lower that norm
     stack: list[list[int]] = []
 
-    def enter(allowed: int, sums: int, norm: int, toward: int) -> None:
-        for code in _bits(allowed & cancelling.get(-sums, 0)):
-            zero_sum.append(tuple(signed[c] for c in word) + (signed[code],))
+    def enter(allowed: int, norm: int, toward: int) -> None:
+        # with zero_sum, the extensions that lower a norm of 1 to 0
+        emit = allowed if not zero_sum else allowed & toward if norm == 1 else 0
+        for code in _bits(emit):
+            found.append(tuple(signed[c] for c in word) + (signed[code],))
         todo = allowed if len(word) + 1 < max_len else 0
-        if prune and norm >= max_len - len(word) - 1:
+        if zero_sum and norm >= max_len - len(word) - 1:
             todo &= toward  # an extension raising the norm could not reach 0
-        stack.append([allowed, sums, todo, norm, toward])
+        stack.append([allowed, todo, norm, toward])
 
     if max_len > 0:
-        enter((1 << 2 * k) - 1, 0, 0, 0)
+        enter((1 << 2 * k) - 1, 0, 0)
     while stack:
         frame = stack[-1]
-        todo = frame[2]
+        todo = frame[1]
         if not todo:
             stack.pop()
             if word:
@@ -419,21 +410,20 @@ def _nontrivial_elements(p: RaagPresentation, max_len: int, packed: list[int] | 
                 source_sums[code >> 1] += 2 * (code & 1) - 1
             continue
         low = todo & -todo
-        frame[2] = todo ^ low
+        frame[1] = todo ^ low
         code = low.bit_length() - 1
         word.append(code)
         i = code >> 1
         d = source_sums[i] = source_sums[i] + 1 - 2 * (code & 1)
-        toward = frame[4] & ~by_gen[i]
+        toward = frame[3] & ~by_gen[i]
         if d:
             toward |= 1 << (2 * i + (d > 0))
         enter(
             follow[code] | frame[0] & later[i],
-            frame[1] + packed[code],
-            frame[3] + (-1 if frame[4] & low else 1),
+            frame[2] + (-1 if frame[3] & low else 1),
             toward,
         )
-    return zero_sum
+    return found
 
 
 def _check_spot_check_args(p: RaagPresentation, max_len: int, sample_count: int) -> int:
@@ -457,19 +447,20 @@ def _check_spot_check_args(p: RaagPresentation, max_len: int, sample_count: int)
     return _check_element_budget(p, max_len)
 
 
-def _sample_codes(seed: int, max_length: int, own: list[int], image: list[int]):
-    """Endless seeded words over the letter codes ``0 .. len(own) - 1``,
-    each yielded as ``(codes, own_sum, image_sum)``: its codes and the sums
-    of their ``own`` and ``image`` weights, added as each letter is drawn.
+def _sample_codes(seed: int, max_length: int, weights: list[int]):
+    """Endless seeded words over the letter codes ``0 .. len(weights) - 1``,
+    each yielded as ``(codes, weight_sum)``: its codes and the sum of their
+    ``weights``, added as each letter is drawn.
 
     The words are those ``rng = random.Random(seed)`` gives by
-    ``rng.randint(1, max_length)`` letters of ``rng.choice(range(len(own)))``
-    each. Both draw below a bound as ``Random._randbelow`` does: values of
-    ``getrandbits(bound.bit_length())`` until one is below the bound. Needs
-    ``max_length`` and ``len(own)`` at least 1.
+    ``rng.randint(1, max_length)`` letters of
+    ``rng.choice(range(len(weights)))`` each. Both draw below a bound as
+    ``Random._randbelow`` does: values of ``getrandbits(bound.bit_length())``
+    until one is below the bound. Needs ``max_length`` and ``len(weights)``
+    at least 1.
     """
     getrandbits = random.Random(seed).getrandbits
-    n_codes = len(own)
+    n_codes = len(weights)
     length_bits = max_length.bit_length()
     code_bits = n_codes.bit_length()
     while True:
@@ -477,15 +468,14 @@ def _sample_codes(seed: int, max_length: int, own: list[int], image: list[int]):
         while length >= max_length:
             length = getrandbits(length_bits)
         codes = []
-        own_sum = image_sum = 0
+        weight_sum = 0
         for _ in range(length + 1):
             code = getrandbits(code_bits)
             while code >= n_codes:
                 code = getrandbits(code_bits)
             codes.append(code)
-            own_sum += own[code]
-            image_sum += image[code]
-        yield codes, own_sum, image_sum
+            weight_sum += weights[code]
+        yield codes, weight_sum
 
 
 def _sums_follow_the_source(ctx: EmbeddingContext) -> bool:
@@ -527,40 +517,33 @@ def injectivity_spot_check(
     Exhausts every element of geodesic length up to ``max_len``, then checks
     ``sample_count`` seeded random words of length up to ``2 * max_len``:
     the words ``random.Random(seed)``'s ``randint`` and ``choice`` would
-    draw, with their source and image exponent sums carried as they are
-    drawn (``_sample_codes``). In squared mode any failure is an
+    draw, with their packed source exponent sums (``_pack``) carried as they
+    are drawn (``_sample_codes``). In squared mode any failure is an
     implementation bug; in unsquared mode failures witness the lost
-    injectivity. An image whose exponent sums do not all vanish is
-    nontrivial; only the others are piled.
+    injectivity.
 
-    When the letter images certify that the image sums vanish exactly with
-    the source sums (``_sums_follow_the_source``), as on every halo that
-    meets the axioms, the source sums stand in for them, and the walk
-    enters only the subtrees that can still reach zero sums; otherwise the
-    image sums over every edge generator are packed and every element is
-    walked. One word per conjugacy class (``_conjugacy_key``) is piled.
-    ``exhaustive_elements`` is the count predicted from the growth series.
-    Raises ``SizeExceededError`` when that count, or the number of
-    samples, exceeds ``ELEMENT_BUDGET``.
+    When the letter images certify that the image exponent sums vanish
+    exactly with the source sums (``_sums_follow_the_source``), as on every
+    halo that meets the axioms, only the words whose source sums vanish are
+    piled, as an image with a nonzero exponent sum is nontrivial, and the
+    walk enters only the subtrees that can still reach zero sums. Otherwise
+    every element and every sample is piled. One word per conjugacy class
+    (``_conjugacy_key``) is piled. ``exhaustive_elements`` is the count
+    predicted from the growth series. Raises ``SizeExceededError`` when
+    that count, or the number of samples, exceeds ``ELEMENT_BUDGET``.
     """
     p = ctx.source_group
     elements = _check_spot_check_args(p, max_len, sample_count)
     sample_max_len = 2 * max_len
     signed = _signed_letters(p)
-    own = _pack([{g: s} for g, s in signed], p, sample_max_len)
-    packed = None  # the source sums filter
-    if not _sums_follow_the_source(ctx):
-        images = [GroupWord(ctx.letter_image(g, s, squared)) for g, s in signed]
-        packed = _pack(
-            [abelianization(w, ctx.a_gamma) for w in images], ctx.a_gamma, sample_max_len
-        )
+    certified = _sums_follow_the_source(ctx)
 
     def image_is_trivial(letters) -> bool:
         return ctx.a_gamma.is_trivial_letters(_image_letters(ctx, letters, squared))
 
     trivial_class: dict[tuple[Letter, ...], bool] = {}
     failures = []
-    for w in _nontrivial_elements(p, max_len, packed):
+    for w in _nontrivial_elements(p, max_len, zero_sum=certified):
         key = _conjugacy_key(w)
         trivial = trivial_class.get(key)
         if trivial is None:
@@ -568,17 +551,17 @@ def injectivity_spot_check(
         if trivial:
             failures.append(str(GroupWord(w)))
 
-    samples = _sample_codes(seed, sample_max_len, own, own if packed is None else packed)
+    samples = _sample_codes(seed, sample_max_len, _pack(p, sample_max_len))
     sampled = 0
     attempts = 0
     while sampled < sample_count and attempts < 100 * sample_count:
         attempts += 1
-        codes, own_sum, image_sum = next(samples)
+        codes, sums = next(samples)
         # a word whose own exponent sums do not all vanish is nontrivial
-        if not own_sum and p.is_trivial_letters([signed[c] for c in codes]):
+        if not sums and p.is_trivial_letters([signed[c] for c in codes]):
             continue
         sampled += 1
-        if not image_sum:
+        if not (certified and sums):
             letters = tuple(signed[c] for c in codes)
             if image_is_trivial(letters):
                 failures.append(str(GroupWord(letters)))
@@ -855,9 +838,14 @@ def verify_suite(
         )
         return passed
 
-    base_halo = halo if halo is not None else build_halo(delta, coloring)
+    # built and subdivided inside the checks, so that their time is theirs
+    base_halo = halo
+    sub = None
 
     def check_axioms():
+        nonlocal base_halo
+        if base_halo is None:
+            base_halo = build_halo(delta, coloring)
         report = verify_halo(base_halo)
         details = {
             "axioms_violated": list(report.axioms_violated()),
@@ -871,9 +859,10 @@ def verify_suite(
         return VerificationReport(False, path_threshold, tuple(checks))
 
     n = coloring.color_count
-    sub = subdivided_halo(base_halo, n, path_threshold)
 
     def check_subdivision():
+        nonlocal sub
+        sub = subdivided_halo(base_halo, n, path_threshold)
         report = is_sufficiently_subdivided(sub.gamma, n, path_threshold)
         details = report.to_json_dict()
         return report.ok, details, []

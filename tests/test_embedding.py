@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from itertools import accumulate, islice, product
 
@@ -79,8 +80,20 @@ class TestBuildContext:
         assert is_planar(ctx.halo.gamma)
 
     def test_orientation_is_lexicographic(self, figure_context):
-        for edge, (tail, head) in figure_context.edge_orientation.items():
-            assert (tail, head) == edge
+        """A letter of a loop's image is positive exactly when its step
+        leaves the edge's smaller endpoint."""
+        ctx = figure_context
+        signs = set()
+        for v in ctx.delta.vertices:
+            for power in (1, -1):
+                path = ctx.loop_path(v, power)
+                letters = phi(path, ctx).letters
+                assert len(letters) == len(path.steps)
+                for step, (gen, sign) in zip(path.steps, letters):
+                    assert gen == edge_generator_name(step.edge)
+                    assert (sign > 0) == (step.source == min(step.edge))
+                    signs.add(sign)
+        assert signs == {1, -1}
 
     def test_context_from_unverified_halo_rejected(self, c6):
         coloring = chromatic_number(c6)
@@ -508,17 +521,15 @@ class TestSampleStream:
 
     @pytest.mark.parametrize("n_codes", range(2, 41))
     def test_matches_randint_and_choice(self, n_codes):
-        own = list(range(n_codes))
-        image = [3 - c * c for c in own]
+        weights = [3 - c * c for c in range(n_codes)]
         for max_length in range(1, 17):
             for seed in range(5):
-                drawn = list(islice(embedding._sample_codes(seed, max_length, own, image), 60))
-                assert [codes for codes, _, _ in drawn] == reference_samples(
+                drawn = list(islice(embedding._sample_codes(seed, max_length, weights), 60))
+                assert [codes for codes, _ in drawn] == reference_samples(
                     seed, n_codes, max_length, 60
                 ), (seed, max_length)
-                for codes, own_sum, image_sum in drawn:
-                    assert own_sum == sum(codes)
-                    assert image_sum == sum(image[c] for c in codes)
+                for codes, weight_sum in drawn:
+                    assert weight_sum == sum(weights[c] for c in codes)
 
 
 ENUMERATION_CASES = (
@@ -537,8 +548,7 @@ class TestElementEnumeration:
 
     @staticmethod
     def spellings(p: RaagPresentation, max_len: int) -> set:
-        # with all packed sums zero the walk, unpruned, returns every element
-        found = embedding._nontrivial_elements(p, max_len, [0] * (2 * len(p.generators)))
+        found = embedding._nontrivial_elements(p, max_len, zero_sum=False)
         assert len(found) == len(set(found))
         return set(found)
 
@@ -553,40 +563,12 @@ class TestElementEnumeration:
         assert self.spellings(p, max_len) == reference
         assert sum(p.sphere_sizes(max_len)) - 1 == len(reference)
 
-    def test_zero_sum_spellings(self):
-        p = RaagPresentation(SimpleGraph.make(["a", "b", "c"], [("a", "c")]))
-        rng = random.Random(5)
-        packed = [rng.randint(-2, 2) for _ in range(6)]
-        weight = dict(zip(embedding._signed_letters(p), packed))
-        found = embedding._nontrivial_elements(p, 5, packed)
-        reference = free_word_spellings(p.generators, p.reduce_letters, 5)
-        assert sorted(found) == sorted(
-            w for w in reference if sum(weight[x] for x in w) == 0
-        )
-
-    @pytest.mark.parametrize("squared", [False, True])
-    def test_packed_sums_vanish_with_the_image_sums(self, figure_context, squared):
-        ctx, max_len = figure_context, 4
-        signed = embedding._signed_letters(ctx.source_group)
-        sums = [
-            abelianization(phi_psi(GroupWord((x,)), ctx, squared), ctx.a_gamma) for x in signed
-        ]
-        weight = dict(zip(signed, embedding._pack(sums, ctx.a_gamma, max_len)))
-        outcomes = set()
-        for length in range(1, max_len + 1):
-            for letters in product(weight, repeat=length):
-                image = phi_psi(GroupWord(letters), ctx, squared)
-                vanish = not any(abelianization(image, ctx.a_gamma).values())
-                assert (sum(weight[x] for x in letters) == 0) == vanish
-                outcomes.add(vanish)
-        assert outcomes == {False, True}
-
     def test_packing_has_no_carries(self):
         # with a base of b or less, the b + 1 letters a^-b b would pack to 0
         p = RaagPresentation(SimpleGraph.make(["a", "b"]))
         signed = embedding._signed_letters(p)
         max_len = 5
-        weight = dict(zip(signed, embedding._pack([{g: s} for g, s in signed], p, max_len)))
+        weight = dict(zip(signed, embedding._pack(p, max_len)))
         for length in range(1, max_len + 1):
             for letters in product(signed, repeat=length):
                 vanish = not any(abelianization(GroupWord(letters), p).values())
@@ -639,11 +621,10 @@ class TestPrunedWalk:
     )
     def test_pruned_walk_finds_the_unpruned_candidates(self, graph):
         p = RaagPresentation(graph)
-        signed = embedding._signed_letters(p)
         for max_len in range(1, 6):
-            own = embedding._pack([{g: s} for g, s in signed], p, max_len)
-            pruned = embedding._nontrivial_elements(p, max_len)
-            assert pruned == embedding._nontrivial_elements(p, max_len, own), max_len
+            full = embedding._nontrivial_elements(p, max_len, zero_sum=False)
+            zero_sum = [w for w in full if not any(abelianization(GroupWord(w), p).values())]
+            assert embedding._nontrivial_elements(p, max_len) == zero_sum, max_len
 
 
 class TestSumCertificate:
@@ -689,6 +670,52 @@ class TestSumCertificate:
             sample_max_len=2 * max_len,
             seed=0,
             failures=tuple(failures),
+        )
+
+    def test_out_and_back_loop_piles_every_sample(self, figure_delta, figure_coloring):
+        """Without the certificate every accepted sample is piled, whatever
+        its own exponent sums: the failures are the walk's and those of the
+        samples ``random`` draws that are nontrivial in A(Δ)."""
+        h = build_halo(figure_delta, figure_coloring)
+        corrupted = Halo(
+            gamma=h.gamma,
+            artin_loops=tuple(
+                (a, loop + loop[-2::-1] if a == "a" else loop) for a, loop in h.artin_loops
+            ),
+            basepoints=h.basepoints,
+            coloring=h.coloring,
+            delta=h.delta,
+        )
+        ctx = context_from_halo(corrupted, require_verified=False)
+        assert not embedding._sums_follow_the_source(ctx)
+        max_len, sample_count, seed = 2, 60, 3
+        p = ctx.source_group
+        signed = embedding._signed_letters(p)
+
+        def trivial_image(w):
+            return is_trivial(phi_psi(w, ctx), ctx.a_gamma)
+
+        elements = free_word_spellings(p.generators, p.reduce_letters, max_len)
+        walked = {str(GroupWord(w)) for w in elements if trivial_image(GroupWord(w))}
+        drawn = [
+            GroupWord(tuple(signed[c] for c in codes))
+            for codes in reference_samples(seed, len(signed), 2 * max_len, 100 * sample_count)
+        ]
+        accepted = [w for w in drawn if not is_trivial(w, p)][:sample_count]
+        assert len(accepted) == sample_count
+        sampled = {str(w) for w in accepted if trivial_image(w)}
+        # some of them have nonzero exponent sums and are not the walk's
+        assert any(any(abelianization(W(w), p).values()) for w in sampled - walked)
+        assert injectivity_spot_check(
+            ctx, max_len=max_len, sample_count=sample_count, seed=seed
+        ) == InjectivityReport(
+            squared=True,
+            max_len=max_len,
+            exhaustive_elements=len(elements),
+            sample_count=sample_count,
+            sample_max_len=2 * max_len,
+            seed=seed,
+            failures=tuple(sorted(walked | sampled)),
         )
 
 
@@ -899,6 +926,34 @@ class TestVerifySuite:
         monkeypatch.setattr(halo_mod, "_halo_report", counted)
         assert verify_suite(figure_delta, figure_coloring, max_len=2, sample_count=10)
         assert len(checked) == 1
+
+    def test_checks_time_the_halo_they_check(
+        self, figure_delta, figure_coloring, c6, monkeypatch
+    ):
+        """The halo is built inside the halo-axioms check and subdivided
+        inside the subdivision check, so each check's seconds count that
+        work; a supplied halo is only verified."""
+
+        def slowed(fn):
+            def wrapper(*args, **kwargs):
+                time.sleep(0.05)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        coloring = chromatic_number(c6)
+        built = build_halo(c6, coloring)
+        monkeypatch.setattr(embedding, "build_halo", slowed(embedding.build_halo))
+        monkeypatch.setattr(embedding, "subdivided_halo", slowed(embedding.subdivided_halo))
+        report = verify_suite(figure_delta, figure_coloring, max_len=1, sample_count=5)
+        assert report.check("halo-axioms").seconds >= 0.05
+        assert report.check("subdivision").seconds >= 0.05
+
+        def never(*args, **kwargs):
+            raise AssertionError("a supplied halo was built again")
+
+        monkeypatch.setattr(embedding, "build_halo", never)
+        assert verify_suite(c6, coloring, max_len=1, sample_count=5, halo=built)
 
     def test_json_excludes_timings_by_default(self, figure_delta, figure_coloring):
         report = verify_suite(
