@@ -95,7 +95,7 @@ def cmd_halo(args) -> int:
     report = halo_mod.verify_halo(sub)
     # subdividing never changes planarity; the unsubdivided halo is smaller,
     # and it is the one verify_suite tests
-    planar = graphs.planarity(built.gamma)
+    planar = graphs.is_planar(built.gamma)
 
     def payload():
         return {
@@ -110,7 +110,7 @@ def cmd_halo(args) -> int:
             f"loops: {len(sub.artin_loops)}\n"
             f"gamma vertices: {sub.gamma.n_vertices}\n"
             f"gamma edges: {sub.gamma.n_edges}\n"
-            f"planar: {'unknown' if planar is None else str(planar).lower()}\n"
+            f"planar: {str(planar).lower()}\n"
             f"verified: {str(report.ok).lower()}\n"
         )
 
@@ -165,6 +165,11 @@ def cmd_embed(args) -> int:
 def cmd_verify(args) -> int:
     data = _load_json(args.input)
     if isinstance(data, dict) and "loops" in data:
+        for flag, value in (("--coloring", args.coloring), ("--exact", args.exact)):
+            if value:
+                raise InputError(
+                    f"{flag} does not apply to a halo file, which carries its coloring"
+                )
         given = halo_mod.halo_from_json_dict(data)
         delta, coloring, halo = given.delta, given.coloring, given
     else:

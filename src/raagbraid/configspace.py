@@ -219,20 +219,12 @@ def artin_loop_path(h: Halo, n: int, delta_vertex: str, power: int) -> ConfigEdg
     for negative power) while all other tokens rest.
 
     Checks first that the halo graph is sufficiently subdivided for n
-    strands; see ``artin_loop_path_unchecked`` for the path itself."""
+    strands (the check is memoised per graph); every step is then
+    validated by ``edge_path``."""
     if not is_sufficiently_subdivided(h.gamma, n).ok:
         raise InsufficientSubdivisionError(
             f"halo graph is not sufficiently subdivided for {n} strands"
         )
-    return artin_loop_path_unchecked(h, n, delta_vertex, power)
-
-
-def artin_loop_path_unchecked(
-    h: Halo, n: int, delta_vertex: str, power: int
-) -> ConfigEdgePath:
-    """``artin_loop_path`` without the subdivision check, for callers that
-    have already run it on ``h.gamma`` (at either threshold: "alt" is the
-    stricter one). Every step is still validated by ``edge_path``."""
     base = artin_basepoint(h)
     if base.n != n:
         raise GraphFormatError(

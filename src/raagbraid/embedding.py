@@ -30,11 +30,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .configspace import (
-    ConfigEdgePath,
-    artin_basepoint,
-    artin_loop_path_unchecked,
-)
+from .configspace import ConfigEdgePath, artin_basepoint, artin_loop_path
 from .errors import (
     BaseMismatchError,
     InputError,
@@ -43,7 +39,7 @@ from .errors import (
     VerificationError,
     WordFormatError,
 )
-from .graphs import Coloring, SimpleGraph, is_sufficiently_subdivided, json_value, planarity
+from .graphs import Coloring, SimpleGraph, is_planar, is_sufficiently_subdivided, json_value
 from .halo import Halo, build_halo, subdivided_halo, verify_halo
 from .raag import (
     GroupWord,
@@ -111,15 +107,16 @@ class EmbeddingContext:
     def loop_path(self, delta_vertex: str, power: int) -> ConfigEdgePath:
         """The generator's loop at ``self.base``, built and validated once.
 
-        The subdivision check ran in ``__init__``; ``edge_path`` validates
-        every step, and the loop is checked to close at ``self.base``
-        before it is cached."""
+        ``artin_loop_path`` checks the subdivision at the "paper" threshold,
+        a memo hit after ``__init__`` (a graph that meets "alt" meets
+        "paper" too), and validates every step; the loop is checked to
+        close at ``self.base`` before it is cached."""
         key = (delta_vertex, power)
         path = self._loop_paths.get(key)
         if path is None:
             if not self.delta.has_vertex(delta_vertex):
                 raise UnknownVertexError(f"unknown source generator {delta_vertex!r}")
-            path = artin_loop_path_unchecked(self.halo, self.n, delta_vertex, power)
+            path = artin_loop_path(self.halo, self.n, delta_vertex, power)
             if path.base != self.base or not path.is_closed:
                 raise BaseMismatchError(
                     f"loop of {delta_vertex!r} is not closed at the basepoint"
@@ -161,20 +158,14 @@ def build_context(
     return EmbeddingContext(sub, path_threshold)
 
 
-def context_from_halo(
-    halo: Halo, path_threshold: str = "paper", require_verified: bool = True
-) -> EmbeddingContext:
-    """Context over a user-supplied halo, subdividing it if necessary."""
-    if require_verified:
-        report = verify_halo(halo)
-        if not report.ok:
-            raise VerificationError(
-                f"halo violates axioms {report.axioms_violated()}"
-            )
+def context_from_halo(halo: Halo, path_threshold: str = "paper") -> EmbeddingContext:
+    """Context over a user-supplied halo that meets the axioms, subdivided
+    if necessary (``subdivided_halo`` returns a sufficient one unchanged)."""
+    report = verify_halo(halo)
+    if not report.ok:
+        raise VerificationError(f"halo violates axioms {report.axioms_violated()}")
     n = halo.coloring.color_count
-    if not is_sufficiently_subdivided(halo.gamma, n, path_threshold).ok:
-        halo = subdivided_halo(halo, n, path_threshold)
-    return EmbeddingContext(halo, path_threshold)
+    return EmbeddingContext(subdivided_halo(halo, n, path_threshold), path_threshold)
 
 
 def phi(path: ConfigEdgePath, ctx: EmbeddingContext) -> GroupWord:
@@ -792,8 +783,8 @@ class VerificationReport:
             for key, value in sorted(c.details.items()):
                 # as the other commands' text output renders them; nested
                 # values as the JSON report spells them, on one line
-                if value is None or isinstance(value, bool):
-                    value = "unknown" if value is None else str(value).lower()
+                if isinstance(value, bool):
+                    value = str(value).lower()
                 elif isinstance(value, (list, tuple, dict)):
                     value = json.dumps(value, sort_keys=True)
                 lines.append(f"    {key}: {value}")
@@ -850,7 +841,7 @@ def verify_suite(
         details = {
             "axioms_violated": list(report.axioms_violated()),
             "loops": len(base_halo.artin_loops),
-            "planar": planarity(base_halo.gamma),
+            "planar": is_planar(base_halo.gamma),
         }
         witnesses = [v.message for v in report.violations]
         return report.ok, details, witnesses

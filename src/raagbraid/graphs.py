@@ -228,15 +228,20 @@ def _try_k_coloring(g: SimpleGraph, order: list[str], k: int) -> dict[str, int] 
     return dict(assignment) if place(0, 0) else None
 
 
-def chromatic_number(g: SimpleGraph, max_vertices: int = 16) -> Coloring:
+#: most vertices ``chromatic_number`` colors; its search is exponential
+EXACT_COLORING_LIMIT = 16
+
+
+def chromatic_number(g: SimpleGraph) -> Coloring:
     """A proper coloring with provably minimal color count.
 
     Exhaustive backtracking between a greedy-clique lower bound and the
-    greedy-coloring upper bound. Exact, hence capped at ``max_vertices``.
+    greedy-coloring upper bound. Exact, hence capped at
+    ``EXACT_COLORING_LIMIT`` vertices.
     """
-    if g.n_vertices > max_vertices:
+    if g.n_vertices > EXACT_COLORING_LIMIT:
         raise SizeExceededError(
-            f"exact coloring limited to {max_vertices} vertices, got {g.n_vertices}"
+            f"exact coloring limited to {EXACT_COLORING_LIMIT} vertices, got {g.n_vertices}"
         )
     if g.n_vertices == 0:
         return Coloring((), 0)
@@ -517,14 +522,10 @@ def subdivide_for(g: SimpleGraph, n: int, path_threshold: str = "paper") -> Simp
     return minimal_subdivision(g, n, path_threshold)[1]
 
 
-def is_planar(g: SimpleGraph, max_vertices: int = 64) -> bool:
-    """Planarity of the abstract graph. The Euler bound |E| <= 3|V| - 6
-    rejects dense graphs before the left-right test runs, so that test
-    sees O(|V|) edges."""
-    if g.n_vertices > max_vertices:
-        raise SizeExceededError(
-            f"planarity test limited to {max_vertices} vertices, got {g.n_vertices}"
-        )
+def is_planar(g: SimpleGraph) -> bool:
+    """Planarity of the abstract graph, at any size. The Euler bound
+    |E| <= 3|V| - 6 rejects dense graphs before the left-right test runs,
+    so that test sees O(|V|) edges."""
     if g.n_vertices >= 3 and g.n_edges > 3 * g.n_vertices - 6:
         return False
     index = {v: i for i, v in enumerate(g.vertices)}
@@ -701,14 +702,6 @@ def _left_right_planar(adj: list[list[int]]) -> bool:
     return True
 
 
-def planarity(g: SimpleGraph) -> bool | None:
-    """``is_planar``, or None (unknown) for a graph over its vertex cap."""
-    try:
-        return is_planar(g)
-    except SizeExceededError:
-        return None
-
-
 # --- serialization ---------------------------------------------------------
 
 
@@ -771,8 +764,8 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(g: SimpleGraph, coloring: Coloring | None = None, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: SimpleGraph, coloring: Coloring | None = None) -> str:
+    lines = ["graph G {"]
     for v in g.vertices:
         if coloring is not None:
             c = coloring.color_of(v)

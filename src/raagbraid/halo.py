@@ -202,6 +202,14 @@ def _halo_report(h: Halo) -> HaloReport:
         )
 
     colors = range(1, coloring.color_count + 1)
+    for c in sorted(set(basepoint) - set(colors)):
+        violations.append(
+            HaloViolation(
+                AXIOM_BASEPOINT,
+                f"basepoint {basepoint[c]!r} is for color {c}, outside 1..{coloring.color_count}",
+                (str(c),),
+            )
+        )
     for c in colors:
         if c not in basepoint:
             violations.append(
@@ -341,12 +349,15 @@ def subdivided_halo(h: Halo, n: int, path_threshold: str = "paper") -> Halo:
     """Uniformly subdivide the halo graph until it suffices for n strands,
     re-threading every loop through the fresh vertices. Basepoints and
     original vertices keep their names. The new halo's graph is the one the
-    subdivision check accepted, so that check is not run again on it."""
+    subdivision check accepted, so that check is not run again on it; a
+    halo that suffices already is returned as it is."""
     if n != h.coloring.color_count:
         raise GraphFormatError(
             f"strand count {n} must equal the color count {h.coloring.color_count}"
         )
-    _, gamma2, chains = minimal_subdivision(h.gamma, n, path_threshold)
+    k, gamma2, chains = minimal_subdivision(h.gamma, n, path_threshold)
+    if k == 1:
+        return h
     new_loops = []
     for a, loop in h.artin_loops:
         threaded = [loop[0]]
@@ -417,14 +428,14 @@ def halo_from_json_dict(data) -> Halo:
     )
 
 
-def halo_to_dot(h: Halo, name: str = "Halo") -> str:
+def halo_to_dot(h: Halo) -> str:
     """DOT export with each loop's edges drawn in its own color."""
     owner: dict[tuple[str, str], int] = {}
     for idx, (a, _) in enumerate(h.artin_loops):
         for e in h.loop_edges(a):
             owner.setdefault(e, idx)
     basepoints = set(h.basepoint_of.values())
-    lines = [f"graph {name} {{"]
+    lines = ["graph Halo {"]
     for v in h.gamma.vertices:
         shape = ", shape=doublecircle" if v in basepoints else ""
         lines.append(f"  {_dot_quote(v)} [label={_dot_quote(v)}{shape}];")

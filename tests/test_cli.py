@@ -308,6 +308,48 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "key, on_loop", [("9", False), ("0", False), ("9", True)],
+        ids=["9-basepoint", "0-basepoint", "9-loop-vertex"],
+    )
+    def test_basepoint_color_out_of_range_exit_4(
+        self, tmp_path, capsys, figure_delta, figure_coloring, key, on_loop
+    ):
+        data = halo_to_json_dict(build_halo(figure_delta, figure_coloring))
+        vertex = data["loops"]["a"][1] if on_loop else "x_1"
+        data["basepoints"][key] = vertex
+        path = tmp_path / "halo.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["verify", "--input", str(path), "--samples", "0"])
+        assert code == 4, err
+        (axioms,) = json.loads(out)["checks"]
+        assert axioms["details"]["axioms_violated"] == ["basepoint"]
+        assert axioms["witnesses"] == [f"basepoint {vertex!r} is for color {key}, outside 1..3"]
+
+    @pytest.mark.parametrize("flag", ["--coloring", "--exact"])
+    def test_coloring_flags_refused_for_a_halo_file(
+        self, tmp_path, capsys, figure_delta, figure_coloring, flag
+    ):
+        path = tmp_path / "halo.json"
+        path.write_text(json.dumps(halo_to_json_dict(build_halo(figure_delta, figure_coloring))))
+        # the coloring file does not exist: the flag is refused before it is read
+        extra = [flag, str(tmp_path / "absent.json")] if flag == "--coloring" else [flag]
+        code, out, err = run(capsys, ["verify", "--input", str(path), *extra])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} does not apply to a halo file, which carries its coloring\n"
+
+    def test_alt_threshold_passes_on_k4(self, tmp_path, capsys):
+        path = write_graph(tmp_path, complete_graph(4))
+        argv = ["verify", "--input", path, "--path-threshold", "alt", "--max-len", "2"]
+        code, out, err = run(capsys, argv + ["--samples", "20"])
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["pass"] is True
+        assert data["path_threshold"] == "alt"
+        (sub,) = [c for c in data["checks"] if c["name"] == "subdivision"]
+        assert sub["details"]["path_threshold"] == "alt"
+
     def test_byte_identical_reruns(self, tmp_path, capsys, c6):
         path = write_graph(tmp_path, c6)
         argv = [
@@ -435,8 +477,8 @@ class TestVerify:
     ids=["petersen", "c12"],
 )
 class TestPlanarityCap:
-    """A halo over the planarity test's 64-vertex cap reports planarity as
-    unknown (null) and still verifies."""
+    """Planarity has no vertex cap: halos over 64 vertices report it as a
+    boolean, ``false`` for these two, and still verify."""
 
     def test_verify(self, tmp_path, capsys, graph, gamma_vertices):
         path = write_graph(tmp_path, graph)
@@ -446,22 +488,22 @@ class TestPlanarityCap:
         data = json.loads(out)
         assert data["pass"] is True
         (axioms,) = [c for c in data["checks"] if c["name"] == "halo-axioms"]
-        assert axioms["details"]["planar"] is None
+        assert axioms["details"]["planar"] is False
         code, out, _ = run(capsys, argv + ["--format", "text"])
         assert code == 0
-        assert "    planar: unknown\n" in out
+        assert "    planar: false\n" in out
 
     def test_halo(self, tmp_path, capsys, graph, gamma_vertices):
         path = write_graph(tmp_path, graph)
         code, out, err = run(capsys, ["halo", "--input", path])
         assert code == 0, err
         data = json.loads(out)
-        assert data["planar"] is None
+        assert data["planar"] is False
         assert data["report"]["ok"] is True
         code, out, _ = run(capsys, ["halo", "--input", path, "--format", "text"])
         assert code == 0
         assert f"gamma vertices: {gamma_vertices}\n" in out
-        assert "planar: unknown\n" in out
+        assert "\nplanar: false\n" in out
 
 
 class TestTextPlanarity:
@@ -481,8 +523,8 @@ class TestTextPlanarity:
         assert "True" not in verify_out and "False" not in verify_out
 
     def test_k6_verify_and_halo_agree(self, tmp_path, capsys):
-        """K6's subdivided halo (79 vertices) is over the planarity cap and
-        its unsubdivided one (23) is not: both commands test the latter."""
+        """Both commands test K6's unsubdivided halo (23 vertices), not the
+        subdivided one (79) that ``halo`` prints."""
         path = write_graph(tmp_path, complete_graph(6))
         argv = ["verify", "--input", path, "--max-len", "2", "--samples", "20"]
         code, out, _ = run(capsys, argv)

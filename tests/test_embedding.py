@@ -7,6 +7,7 @@ import pytest
 
 from raagbraid import (
     Coloring,
+    EmbeddingContext,
     GroupWord,
     Halo,
     InputError,
@@ -37,7 +38,7 @@ from raagbraid import (
     subdivided_halo,
     verify_suite,
 )
-from raagbraid import configspace, embedding, graphs
+from raagbraid import embedding, graphs
 from raagbraid.embedding import InjectivityReport, edge_generator_name
 
 from oracles import (
@@ -299,31 +300,53 @@ class TestContextMemory:
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+class TestAltThreshold:
+    """A context at the stricter "alt" threshold builds each loop through
+    ``artin_loop_path``, whose "paper" check its halo graph meets too."""
+
+    @pytest.mark.parametrize("name", ["figure", "C6", "K4"])
+    def test_loops_and_homomorphism(self, figure_delta, figure_coloring, name):
+        if name == "figure":
+            g, coloring = figure_delta, figure_coloring
+        else:
+            g = cycle_graph(6) if name == "C6" else complete_graph(4)
+            coloring = chromatic_number(g)
+        ctx = build_context(g, coloring, "alt")
+        assert ctx.path_threshold == "alt"
+        assert graphs.is_sufficiently_subdivided(ctx.halo.gamma, ctx.n, "alt").ok
+        # "alt" subdivides further than "paper" on all three
+        assert ctx.halo.gamma.n_vertices > build_context(g, coloring).halo.gamma.n_vertices
+        for v in g.vertices:
+            path = ctx.loop_path(v, 1)
+            assert path.base == ctx.base and path.is_closed
+            assert len(path.steps) == len(ctx.halo.loop_of(v)) - 1
+        assert check_homomorphism(ctx).ok
+
+
 class TestSubdivisionChecks:
     def test_check_count_independent_of_vertex_count(self, monkeypatch):
-        """The subdivision check runs while the halo is subdivided and once
-        in the context, not once per generator loop."""
-        calls = []
-        original = graphs.is_sufficiently_subdivided
+        """The subdivision check is computed while the halo is subdivided,
+        and for an "alt" context once more, at the "paper" threshold the
+        loops are built at; not once per generator loop: each loop's check,
+        and the context's, reads the graph's memo."""
+        computed = []
+        original = graphs._subdivision_report
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counted(*args):
+            computed.append(args)
+            return original(*args)
 
-        for module in (graphs, configspace, embedding):
-            if getattr(module, "is_sufficiently_subdivided", None) is original:
-                monkeypatch.setattr(module, "is_sufficiently_subdivided", counted)
-        counts = []
-        for size in (4, 6, 8, 10, 12):
-            g = cycle_graph(size)
-            coloring = chromatic_number(g)
-            calls.clear()
-            ctx = build_context(g, coloring)
-            assert check_homomorphism(ctx).ok
-            counts.append(len(calls))
-            assert len(calls) <= coloring.color_count + 3
-        assert len(set(counts)) == 1
-
+        monkeypatch.setattr(graphs, "_subdivision_report", counted)
+        for path_threshold, most in (("paper", 2), ("alt", 3)):
+            counts = []
+            for size in (4, 6, 8, 10, 12):
+                g = cycle_graph(size)
+                computed.clear()
+                ctx = build_context(g, chromatic_number(g), path_threshold)
+                assert check_homomorphism(ctx).ok
+                counts.append(len(computed))
+                assert len(computed) <= most
+            assert len(set(counts)) == 1
 
 class TestSubdivisionMemo:
     """The subdivision check runs once on the graph it accepts: the halo
@@ -424,7 +447,7 @@ class TestCheckHomomorphism:
             coloring=h.coloring,
             delta=h.delta,
         )
-        ctx = context_from_halo(corrupted, require_verified=False)
+        ctx = EmbeddingContext(subdivided_halo(corrupted, 3))
         report = check_homomorphism(ctx)
         assert not report.ok
         bad = [r for r in report.relators if r.edge == ("a", "c")]
@@ -450,7 +473,7 @@ class TestCheckHomomorphism:
             coloring=h.coloring,
             delta=h.delta,
         )
-        ctx = context_from_halo(corrupted, require_verified=False)
+        ctx = EmbeddingContext(subdivided_halo(corrupted, 3))
         (bad,) = [r for r in check_homomorphism(ctx).relators if r.edge == ("a", "c")]
         assert not bad.cross_pairs_commute
         assert bad.supports_disjoint == (shared == "vertex")
@@ -651,7 +674,7 @@ class TestSumCertificate:
             coloring=h.coloring,
             delta=h.delta,
         )
-        ctx = context_from_halo(corrupted, require_verified=False)
+        ctx = EmbeddingContext(subdivided_halo(corrupted, 3))
         assert not embedding._sums_follow_the_source(ctx)
         max_len = 5
         p = ctx.source_group
@@ -686,7 +709,7 @@ class TestSumCertificate:
             coloring=h.coloring,
             delta=h.delta,
         )
-        ctx = context_from_halo(corrupted, require_verified=False)
+        ctx = EmbeddingContext(subdivided_halo(corrupted, 3))
         assert not embedding._sums_follow_the_source(ctx)
         max_len, sample_count, seed = 2, 60, 3
         p = ctx.source_group

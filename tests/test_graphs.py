@@ -451,9 +451,9 @@ class TestPlanarity:
         assert not is_planar(petersen_graph())
 
     def test_size_bound(self):
+        # no vertex cap: 65 isolated vertices are planar
         big = SimpleGraph.make([f"v{i}" for i in range(65)])
-        with pytest.raises(SizeExceededError):
-            is_planar(big)
+        assert is_planar(big)
 
     def test_euler_reject_path(self):
         # K7 fails the edge-count bound before any planarity search
@@ -525,23 +525,27 @@ class TestPlanarityOracle:
             assert not is_planar(g), (k, size)
 
     def test_halos(self, figure_delta, figure_coloring):
-        # the named verify graphs under the cap, coloured as verify colours
-        # them (the halos of Petersen and C12 are over it), then C8, whose
-        # halo is planar, and C10, whose halo is not
+        # the named verify graphs, coloured as verify colours them; C8,
+        # whose halo is planar, and C10, whose halo is not; then the halos
+        # of Petersen (67 vertices), C12 (114) and rand40, all non-planar
         from raagbraid import build_halo
 
         halos = [build_halo(g, chromatic_number(g)).gamma for g in atlas_connected(5)]
         halos.append(build_halo(figure_delta, figure_coloring).gamma)
+        rand40 = random_connected_graph(random.Random(40), 40, 20)
         halos += [
             build_halo(g, greedy_color(g)).gamma
-            for g in (cycle_graph(6), path_graph(6), complete_graph(5), cycle_graph(8), cycle_graph(10))
+            for g in (
+                cycle_graph(6), path_graph(6), complete_graph(5), cycle_graph(8), cycle_graph(10),
+                petersen_graph(), cycle_graph(12), rand40,
+            )
         ]
         verdicts = []
         for h in halos:
-            assert h.n_vertices <= 64
             verdicts.append(nx_is_planar(h))
             assert is_planar(h) == verdicts[-1], h
-        assert verdicts[-2:] == [True, False]
+        assert verdicts[-5:] == [True, False, False, False, False]
+        assert [h.n_vertices for h in halos[-3:-1]] == [67, 114]
 
 
 class TestPlanarityIsIterative:
@@ -557,12 +561,12 @@ class TestPlanarityIsIterative:
 
     def test_long_cycle_planar(self):
         g = cycle_graph(20_000)
-        assert is_planar(g, max_vertices=g.n_vertices)
+        assert is_planar(g)
 
     def test_long_subdivided_k33_not_planar(self):
         g, _ = subdivide_uniform(complete_bipartite(3, 3), 1112)
         assert g.n_vertices > 10_000
-        assert not is_planar(g, max_vertices=g.n_vertices)
+        assert not is_planar(g)
 
 
 class TestSerialization:

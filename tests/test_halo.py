@@ -25,6 +25,7 @@ from raagbraid.halo import (
     AXIOM_EDGE_DISJOINT,
     AXIOM_NON_EDGE,
     AXIOM_SIMPLE_LOOP,
+    HaloViolation,
 )
 
 from oracles import atlas_connected, cycle_graph, random_proper_coloring
@@ -203,6 +204,31 @@ class TestVerifyHalo:
         report = verify_halo(broken)
         assert not report.ok
         assert AXIOM_BASEPOINT in report.axioms_violated()
+
+    @pytest.mark.parametrize("color", [0, 9])
+    @pytest.mark.parametrize("on_loop", [False, True], ids=["basepoint", "loop-vertex"])
+    def test_basepoint_for_a_color_out_of_range(
+        self, figure_delta, figure_coloring, color, on_loop
+    ):
+        # a basepoint for a color no vertex has, at another color's
+        # basepoint or at a vertex inside a loop
+        h = build_halo(figure_delta, figure_coloring)
+        vertex = h.loop_of("a")[1] if on_loop else "x_1"
+        broken = Halo(
+            gamma=h.gamma,
+            artin_loops=h.artin_loops,
+            basepoints=tuple(sorted(h.basepoints + ((color, vertex),))),
+            coloring=h.coloring,
+            delta=h.delta,
+        )
+        report = verify_halo(broken)
+        assert report.violations == (
+            HaloViolation(
+                AXIOM_BASEPOINT,
+                f"basepoint {vertex!r} is for color {color}, outside 1..3",
+                (str(color),),
+            ),
+        )
 
     def test_same_color_loops_meeting_off_basepoint(self):
         # two same-colored loops must meet exactly at their basepoint
