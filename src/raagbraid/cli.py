@@ -38,13 +38,18 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _load_json(path: str):
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deep to read") from None
 
 
 def _load_graph(path: str) -> SimpleGraph:

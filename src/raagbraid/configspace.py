@@ -219,7 +219,9 @@ def artin_loop_path(h: Halo, n: int, delta_vertex: str, power: int) -> ConfigEdg
     for negative power) while all other tokens rest.
 
     Checks first that the halo graph is sufficiently subdivided for n
-    strands (the check is memoised per graph); every step is then
+    strands (the check is memoised per graph), and raises
+    ``BaseMismatchError`` unless the loop ends where it starts: the other
+    tokens rest, so the path closes exactly then. Every step is then
     validated by ``edge_path``."""
     if not is_sufficiently_subdivided(h.gamma, n).ok:
         raise InsufficientSubdivisionError(
@@ -233,6 +235,8 @@ def artin_loop_path(h: Halo, n: int, delta_vertex: str, power: int) -> ConfigEdg
     if power == 0:
         return ConfigEdgePath(base=base, steps=())
     loop = h.loop_of(delta_vertex)
+    if loop[0] != loop[-1]:
+        raise BaseMismatchError(f"loop of {delta_vertex!r} is not closed at the basepoint")
     walk = loop if power > 0 else tuple(reversed(loop))
     moves = []
     for _ in range(abs(power)):

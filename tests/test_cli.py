@@ -665,6 +665,30 @@ class TestMalformedInput:
         assert (code, out) == (4, "")
         assert err == "error: colors must be integers >= 1\n"
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"\xff\xfe", "not UTF-8 text"), (b"[" * 200_000, "JSON nested too deep")],
+        ids=["not-utf8", "deep"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["verify"], ["halo"], ["embed", "a"], ["verify", "--coloring"]],
+        ids=["verify", "halo", "embed", "coloring"],
+    )
+    def test_unreadable_file_exit_2(self, tmp_path, capsys, figure_delta, command, content, message):
+        """A file that is not UTF-8, or nests too deep for ``json``, is an
+        input error naming the file, as ``--input`` or as ``--coloring``."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        if command[-1] == "--coloring":
+            argv = [*command, str(bad), "--input", write_graph(tmp_path, figure_delta)]
+        else:
+            argv = [*command, "--input", str(bad)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: {message}")
+        assert "Traceback" not in err
+
 
 def _json_paths(data, prefix=()):
     """Key/index paths to every value nested in a JSON document."""

@@ -6,6 +6,7 @@ from itertools import accumulate, islice, product
 import pytest
 
 from raagbraid import (
+    BaseMismatchError,
     Coloring,
     EmbeddingContext,
     GroupWord,
@@ -165,6 +166,23 @@ class TestPsi:
         p = psi(W("a b^-1 c"), ctx)
         assert p.is_closed
         assert p.base.cells == ("x_1", "x_2", "x_3")
+
+    def test_loop_that_does_not_close_rejected(self, figure_delta, figure_coloring):
+        # a's loop stops one vertex short of its basepoint
+        h = build_halo(figure_delta, figure_coloring)
+        corrupted = Halo(
+            gamma=h.gamma,
+            artin_loops=tuple((a, loop[:-1] if a == "a" else loop) for a, loop in h.artin_loops),
+            basepoints=h.basepoints,
+            coloring=h.coloring,
+            delta=h.delta,
+        )
+        ctx = EmbeddingContext(subdivided_halo(corrupted, 3))
+        with pytest.raises(BaseMismatchError, match="loop of 'a' is not closed at the basepoint"):
+            psi(W("a"), ctx)
+        with pytest.raises(BaseMismatchError):
+            check_homomorphism(ctx)
+        assert len(psi(W("b c"), ctx)) > 0
 
 
 class TestPhiPsi:
@@ -453,6 +471,25 @@ class TestCheckHomomorphism:
         bad = [r for r in report.relators if r.edge == ("a", "c")]
         assert bad and not bad[0].supports_disjoint
 
+    @staticmethod
+    def commutators_as_piled(ctx: EmbeddingContext):
+        """The context's homomorphism report, after checking that each
+        relator's verdict is what piling its commutator's squared image
+        gives, and that the letters of two images that meet in no halo
+        vertex commute pairwise under the oracle's relation. (The
+        breadth-first oracle cannot stand in for piling here: on the
+        squared commutator image of K2, 24 letters, it passes 500,000
+        words before it ends.)"""
+        report = check_homomorphism(ctx)
+        for r in report.relators:
+            a, b = r.edge
+            image = phi_psi(GroupWord.from_pairs([(a, 1), (b, 1), (a, -1), (b, -1)]), ctx)
+            assert r.commutator_trivial == is_trivial(image, ctx.a_gamma), r
+            if r.cross_pairs_commute:
+                edges_of = {g: ctx.halo.loop_edges(g) for g in (a, b)}
+                assert all(edges_commute(e, f) for e in edges_of[a] for f in edges_of[b]), r
+        return report
+
     @pytest.mark.parametrize("shared", ["edge", "vertex"])
     def test_cross_pairs_fail_on_shared_closure(self, figure_delta, figure_coloring, shared):
         # reroute c's loop through an edge, or only a vertex, of a's loop
@@ -474,17 +511,25 @@ class TestCheckHomomorphism:
             delta=h.delta,
         )
         ctx = EmbeddingContext(subdivided_halo(corrupted, 3))
-        (bad,) = [r for r in check_homomorphism(ctx).relators if r.edge == ("a", "c")]
+        (bad,) = [r for r in self.commutators_as_piled(ctx).relators if r.edge == ("a", "c")]
         assert not bad.cross_pairs_commute
         assert bad.supports_disjoint == (shared == "vertex")
+        # the loops meet, so the commutator is piled, and its image is
+        # nontrivial
+        assert not bad.commutator_trivial
 
     def test_corpus_homomorphism(self):
-        from raagbraid import greedy_color
-
-        for g in atlas_connected(5):
-            for coloring in (greedy_color(g), chromatic_number(g)):
-                ctx = build_context(g, coloring)
-                assert check_homomorphism(ctx).ok
+        contexts = [
+            build_context(g, coloring)
+            for g in atlas_connected(5)
+            for coloring in (greedy_color(g), chromatic_number(g))
+        ]
+        contexts += [
+            build_context(g, chromatic_number(g))
+            for g in (cycle_graph(6), complete_graph(5), petersen_graph())
+        ]
+        for ctx in contexts:
+            assert self.commutators_as_piled(ctx).ok
 
 
 class TestInjectivitySpotCheck:
