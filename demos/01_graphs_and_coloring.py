@@ -10,8 +10,7 @@ from raagbraid import (
     greedy_color,
     is_planar,
     is_sufficiently_subdivided,
-    opposite_graph,
-    subdivide_for,
+    minimal_subdivision,
 )
 
 hexagon = SimpleGraph.make(
@@ -28,7 +27,6 @@ print()
 
 k4 = SimpleGraph.make("abcd", [(x, y) for i, x in enumerate("abcd") for y in "abcd"[i + 1 :]])
 print("K4 chromatic number:", chromatic_number(k4).color_count)
-print("K4 complement edges:", opposite_graph(k4).edges)
 
 # four strands need room: arcs of 3 edges between essential vertices and no
 # cycle shorter than 5
@@ -37,6 +35,6 @@ print("\nK4 sufficient for 4 strands?", report.ok)
 for v in report.violations[:4]:
     print(f"  {v.kind} through {v.vertices}: {v.length} < {v.required}")
 
-k4_sub = subdivide_for(k4, 4)
+k4_sub = minimal_subdivision(k4, 4)[1]
 print("after subdividing:", k4_sub.n_vertices, "vertices,", k4_sub.n_edges, "edges")
 print("sufficient now?", is_sufficiently_subdivided(k4_sub, 4).ok)

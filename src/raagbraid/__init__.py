@@ -30,16 +30,13 @@ from .graphs import (
     SubdivisionReport,
     SubdivisionViolation,
     chromatic_number,
-    delete_vertex,
     essential_vertices,
     graph_from_json_dict,
     graph_to_json_dict,
     greedy_color,
     is_planar,
     is_sufficiently_subdivided,
-    link,
-    opposite_graph,
-    subdivide_for,
+    minimal_subdivision,
     to_dot,
 )
 from .halo import (
@@ -73,7 +70,6 @@ from .raag import (
     abelianization,
     detect_pinch,
     equal,
-    free_reduce,
     in_special_subgroup,
     is_trivial,
     pinch_reduce,

@@ -210,7 +210,7 @@ def edge_path(gamma: SimpleGraph, base: Configuration, moves) -> ConfigEdgePath:
 
 
 def artin_basepoint(h: Halo) -> Configuration:
-    return Configuration.make(h.basepoint_configuration())
+    return Configuration.make(h.basepoint_of.values())
 
 
 def artin_loop_path(h: Halo, n: int, delta_vertex: str, power: int) -> ConfigEdgePath:

@@ -170,9 +170,6 @@ class Coloring:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
-    def validate_for(self, graph: SimpleGraph) -> None:
-        Coloring.make(graph, self.as_dict)
-
     def to_json_dict(self) -> dict:
         return {"colors": self.color_count, "assignment": dict(self.assignment)}
 
@@ -253,32 +250,6 @@ def chromatic_number(g: SimpleGraph) -> Coloring:
         if found is not None:
             return Coloring.make(g, found)
     return upper_coloring
-
-
-def opposite_graph(g: SimpleGraph) -> SimpleGraph:
-    """Complement on the same vertex set."""
-    present = set(g.edges)
-    edges = [
-        (u, v)
-        for i, u in enumerate(g.vertices)
-        for v in g.vertices[i + 1 :]
-        if (u, v) not in present
-    ]
-    return SimpleGraph.make(g.vertices, edges)
-
-
-def link(g: SimpleGraph, v: str) -> frozenset[str]:
-    """The neighbors of v (v itself excluded)."""
-    return g.neighbors(v)
-
-
-def delete_vertex(g: SimpleGraph, v: str) -> SimpleGraph:
-    if not g.has_vertex(v):
-        raise UnknownVertexError(f"unknown vertex {v!r}")
-    return SimpleGraph.make(
-        (w for w in g.vertices if w != v),
-        (e for e in g.edges if v not in e),
-    )
 
 
 def essential_vertices(g: SimpleGraph) -> frozenset[str]:
@@ -510,16 +481,6 @@ def minimal_subdivision(
     if not is_sufficiently_subdivided(subdivided, n, path_threshold).ok:
         raise VerificationError(f"subdivision by {k} still fails the check")
     return k, subdivided, chains
-
-
-def subdivision_factor(g: SimpleGraph, n: int, path_threshold: str = "paper") -> int:
-    """Smallest uniform factor whose subdivision passes the checker."""
-    return minimal_subdivision(g, n, path_threshold)[0]
-
-
-def subdivide_for(g: SimpleGraph, n: int, path_threshold: str = "paper") -> SimpleGraph:
-    """Minimal uniform subdivision passing is_sufficiently_subdivided for n."""
-    return minimal_subdivision(g, n, path_threshold)[1]
 
 
 def is_planar(g: SimpleGraph) -> bool:

@@ -66,11 +66,8 @@ class Halo:
             raise UnknownVertexError(f"no loop for vertex {delta_vertex!r}") from None
 
     def loop_edges(self, delta_vertex: str) -> tuple[tuple[str, str], ...]:
-        loop = self.loops[delta_vertex]
+        loop = self.loop_of(delta_vertex)
         return tuple(normalize_edge(a, b) for a, b in zip(loop, loop[1:]))
-
-    def basepoint_configuration(self) -> tuple[str, ...]:
-        return tuple(sorted(self.basepoint_of.values()))
 
     @cached_property
     def _axiom_report(self) -> "HaloReport":
@@ -104,7 +101,8 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
     """Canonical halo for a properly colored graph; passes verify_halo."""
     if delta.n_vertices == 0:
         raise EmptyGraphError("cannot build a halo for an empty graph")
-    coloring.validate_for(delta)
+    # raises unless the coloring is proper for delta itself
+    Coloring.make(delta, coloring.as_dict)
     for v in delta.vertices:
         if "~" in v:
             raise GraphFormatError(

@@ -86,14 +86,6 @@ class GroupWord:
     def inverse(self) -> "GroupWord":
         return GroupWord(tuple((g, -s) for g, s in reversed(self.letters)))
 
-    def power(self, k: int) -> "GroupWord":
-        base = self if k >= 0 else self.inverse()
-        return GroupWord(base.letters * abs(k))
-
-    @property
-    def generators(self) -> frozenset[str]:
-        return frozenset(g for g, _ in self.letters)
-
 
 class RaagPresentation:
     """Generators, and cliques that cover the non-commutation relation.
@@ -345,17 +337,6 @@ class RaagPresentation:
             )
             sizes.append(size)
             yield size
-
-
-def free_reduce(w: GroupWord) -> GroupWord:
-    """Cancel adjacent inverse pairs to a fixpoint (no commutation used)."""
-    stack: list[Letter] = []
-    for letter in w.letters:
-        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return GroupWord(tuple(stack))
 
 
 def raag_reduce(w: GroupWord, p: RaagPresentation) -> GroupWord:

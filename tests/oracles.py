@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import networkx as nx
 from networkx.generators.atlas import graph_atlas_g
@@ -269,20 +269,6 @@ def exhaustive_k_colorable(g: SimpleGraph, k: int) -> bool:
     for assignment in product(range(k), repeat=len(vs)):
         colors = dict(zip(vs, assignment))
         if all(colors[u] != colors[v] for u, v in g.edges):
-            return True
-    return False
-
-
-def are_isomorphic_small(g1: SimpleGraph, g2: SimpleGraph) -> bool:
-    """Permutation brute force, fine up to ~8 vertices."""
-    if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
-        return False
-    e2 = set(g2.edges)
-    for perm in permutations(g2.vertices):
-        mapping = dict(zip(g1.vertices, perm))
-        if all(
-            tuple(sorted((mapping[u], mapping[v]))) in e2 for u, v in g1.edges
-        ):
             return True
     return False
 

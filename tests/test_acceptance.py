@@ -35,6 +35,7 @@ from raagbraid import (
     pinch_trace,
     subdivided_halo,
     verify_halo,
+    verify_suite,
 )
 from raagbraid.halo import (
     AXIOM_BASEPOINT,
@@ -46,6 +47,7 @@ from oracles import (
     atlas_connected,
     brute_force_udc_counts,
     cycle_graph,
+    exhaustive_k_colorable,
     trivial_closure,
 )
 
@@ -273,3 +275,27 @@ def test_criterion_7_britton_machinery():
         for gen in delta.vertices:
             trace = pinch_trace(GroupWord.parse(gen), ctx, squared=True)
             assert not trace.emptied
+
+
+def test_criterion_8_theorem_over_every_small_delta():
+    """The whole suite passes on every connected Δ of up to 7 vertices under
+    the greedy and the exact coloring, and up to 6 vertices under the "alt"
+    path threshold too. The exact coloring's count is refuted one below
+    only up to 6 vertices: exhaustive assignment at 7 vertices would add
+    several seconds to the test."""
+    with criterion(8, "theorem over every small graph"):
+        def check(g, coloring, path_threshold="paper"):
+            report = verify_suite(
+                g, coloring, max_len=3, sample_count=50, path_threshold=path_threshold
+            )
+            assert report.passed, (g, coloring, report.to_json_dict())
+            assert report.check("subdivision").details["n"] == coloring.color_count
+
+        for g in atlas_connected(7):
+            exact = chromatic_number(g)
+            for coloring in (greedy_color(g), exact):
+                check(g, coloring)
+            if g.n_vertices <= 6:
+                assert not exhaustive_k_colorable(g, exact.color_count - 1), g
+                for coloring in (greedy_color(g), exact):
+                    check(g, coloring, path_threshold="alt")

@@ -15,16 +15,13 @@ from raagbraid import (
     UnknownVertexError,
     VerificationError,
     chromatic_number,
-    delete_vertex,
     essential_vertices,
     graph_from_json_dict,
     graph_to_json_dict,
     greedy_color,
     is_planar,
     is_sufficiently_subdivided,
-    link,
-    opposite_graph,
-    subdivide_for,
+    minimal_subdivision,
     to_dot,
 )
 from raagbraid import graphs
@@ -32,14 +29,11 @@ from raagbraid.graphs import (
     _arcs,
     _has_cycle_within,
     dumps_canonical,
-    minimal_subdivision,
     subdivide_uniform,
-    subdivision_factor,
 )
 
 from oracles import (
     arcs_by_deletion,
-    are_isomorphic_small,
     atlas_connected,
     atlas_graphs,
     complete_bipartite,
@@ -124,7 +118,7 @@ class TestColoring:
         coloring = Coloring.make(g, {"a": 1, "b": 2})
         coloring.to_json_dict()["assignment"]["a"] = 2
         assert coloring.color_of("a") == 1
-        coloring.validate_for(g)
+        Coloring.make(g, coloring.as_dict)
 
 
 class TestGreedyColor:
@@ -165,54 +159,23 @@ class TestChromaticNumber:
             assert k == 1 or not exhaustive_k_colorable(g, k - 1)
 
 
-class TestOppositeGraph:
-    def test_k3_becomes_isolated(self):
-        assert opposite_graph(complete_graph(3)).edges == ()
-
-    def test_two_isolated_become_k2(self):
-        g = SimpleGraph.make(["a", "b"])
-        assert opposite_graph(g).edges == (("a", "b"),)
-
-    def test_c5_self_complementary(self):
-        g = cycle_graph(5)
-        assert are_isomorphic_small(opposite_graph(g), g)
-
-    def test_involution(self):
-        for g in atlas_connected(5):
-            assert opposite_graph(opposite_graph(g)) == g
-
-
 class TestLinkAndDelete:
+    """The link of a vertex in Δ is its neighbor set, ``SimpleGraph.neighbors``."""
+
     def test_star_center(self):
         g = SimpleGraph.make(["c", "l1", "l2", "l3"], [("c", "l1"), ("c", "l2"), ("c", "l3")])
-        assert link(g, "c") == {"l1", "l2", "l3"}
+        assert g.neighbors("c") == {"l1", "l2", "l3"}
 
     def test_isolated_vertex(self):
         g = SimpleGraph.make(["a", "b"], [])
-        assert link(g, "a") == frozenset()
+        assert g.neighbors("a") == frozenset()
 
     def test_figure_graph_link(self, figure_delta):
-        assert link(figure_delta, "a") == {"c"}
+        assert figure_delta.neighbors("a") == {"c"}
 
     def test_link_unknown(self, figure_delta):
         with pytest.raises(UnknownVertexError):
-            link(figure_delta, "z")
-
-    def test_delete_k2(self):
-        g = SimpleGraph.make(["a", "b"], [("a", "b")])
-        assert delete_vertex(g, "b") == SimpleGraph.make(["a"])
-
-    def test_delete_c4_gives_p3(self):
-        g = cycle_graph(4)
-        assert are_isomorphic_small(delete_vertex(g, "a1"), path_graph(3))
-
-    def test_delete_c6_gives_p5(self):
-        got = delete_vertex(cycle_graph(6), "a6")
-        assert got.edges == (("a1", "a2"), ("a2", "a3"), ("a3", "a4"), ("a4", "a5"))
-
-    def test_delete_unknown(self):
-        with pytest.raises(UnknownVertexError):
-            delete_vertex(cycle_graph(3), "z")
+            figure_delta.neighbors("z")
 
 
 class TestEssentialVertices:
@@ -234,19 +197,19 @@ class TestEssentialVertices:
 class TestSubdivision:
     def test_c3_n2_unchanged(self):
         g = cycle_graph(3)
-        assert subdivide_for(g, 2) == g
+        assert minimal_subdivision(g, 2)[1] == g
 
     def test_c3_n3_passes_checker(self):
-        out = subdivide_for(cycle_graph(3), 3)
+        k, out, _ = minimal_subdivision(cycle_graph(3), 3)
         assert is_sufficiently_subdivided(out, 3).ok
-        assert subdivision_factor(cycle_graph(3), 3) == 2
+        assert k == 2
 
     def test_k4_n4(self):
-        out = subdivide_for(complete_graph(4), 4)
+        k, out, _ = minimal_subdivision(complete_graph(4), 4)
         report = is_sufficiently_subdivided(out, 4)
         assert report.ok
         # inter-essential arcs >= 3 edges, cycles >= 5 edges
-        assert subdivision_factor(complete_graph(4), 4) == 3
+        assert k == 3
 
     def test_checker_c3_n3_fails_with_loop_witness(self):
         report = is_sufficiently_subdivided(cycle_graph(3), 3)
@@ -272,11 +235,11 @@ class TestSubdivision:
         assert paths and paths[0].vertices == ("u", "w") and paths[0].length == 1
 
     def test_alt_threshold_is_stricter(self):
-        g = subdivide_for(complete_graph(4), 3, path_threshold="paper")
+        g = minimal_subdivision(complete_graph(4), 3, path_threshold="paper")[1]
         assert is_sufficiently_subdivided(g, 3, path_threshold="paper").ok
         # with the n+1 convention the same graph may fail
         alt = is_sufficiently_subdivided(g, 3, path_threshold="alt")
-        strict = subdivide_for(complete_graph(4), 3, path_threshold="alt")
+        strict = minimal_subdivision(complete_graph(4), 3, path_threshold="alt")[1]
         assert is_sufficiently_subdivided(strict, 3, path_threshold="alt").ok
         assert not alt.ok
 
@@ -289,7 +252,7 @@ class TestSubdivision:
         corpus += [random_connected_graph(rng, 8, rng.randint(0, 6)) for _ in range(15)]
         for g in corpus:
             for n in (1, 2, 3, 4):
-                out = subdivide_for(g, n)
+                out = minimal_subdivision(g, n)[1]
                 assert is_sufficiently_subdivided(out, n).ok
 
     def test_homeomorphism_type_preserved(self):
@@ -297,7 +260,7 @@ class TestSubdivision:
         corpus = atlas_connected(6)
         for g in rng.sample(corpus, 25):
             for n in (2, 4):
-                out = subdivide_for(g, n)
+                out = minimal_subdivision(g, n)[1]
                 ess_before = sorted(g.degree(v) for v in essential_vertices(g))
                 ess_after = sorted(out.degree(v) for v in essential_vertices(out))
                 assert ess_before == ess_after
@@ -380,8 +343,9 @@ class TestSubdivisionFactor:
         for g in _factor_corpus():
             for n in range(1, 6):
                 k = smallest_passing_factor(g, n, path_threshold)
-                assert subdivision_factor(g, n, path_threshold) == k, (g, n)
-                assert subdivide_for(g, n, path_threshold) == subdivide_uniform(g, k)[0]
+                factor, out, _ = minimal_subdivision(g, n, path_threshold)
+                assert factor == k, (g, n)
+                assert out == subdivide_uniform(g, k)[0]
 
     def test_short_cycle_search_matches_girth(self):
         import networkx as nx
@@ -406,9 +370,8 @@ class TestSubdivisionFactor:
     def test_passing_graph_is_returned_as_is(self):
         for g in (cycle_graph(3), cycle_graph(6), petersen_graph()):
             assert is_sufficiently_subdivided(g, 2).ok
-            assert subdivide_for(g, 2) is g
             k, out, chains = minimal_subdivision(g, 2)
-            assert (k, out) == (1, g)
+            assert k == 1 and out is g
             assert chains == {e: e for e in g.edges}
 
     def test_reports_computed(self, monkeypatch):
@@ -600,15 +563,9 @@ class TestSerialization:
 
 @settings(max_examples=60, deadline=None)
 @given(simple_graph_strategy())
-def test_opposite_involution_property(g):
-    assert opposite_graph(opposite_graph(g)) == g
-
-
-@settings(max_examples=60, deadline=None)
-@given(simple_graph_strategy())
 def test_chromatic_not_above_greedy(g):
     exact = chromatic_number(g)
     greedy = greedy_color(g)
     assert exact.color_count <= greedy.color_count
     for col in (exact, greedy):
-        col.validate_for(g)
+        Coloring.make(g, col.as_dict)

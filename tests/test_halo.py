@@ -8,7 +8,9 @@ from raagbraid import (
     EmptyGraphError,
     GraphFormatError,
     Halo,
+    ImproperColoringError,
     SimpleGraph,
+    UnknownVertexError,
     build_halo,
     chromatic_number,
     greedy_color,
@@ -58,6 +60,23 @@ class TestBuildHalo:
         g = SimpleGraph.make(["a~b"])
         with pytest.raises(GraphFormatError):
             build_halo(g, Coloring.make(g, {"a~b": 1}))
+
+    def test_coloring_of_another_graph_rejected(self, figure_delta):
+        # made for a graph without c, so c is left uncolored
+        other = SimpleGraph.make(["a", "b"])
+        with pytest.raises(ImproperColoringError):
+            build_halo(figure_delta, Coloring.make(other, {"a": 1, "b": 2}))
+
+    def test_adjacent_vertices_sharing_a_color_rejected(self, figure_delta):
+        # proper without the edge a-c, improper for Δ
+        edgeless = SimpleGraph.make(figure_delta.vertices)
+        with pytest.raises(ImproperColoringError):
+            build_halo(figure_delta, Coloring.make(edgeless, {"a": 1, "b": 2, "c": 1}))
+
+    def test_loop_edges_of_unknown_vertex(self, figure_delta, figure_coloring):
+        h = build_halo(figure_delta, figure_coloring)
+        with pytest.raises(UnknownVertexError):
+            h.loop_edges("zz")
 
     def test_figure_shape(self, figure_delta, figure_coloring):
         h = build_halo(figure_delta, figure_coloring)
