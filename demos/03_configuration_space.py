@@ -2,15 +2,18 @@
 
 Counts 0- and 1-cells for small graphs and strand counts, then realizes a
 halo loop as a based path in which one token walks its loop while the other
-tokens rest.
+tokens rest. Loops based at the same configuration compose by concatenating
+their steps, which is what psi does for a word.
 """
 from raagbraid import (
     Coloring,
+    EmbeddingContext,
+    GroupWord,
     SimpleGraph,
     artin_loop_path,
     build_halo,
     build_udc,
-    concat_paths,
+    psi,
     subdivided_halo,
 )
 
@@ -31,11 +34,12 @@ coloring = Coloring.make(delta, {"a": 1, "b": 2, "c": 3})
 halo = subdivided_halo(build_halo(delta, coloring), 3)
 
 loop_a = artin_loop_path(halo, 3, "a", 1)
-print("\nloop of a, one traversal:", len(loop_a), "steps, closed:", loop_a.is_closed)
+print("\nloop of a, one traversal:", len(loop_a), "steps")
 print("base configuration:", loop_a.base.cells)
 for step in loop_a.steps:
     print(f"  token at {step.source} crosses {step.edge}")
 
-combined = concat_paths(loop_a, artin_loop_path(halo, 3, "b", 1))
+# the word "a b", unsquared: a's loop, then b's, both based at the basepoints
+combined = psi(GroupWord.parse("a b"), EmbeddingContext(halo), squared=False)
 print("loop of a then loop of b:", len(combined), "steps")
 print("reverse traversal steps:", len(artin_loop_path(halo, 3, "a", -1)))

@@ -60,7 +60,6 @@ from .configspace import (
     artin_loop_path,
     build_udc,
     closure_disjoint,
-    concat_paths,
     edge_path,
 )
 from .raag import (

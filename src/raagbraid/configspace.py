@@ -1,4 +1,4 @@
-"""0- and 1-cells of the unordered discretized configuration space.
+"""Cells and token paths of the unordered discretized configuration space.
 
 A cell of the underlying graph is a vertex (a string) or a closed edge
 (a sorted pair). A configuration is an unordered set of n cells with
@@ -7,6 +7,11 @@ space are all-vertex configurations; one cells contain exactly one edge and
 connect the two zero cells obtained by parking the moving token at either
 endpoint. Higher cells are never needed here: words in the image of the
 edge-forgetting map are evaluated algebraically.
+
+A path is a base configuration and its steps, each one token crossing one
+edge. ``edge_path`` alone moves tokens, checking each step against the
+graph and the occupied vertices. A generator's loop closes at the
+basepoints, so loops compose by concatenating their steps.
 """
 from __future__ import annotations
 
@@ -60,11 +65,6 @@ class Configuration:
     @property
     def n(self) -> int:
         return len(self.cells)
-
-    def replace(self, old: Cell, new: Cell) -> "Configuration":
-        rest = list(self.cells)
-        rest.remove(old)
-        return Configuration.make(rest + [new])
 
 
 @dataclass(frozen=True)
@@ -125,17 +125,6 @@ class Step:
     edge: tuple[str, str]
     source: str
 
-    @property
-    def target(self) -> str:
-        u, v = self.edge
-        return v if self.source == u else u
-
-    def reversed(self) -> "Step":
-        return Step(edge=self.edge, source=self.target)
-
-    def to_json_dict(self) -> dict:
-        return {"edge": list(self.edge), "from": self.source}
-
 
 @dataclass(frozen=True)
 class ConfigEdgePath:
@@ -144,41 +133,6 @@ class ConfigEdgePath:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def configurations(self) -> list[Configuration]:
-        """Base plus the configuration after each step."""
-        configs = [self.base]
-        cur = self.base
-        for step in self.steps:
-            cur = cur.replace(step.source, step.target)
-            configs.append(cur)
-        return configs
-
-    def final(self) -> Configuration:
-        """The configuration after the last step: each step's move is
-        applied to the set of occupied cells, and one configuration is
-        built from what is left."""
-        occupied = set(self.base.cells)
-        for step in self.steps:
-            occupied.remove(step.source)
-            occupied.add(step.target)
-        return Configuration.make(occupied)
-
-    @property
-    def is_closed(self) -> bool:
-        return self.final() == self.base
-
-    def reverse(self) -> "ConfigEdgePath":
-        return ConfigEdgePath(
-            base=self.final(),
-            steps=tuple(s.reversed() for s in reversed(self.steps)),
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "base": [list(c) if isinstance(c, tuple) else c for c in self.base.cells],
-            "steps": [s.to_json_dict() for s in self.steps],
-        }
 
 
 def edge_path(gamma: SimpleGraph, base: Configuration, moves) -> ConfigEdgePath:
@@ -244,19 +198,3 @@ def artin_loop_path(h: Halo, n: int, delta_vertex: str, power: int) -> ConfigEdg
             (normalize_edge(s, t), s) for s, t in zip(walk, walk[1:])
         )
     return edge_path(h.gamma, base, moves)
-
-
-def concat_paths(p: ConfigEdgePath, q: ConfigEdgePath) -> ConfigEdgePath:
-    """Compose two loops based at the same configuration.
-
-    Checks that both paths are closed at one shared base; the steps
-    themselves are validated where the paths were built, by ``edge_path``."""
-    if not p.is_closed:
-        raise BaseMismatchError("left path is not closed at its base")
-    if not q.is_closed:
-        raise BaseMismatchError("right path is not closed at its base")
-    if p.base != q.base:
-        raise BaseMismatchError(
-            f"paths are based at different configurations: {p.base.cells} vs {q.base.cells}"
-        )
-    return ConfigEdgePath(base=p.base, steps=p.steps + q.steps)

@@ -319,6 +319,9 @@ def _check_element_budget(p: RaagPresentation, max_len: int) -> int:
         return total
     total = -1  # the identity is not enumerated
     for length, size in enumerate(p.sphere_sizes(max_len, ELEMENT_BUDGET)):
+        if not size:
+            # each prefix of a geodesic is one, so every longer sphere is empty too
+            break
         total += size
         if total > ELEMENT_BUDGET:
             raise SizeExceededError(

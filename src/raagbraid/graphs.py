@@ -302,7 +302,8 @@ def _arcs(g: SimpleGraph):
     Every interior vertex has degree 2, so a walk can enter its chain only
     from one of the chain's two ends, and each chain is walked once: from
     its smaller essential end, whose turn comes first, or from the end it
-    loops back to. The other end skips a first step into a walked vertex.
+    loops back to. The other end skips a first step into a walked vertex,
+    so every arc is yielded from its smaller end.
     A direct edge between two essential vertices is taken from its smaller
     end. Walks that loop back to their start or stop at a vertex of degree
     1 are not arcs."""
@@ -328,10 +329,7 @@ def _arcs(g: SimpleGraph):
                     raise GraphFormatError("runaway chain walk")
             if cur not in ess or cur == u:
                 continue
-            if u < cur:
-                yield (u, cur, tuple(interior))
-            else:
-                yield (cur, u, tuple(reversed(interior)))
+            yield (u, cur, tuple(interior))
 
 
 def _has_cycle_within(g: SimpleGraph, max_edges: int) -> bool:

@@ -9,8 +9,6 @@ import random
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from raagbraid import (
     Coloring,
     GroupWord,

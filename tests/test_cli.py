@@ -326,6 +326,37 @@ class TestVerify:
         assert axioms["details"]["axioms_violated"] == ["basepoint"]
         assert axioms["witnesses"] == [f"basepoint {vertex!r} is for color {key}, outside 1..3"]
 
+    @pytest.mark.parametrize(
+        "mutate, witness",
+        [
+            (lambda d: d["basepoints"].pop("2"), "color 2 has no basepoint"),
+            (
+                lambda d: d["basepoints"].update({"2": "nowhere"}),
+                "basepoint 'nowhere' of color 2 is not a vertex",
+            ),
+            (
+                lambda d: d["loops"].update(a=d["loops"]["a"][:-1]),
+                "loop of 'a' must close over at least three vertices",
+            ),
+            (
+                lambda d: d["loops"].update(a=[d["loops"]["a"][i] for i in (0, 1, 2, 1, 0)]),
+                "loop of 'a' repeats a vertex",
+            ),
+        ],
+        ids=["no-basepoint", "basepoint-not-a-vertex", "open-loop", "repeated-vertex"],
+    )
+    def test_halo_axiom_violation_exit_4(
+        self, tmp_path, capsys, figure_delta, figure_coloring, mutate, witness
+    ):
+        data = halo_to_json_dict(build_halo(figure_delta, figure_coloring))
+        mutate(data)
+        path = tmp_path / "halo.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["verify", "--input", str(path), "--samples", "0"])
+        assert code == 4, err
+        (axioms,) = json.loads(out)["checks"]
+        assert witness in axioms["witnesses"]
+
     @pytest.mark.parametrize("flag", ["--coloring", "--exact"])
     def test_coloring_flags_refused_for_a_halo_file(
         self, tmp_path, capsys, figure_delta, figure_coloring, flag
@@ -610,6 +641,23 @@ class TestMalformedInput:
     def test_non_string_edge_endpoint(self, tmp_path, capsys):
         data = {"vertices": ["a", "b"], "edges": [["a", ["b"]]]}
         self.run_json(tmp_path, capsys, "color", data)
+
+    @pytest.mark.parametrize("data", [[], 3, None], ids=["list", "number", "null"])
+    def test_graph_not_an_object(self, tmp_path, capsys, data):
+        err = self.run_json(tmp_path, capsys, "verify", data)
+        assert err == "error: graph JSON must be an object\n"
+
+    @pytest.mark.parametrize("flag", ["--input", "--coloring"])
+    def test_missing_file_exit_2(self, tmp_path, capsys, figure_delta, flag):
+        """A path that does not exist is an input error naming the path."""
+        absent = tmp_path / "absent.json"
+        graph = str(absent) if flag == "--input" else write_graph(tmp_path, figure_delta)
+        argv = ["verify", "--input", graph]
+        if flag == "--coloring":
+            argv += ["--coloring", str(absent)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {absent}: ")
 
     def test_basepoints_as_list(self, tmp_path, capsys, figure_delta, figure_coloring):
         data = self.halo_data(figure_delta, figure_coloring)

@@ -1,7 +1,7 @@
 import pytest
 
 from raagbraid import (
-    BaseMismatchError,
+    ConfigEdgePath,
     Configuration,
     GraphFormatError,
     IllegalStepError,
@@ -14,12 +14,17 @@ from raagbraid import (
     build_udc,
     chromatic_number,
     closure_disjoint,
-    concat_paths,
     edge_path,
     subdivided_halo,
 )
 
-from oracles import atlas_connected, brute_force_udc_counts, cycle_graph, path_graph
+from oracles import (
+    atlas_connected,
+    brute_force_udc_counts,
+    cycle_graph,
+    path_graph,
+    replay_psi,
+)
 
 
 class TestCells:
@@ -97,6 +102,10 @@ class TestBuildUdc:
         }
 
 
+def moves(p):
+    return [(step.edge, step.source) for step in p.steps]
+
+
 def figure_halo():
     delta = SimpleGraph.make(["a", "b", "c"], [("a", "c")])
     from raagbraid import Coloring
@@ -111,23 +120,26 @@ class TestArtinLoopPath:
         p = artin_loop_path(h, 3, "a", 0)
         assert len(p) == 0
         assert p.base == artin_basepoint(h)
-        assert p.is_closed
 
     def test_single_traversal(self):
         h = figure_halo()
         p = artin_loop_path(h, 3, "a", 1)
         assert len(p) == len(h.loop_of("a")) - 1 == 4
-        assert p.is_closed
-        # only the strand of color 1 moves
+        # the oracle's walk is legal and closes at the basepoints
+        assert moves(p) == replay_psi(h, [("a", 1)], squared=False)[0]
+        # only the strand of color 1 moves: no step touches another token
         resting = set(p.base.cells) - {"x_1"}
-        for cfg in p.configurations():
-            assert resting <= set(cfg.cells)
+        assert not resting & {v for step in p.steps for v in step.edge}
 
     def test_negative_power_is_reverse(self):
         h = figure_halo()
         fwd = artin_loop_path(h, 3, "a", 1)
         bwd = artin_loop_path(h, 3, "a", -1)
-        assert bwd.steps == fwd.reverse().steps
+        # the same edges in the opposite order, each crossed from its other end
+        assert moves(bwd) == [
+            (edge, edge[1] if source == edge[0] else edge[0])
+            for edge, source in reversed(moves(fwd))
+        ]
 
     def test_power_k_is_concatenation(self):
         h = figure_halo()
@@ -158,40 +170,8 @@ class TestArtinLoopPath:
             for v in g.vertices:
                 for power in (1, -1):
                     p = artin_loop_path(h, coloring.color_count, v, power)
-                    assert p.is_closed
+                    assert moves(p) == replay_psi(h, [(v, power)], squared=False)[0]
                     assert len(p) == len(h.loop_of(v)) - 1
-
-
-class TestFinal:
-    """``final`` applies the moves to a set of cells; it agrees with the
-    replay of every configuration."""
-
-    @staticmethod
-    def halos():
-        from oracles import complete_graph
-
-        yield figure_halo(), 3
-        for g in (cycle_graph(6), complete_graph(5)):
-            coloring = chromatic_number(g)
-            n = coloring.color_count
-            yield subdivided_halo(build_halo(g, coloring), n), n
-
-    @staticmethod
-    def assert_final_is_replay(p):
-        assert p.final() == p.configurations()[-1]
-
-    def test_final_is_last_configuration(self):
-        from raagbraid import ConfigEdgePath
-
-        for h, n in self.halos():
-            for v in h.delta.vertices:
-                loops = [artin_loop_path(h, n, v, power) for power in (1, -1, 2, -2)]
-                for p in loops:
-                    for i in range(len(p) + 1):
-                        self.assert_final_is_replay(ConfigEdgePath(p.base, p.steps[:i]))
-                    self.assert_final_is_replay(p.reverse())
-                    for q in loops:
-                        self.assert_final_is_replay(concat_paths(p, q.reverse()))
 
 
 class TestPathsAndConcat:
@@ -199,44 +179,24 @@ class TestPathsAndConcat:
         h = figure_halo()
         p = artin_loop_path(h, 3, "a", 1)
         empty = artin_loop_path(h, 3, "a", 0)
-        assert concat_paths(empty, p).steps == p.steps
+        assert empty.base == p.base
+        assert ConfigEdgePath(empty.base, empty.steps + p.steps) == p
 
     def test_path_times_reverse_doubles_length(self):
         h = figure_halo()
         p = artin_loop_path(h, 3, "a", 1)
-        double = concat_paths(p, p.reverse())
+        double = ConfigEdgePath(p.base, p.steps + artin_loop_path(h, 3, "a", -1).steps)
         assert len(double) == 2 * len(p)
-        assert double.is_closed
+        assert moves(double) == replay_psi(h, [("a", 1), ("a", -1)], squared=False)[0]
 
     def test_loop_composition_length_adds(self):
         h = figure_halo()
         pa = artin_loop_path(h, 3, "a", 1)
         pb = artin_loop_path(h, 3, "b", 1)
-        combined = concat_paths(pa, pb)
+        combined = ConfigEdgePath(pa.base, pa.steps + pb.steps)
+        assert moves(combined) == replay_psi(h, [("a", 1), ("b", 1)], squared=False)[0]
         assert len(combined) == len(pa) + len(pb)
         assert len(combined) == (len(h.loop_of("a")) - 1) + (len(h.loop_of("b")) - 1)
-
-    def test_base_mismatch(self):
-        h = figure_halo()
-        p = artin_loop_path(h, 3, "a", 1)
-        other = Configuration.make(["x_1", "x_2", "p~a~1"])
-        q_steps = ()
-        from raagbraid import ConfigEdgePath
-
-        q = ConfigEdgePath(base=other, steps=q_steps)
-        with pytest.raises(BaseMismatchError):
-            concat_paths(p, q)
-
-    def test_open_path_rejected(self):
-        h = figure_halo()
-        loop = h.loop_of("a")
-        open_path = edge_path(
-            h.gamma,
-            artin_basepoint(h),
-            [(tuple(sorted((loop[0], loop[1]))), loop[0])],
-        )
-        with pytest.raises(BaseMismatchError):
-            concat_paths(open_path, open_path)
 
     def test_illegal_step_collision(self):
         g = path_graph(3)  # p1 - p2 - p3
@@ -249,11 +209,3 @@ class TestPathsAndConcat:
         base = Configuration.make(["p1", "p3"])
         with pytest.raises(IllegalStepError):
             edge_path(g, base, [(("p2", "p3"), "p2")])
-
-    def test_path_json(self):
-        h = figure_halo()
-        p = artin_loop_path(h, 3, "a", 1)
-        data = p.to_json_dict()
-        assert data["base"] == ["x_1", "x_2", "x_3"]
-        assert data["steps"][0]["from"] == "x_1"
-        assert all(set(s) == {"edge", "from"} for s in data["steps"])

@@ -8,6 +8,7 @@ import pytest
 from raagbraid import (
     BaseMismatchError,
     Coloring,
+    ConfigEdgePath,
     EmbeddingContext,
     GroupWord,
     Halo,
@@ -135,10 +136,9 @@ class TestPhi:
         ctx = figure_context
         p = psi(W("a"), ctx, squared=False)
         q = psi(W("b"), ctx, squared=False)
-        from raagbraid import concat_paths
-
-        assert phi(concat_paths(p, q), ctx) == phi(p, ctx) * phi(q, ctx)
-        assert phi(p.reverse(), ctx) == phi(p, ctx).inverse()
+        product = ConfigEdgePath(p.base, p.steps + q.steps)
+        assert phi(product, ctx) == phi(p, ctx) * phi(q, ctx)
+        assert phi(psi(W("a^-1"), ctx, squared=False), ctx) == phi(p, ctx).inverse()
 
 
 class TestPsi:
@@ -164,7 +164,8 @@ class TestPsi:
     def test_closed_at_basepoint(self, figure_context):
         ctx = figure_context
         p = psi(W("a b^-1 c"), ctx)
-        assert p.is_closed
+        moves, _ = replay_psi(ctx.halo, W("a b^-1 c").letters, squared=True)
+        assert [(step.edge, step.source) for step in p.steps] == moves
         assert p.base.cells == ("x_1", "x_2", "x_3")
 
     def test_loop_that_does_not_close_rejected(self, figure_delta, figure_coloring):
@@ -336,7 +337,9 @@ class TestAltThreshold:
         assert ctx.halo.gamma.n_vertices > build_context(g, coloring).halo.gamma.n_vertices
         for v in g.vertices:
             path = ctx.loop_path(v, 1)
-            assert path.base == ctx.base and path.is_closed
+            assert path.base == ctx.base
+            moves, _ = replay_psi(ctx.halo, [(v, 1)], squared=False)
+            assert [(step.edge, step.source) for step in path.steps] == moves
             assert len(path.steps) == len(ctx.halo.loop_of(v)) - 1
         assert check_homomorphism(ctx).ok
 
@@ -850,6 +853,22 @@ class TestElementBudget:
         monkeypatch.setattr(RaagPresentation, "sphere_sizes", counted)
         assert verify_suite(figure_delta, figure_coloring, max_len=3, sample_count=20)
         assert len(calls) == 1
+
+    def test_empty_group_stops_at_its_first_empty_sphere(self, monkeypatch):
+        """A group without generators has the identity alone: the prediction
+        reads no sphere past length 1, however large max_len is."""
+        read = []
+        original = RaagPresentation.sphere_sizes
+
+        def counted(self, *args, **kwargs):
+            for size in original(self, *args, **kwargs):
+                read.append(size)
+                yield size
+
+        monkeypatch.setattr(RaagPresentation, "sphere_sizes", counted)
+        p = RaagPresentation(SimpleGraph.make([], []))
+        assert embedding._check_element_budget(p, 1000) == 0
+        assert read == [1, 0]
 
     def test_clique_listing_is_budgeted(self):
         """K_30 has 2^30 cliques; the listing stops once its c-cliques show

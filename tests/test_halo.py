@@ -30,7 +30,7 @@ from raagbraid.halo import (
     HaloViolation,
 )
 
-from oracles import atlas_connected, cycle_graph, random_proper_coloring
+from oracles import atlas_connected, random_proper_coloring
 
 
 def halo_for(delta, mapping=None):
