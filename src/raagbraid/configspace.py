@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import (
     BaseMismatchError,
@@ -118,9 +119,12 @@ def build_udc(gamma: SimpleGraph, n: int, cell_budget: int = 1_000_000) -> Discr
     return DiscreteConfigSpace(n=n, zero_cells=zero, one_cells=tuple(ones))
 
 
-@dataclass(frozen=True)
-class Step:
-    """One token slides across one edge while every other token rests."""
+class Step(NamedTuple):
+    """One token slides across one edge while every other token rests.
+
+    A named tuple, not a frozen dataclass: ``edge_path`` makes one per
+    step, and a dataclass ``__init__`` costs several times the checks that
+    step runs. It keeps ``.edge``, ``.source``, value equality and hashing."""
 
     edge: tuple[str, str]
     source: str
@@ -144,13 +148,17 @@ def edge_path(gamma: SimpleGraph, base: Configuration, moves) -> ConfigEdgePath:
     adjacency = gamma.adjacency
     steps = []
     occupied = set(base.cells)
+    new_step = tuple.__new__  # Step(edge, source) without its Python-level __new__
     for edge, source in moves:
-        edge = normalize_edge(*edge)
-        if edge[1] not in adjacency.get(edge[0], ()):
+        edge = u, v = normalize_edge(*edge)
+        if v not in adjacency.get(u, ()):
             raise GraphFormatError(f"{edge} is not an edge of the graph")
-        if source not in edge:
+        if source == u:
+            target = v
+        elif source == v:
+            target = u
+        else:
             raise IllegalStepError(f"step source {source!r} is not on edge {edge}")
-        target = edge[1] if source == edge[0] else edge[0]
         if source not in occupied:
             raise IllegalStepError(f"no token at {source!r} to move")
         if target in occupied:
@@ -159,7 +167,7 @@ def edge_path(gamma: SimpleGraph, base: Configuration, moves) -> ConfigEdgePath:
             )
         occupied.remove(source)
         occupied.add(target)
-        steps.append(Step(edge=edge, source=source))
+        steps.append(new_step(Step, (edge, source)))
     return ConfigEdgePath(base=base, steps=tuple(steps))
 
 
@@ -191,10 +199,7 @@ def artin_loop_path(h: Halo, n: int, delta_vertex: str, power: int) -> ConfigEdg
     loop = h.loop_of(delta_vertex)
     if loop[0] != loop[-1]:
         raise BaseMismatchError(f"loop of {delta_vertex!r} is not closed at the basepoint")
-    walk = loop if power > 0 else tuple(reversed(loop))
-    moves = []
-    for _ in range(abs(power)):
-        moves.extend(
-            (normalize_edge(s, t), s) for s, t in zip(walk, walk[1:])
-        )
+    walk = loop if power > 0 else loop[::-1]
+    # edge_path normalises each edge as it checks it
+    moves = list(zip(zip(walk, walk[1:]), walk)) * abs(power)
     return edge_path(h.gamma, base, moves)

@@ -69,7 +69,8 @@ class EmbeddingContext:
     """Everything needed to evaluate the composite map over one halo.
 
     ``source_group`` is A(Δ) when the caller has built it already; one of
-    another graph than ``halo.delta`` is not used."""
+    another graph than ``halo.delta`` is not used, and without one A(Δ) is
+    built on first use."""
 
     def __init__(
         self,
@@ -88,13 +89,18 @@ class EmbeddingContext:
         self.coloring = halo.coloring
         self.n = halo.coloring.color_count
         self.path_threshold = path_threshold
-        if source_group is None or source_group.graph != self.delta:
-            source_group = RaagPresentation(self.delta)
-        self.source_group = source_group
+        if source_group is not None and source_group.graph == self.delta:
+            self.source_group = source_group
         self._edge_to_gen = {e: edge_generator_name(e) for e in halo.gamma.edges}
         self.base = artin_basepoint(halo)
         self._loop_paths: dict[tuple[str, int], ConfigEdgePath] = {}
         self._letter_images: dict[tuple[str, int, bool], tuple[Letter, ...]] = {}
+
+    @cached_property
+    def source_group(self) -> RaagPresentation:
+        """A(Δ), unless the caller passed it in: the homomorphism check
+        never reads it."""
+        return RaagPresentation(self.delta)
 
     @cached_property
     def a_gamma(self) -> RaagPresentation:

@@ -438,7 +438,11 @@ def _subdivision_report(g: SimpleGraph, n: int, path_threshold: str) -> Subdivis
 def subdivide_uniform(g: SimpleGraph, k: int) -> tuple[SimpleGraph, dict[Edge, tuple[str, ...]]]:
     """Replace every edge by a path of k edges; fresh interior vertices are
     named ``<u>~<v>~<i>`` from the smaller endpoint. Returns the new graph
-    and, per original edge, the full replacement path from u to v."""
+    and, per original edge, the full replacement path from u to v.
+
+    The graph is built with the plain constructor: the names are checked
+    fresh as they are made, each edge is normalised, and for k > 1 each
+    holds a fresh vertex of one chain, so no edge repeats."""
     if k < 1:
         raise GraphFormatError(f"subdivision factor must be >= 1, got {k}")
     vertices = list(g.vertices)
@@ -457,7 +461,7 @@ def subdivide_uniform(g: SimpleGraph, k: int) -> tuple[SimpleGraph, dict[Edge, t
         path.append(v)
         chains[(u, v)] = tuple(path)
         edges.extend(normalize_edge(a, b) for a, b in zip(path, path[1:]))
-    return SimpleGraph.make(vertices, edges), chains
+    return SimpleGraph(vertices=tuple(sorted(vertices)), edges=tuple(sorted(edges))), chains
 
 
 def minimal_subdivision(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .errors import EmptyGraphError, GraphFormatError, UnknownVertexError
 from .graphs import (
@@ -98,7 +99,18 @@ class HaloReport:
 
 
 def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
-    """Canonical halo for a properly colored graph; passes verify_halo."""
+    """Canonical halo for a properly colored graph; passes verify_halo.
+
+    Γ is built with the plain ``SimpleGraph`` constructor from sorted
+    tuples of what the builder generated, not through ``SimpleGraph.make``,
+    which would validate, normalise and de-duplicate them again. That is
+    sound because every name is a nonempty string and no two coincide by
+    accident (Δ's names hold no ``~``, so ``p~a~i``, ``j~a~b`` and
+    ``g~k~1`` each name one loop step, junction or graft, and the
+    basepoints ``x_c`` hold no ``~``), every edge is normalised as it is
+    made, and every edge holds a vertex private to one loop or graft, so no
+    edge repeats. A test compares the result with ``make``'s on every halo
+    it builds."""
     if delta.n_vertices == 0:
         raise EmptyGraphError("cannot build a halo for an empty graph")
     # raises unless the coloring is proper for delta itself
@@ -109,7 +121,7 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
                 f"vertex name {v!r} contains '~', reserved for generated names"
             )
 
-    color = coloring.color_of
+    color = coloring.as_dict
     basepoint = {c: f"x_{c}" for c in range(1, coloring.color_count + 1)}
 
     def junction(a: str, b: str) -> str:
@@ -122,12 +134,9 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
 
     adjacency = delta.adjacency
     for a in delta.vertices:
-        partners = [
-            b
-            for b in delta.vertices
-            if b != a and b not in adjacency[a] and color(b) != color(a)
-        ]
-        anchors = [basepoint[color(a)]] + [junction(a, b) for b in sorted(partners)]
+        ca, near = color[a], adjacency[a]
+        partners = [b for b in delta.vertices if color[b] != ca and b not in near]
+        anchors = [basepoint[ca]] + [junction(a, b) for b in partners]
         loop: list[str] = []
         if len(anchors) == 1:
             # nothing to meet: a private triangle through the basepoint
@@ -141,7 +150,7 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
         edges.extend(normalize_edge(s, t) for s, t in zip(loop, loop[1:]))
         loops[a] = tuple(loop)
 
-    gamma = SimpleGraph.make(vertices, edges)
+    gamma = SimpleGraph(vertices=tuple(sorted(vertices)), edges=tuple(sorted(edges)))
     if not gamma.is_connected():
         comps = gamma.components()
         anchors = []
@@ -150,14 +159,12 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
             anchors.append(min(v for v in comp if v in bp_values))
         anchors.sort()
         root = anchors[0]
-        extra_vertices = list(gamma.vertices)
-        extra_edges = list(gamma.edges)
         for k, other in enumerate(anchors[1:], start=1):
             mid = f"g~{k}~1"
-            extra_vertices.append(mid)
-            extra_edges.append(normalize_edge(root, mid))
-            extra_edges.append(normalize_edge(mid, other))
-        gamma = SimpleGraph.make(extra_vertices, extra_edges)
+            vertices.add(mid)
+            edges.append(normalize_edge(root, mid))
+            edges.append(normalize_edge(mid, other))
+        gamma = SimpleGraph(vertices=tuple(sorted(vertices)), edges=tuple(sorted(edges)))
 
     halo = Halo(
         gamma=gamma,
@@ -180,7 +187,13 @@ def verify_halo(h: Halo) -> HaloReport:
 
 
 def _halo_report(h: Halo) -> HaloReport:
-    """The unmemoised check."""
+    """The unmemoised check.
+
+    The pair axioms read the vertices two loops share off ``loops_at``,
+    the loops through each halo vertex: a vertex on m loops is shared by
+    m(m-1)/2 pairs, so no two loops' vertex sets are intersected. Every
+    pair of sources is still visited in sorted order, since non-adjacent
+    ones that share nothing fail too."""
     violations: list[HaloViolation] = []
     gamma, delta, coloring = h.gamma, h.delta, h.coloring
     loops = h.loops
@@ -284,10 +297,18 @@ def _halo_report(h: Halo) -> HaloReport:
     for d in pairs:
         for v in loop_sets[d]:
             loops_at.setdefault(v, []).append(d)
+    # per pair of loops that meet: the vertices they share
+    shared: dict[tuple[str, str], list[str]] = {}
+    for v, through in loops_at.items():
+        if len(through) > 1:  # most vertices are private to one loop
+            for pair in combinations(through, 2):
+                shared.setdefault(pair, []).append(v)
+    color = coloring.as_dict
     for i, a in enumerate(pairs):
+        ca, near = color[a], delta.adjacency[a]
         for b in pairs[i + 1 :]:
-            inter = loop_sets[a] & loop_sets[b]
-            if delta.has_edge(a, b):
+            inter = shared.get((a, b), ())
+            if b in near:
                 if inter:
                     violations.append(
                         HaloViolation(
@@ -307,9 +328,8 @@ def _halo_report(h: Halo) -> HaloReport:
                     )
                 )
                 continue
-            v = next(iter(inter))
-            ca, cb = coloring.color_of(a), coloring.color_of(b)
-            if ca == cb:
+            v = inter[0]
+            if ca == color[b]:
                 if basepoint.get(ca) != v:
                     violations.append(
                         HaloViolation(
@@ -319,16 +339,15 @@ def _halo_report(h: Halo) -> HaloReport:
                             (a, b, v),
                         )
                     )
-            else:
+            elif len(loops_at[v]) > 2:
                 third = [d for d in loops_at[v] if d not in (a, b)]
-                if third:
-                    violations.append(
-                        HaloViolation(
-                            AXIOM_NON_EDGE,
-                            f"junction {v!r} of {a!r}, {b!r} also lies on loops {third}",
-                            (a, b, v, *third),
-                        )
+                violations.append(
+                    HaloViolation(
+                        AXIOM_NON_EDGE,
+                        f"junction {v!r} of {a!r}, {b!r} also lies on loops {third}",
+                        (a, b, v, *third),
                     )
+                )
 
     comps = gamma.components()
     if len(comps) > 1:

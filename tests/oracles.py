@@ -114,6 +114,55 @@ def edges_commute(e, f) -> bool:
     return not set(e) & set(f)
 
 
+# --- halo axioms ---------------------------------------------------------------
+
+
+def halo_pair_violations(halo) -> list[tuple[str, str, tuple[str, ...]]]:
+    """The pair axioms checked pair by pair, as (axiom, message, witnesses):
+    every two loops of source vertices, in sorted order, intersect as vertex
+    sets. Adjacent sources' loops must share nothing ("edge-disjoint");
+    non-adjacent ones exactly one vertex ("non-edge-intersection"), their
+    basepoint when their colours agree, else a junction on no third loop."""
+    delta, color = halo.delta, halo.coloring.as_dict
+    basepoint = dict(halo.basepoints)
+    sets = {a: set(loop) for a, loop in halo.artin_loops}
+    sources = sorted(set(sets) & set(delta.vertices))
+    out = []
+    for a, b in combinations(sources, 2):
+        inter = sorted(sets[a] & sets[b])
+        if b in delta.adjacency[a]:
+            if inter:
+                out.append(
+                    ("edge-disjoint", f"loops of adjacent {a!r}, {b!r} share {inter}",
+                     (a, b, *inter))
+                )
+        elif len(inter) != 1:
+            out.append(
+                ("non-edge-intersection",
+                 f"loops of non-adjacent {a!r}, {b!r} share {len(inter)} vertices "
+                 f"({inter}), expected exactly 1",
+                 (a, b, *inter))
+            )
+        elif color[a] == color[b]:
+            if basepoint.get(color[a]) != inter[0]:
+                out.append(
+                    ("non-edge-intersection",
+                     f"same-colored non-adjacent {a!r}, {b!r} must meet at their "
+                     f"basepoint, met at {inter[0]!r}",
+                     (a, b, inter[0]))
+                )
+        else:
+            v = inter[0]
+            third = [d for d in sources if d not in (a, b) and v in sets[d]]
+            if third:
+                out.append(
+                    ("non-edge-intersection",
+                     f"junction {v!r} of {a!r}, {b!r} also lies on loops {third}",
+                     (a, b, v, *third))
+                )
+    return out
+
+
 # --- word problem ------------------------------------------------------------
 
 
@@ -387,6 +436,32 @@ def random_multipartite(rng: random.Random, parts: int, size: int, p: float) -> 
             if a.split("_")[0] != b.split("_")[0] and rng.random() < p
         ],
     )
+
+
+def random_regular_multipartite(
+    rng: random.Random, parts: int, size: int, matchings: int
+) -> tuple[SimpleGraph, dict[str, int]]:
+    """``parts`` independent sets of ``size`` vertices joined by
+    ``matchings`` edge-disjoint random perfect matchings between every pair
+    of parts, redrawn until connected; returns the graph and its parts as a
+    colouring (1..parts)."""
+    groups = [[f"r{p}_{i}" for i in range(size)] for p in range(parts)]
+    part = {v: p + 1 for p, group in enumerate(groups) for v in group}
+    while True:
+        edges: set[tuple[str, str]] = set()
+        for p, q in combinations(range(parts), 2):
+            for _ in range(matchings):
+                while True:
+                    image = groups[q][:]
+                    rng.shuffle(image)
+                    pairs = {tuple(sorted(e)) for e in zip(groups[p], image)}
+                    if not pairs & edges:
+                        break
+                edges |= pairs
+        G = nx.Graph(list(edges))
+        G.add_nodes_from(part)
+        if nx.is_connected(G):
+            return SimpleGraph.make(part, edges), part
 
 
 def random_triangulation(rng: random.Random, n: int) -> SimpleGraph:

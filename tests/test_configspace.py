@@ -8,6 +8,7 @@ from raagbraid import (
     InsufficientSubdivisionError,
     SimpleGraph,
     SizeExceededError,
+    Step,
     artin_basepoint,
     artin_loop_path,
     build_halo,
@@ -209,3 +210,38 @@ class TestPathsAndConcat:
         base = Configuration.make(["p1", "p3"])
         with pytest.raises(IllegalStepError):
             edge_path(g, base, [(("p2", "p3"), "p2")])
+
+
+class TestEdgePathRejections:
+    """Each check ``edge_path`` runs on a move, one input per check."""
+
+    def test_move_along_a_non_edge(self):
+        base = Configuration.make(["p1"])
+        with pytest.raises(GraphFormatError, match=r"\('p1', 'p3'\) is not an edge"):
+            edge_path(path_graph(3), base, [(("p3", "p1"), "p1")])
+
+    def test_source_off_its_edge(self):
+        base = Configuration.make(["p1"])
+        with pytest.raises(IllegalStepError, match="step source 'p1' is not on edge"):
+            edge_path(path_graph(3), base, [(("p2", "p3"), "p1")])
+
+    def test_self_loop_move(self):
+        base = Configuration.make(["p1"])
+        with pytest.raises(GraphFormatError, match="self-loop at 'p1'"):
+            edge_path(path_graph(3), base, [(("p1", "p1"), "p1")])
+
+    def test_base_holding_an_edge_cell(self):
+        base = Configuration.make([("p1", "p2")])
+        with pytest.raises(GraphFormatError, match="all-vertex configuration"):
+            edge_path(path_graph(3), base, [])
+
+    def test_steps_are_normalised_values(self):
+        base = Configuration.make(["p1"])
+        path = edge_path(path_graph(3), base, [(("p2", "p1"), "p1"), (("p3", "p2"), "p2")])
+        assert path.steps == (Step(("p1", "p2"), "p1"), Step(edge=("p2", "p3"), source="p2"))
+        step = path.steps[0]
+        assert isinstance(step, Step)
+        assert (step.edge, step.source) == (("p1", "p2"), "p1")
+        assert step != Step(("p1", "p2"), "p2")
+        assert hash(step) == hash(Step(("p1", "p2"), "p1"))
+        assert len({step, Step(("p1", "p2"), "p1"), path.steps[1]}) == 2

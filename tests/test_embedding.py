@@ -112,6 +112,50 @@ class TestBuildContext:
             context_from_halo(broken)
 
 
+class TestLazySourceGroup:
+    """A(Δ) is built on first read, and one passed in is reused."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every ``RaagPresentation`` constructed from a graph."""
+        presentations = []
+        init = RaagPresentation.__init__
+
+        def counting(self, graph):
+            init(self, graph)
+            presentations.append(self)
+
+        monkeypatch.setattr(RaagPresentation, "__init__", counting)
+        return presentations
+
+    def test_homomorphism_check_builds_none(self, c6, built):
+        ctx = build_context(c6, greedy_color(c6))
+        assert check_homomorphism(ctx).ok
+        assert built == []
+        group = ctx.source_group
+        assert built == [group] and group.graph == ctx.delta
+        assert ctx.source_group is group
+
+    def test_suite_builds_one_and_the_context_reuses_it(self, c6, built, monkeypatch):
+        contexts = []
+        init = EmbeddingContext.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            contexts.append(self)
+
+        monkeypatch.setattr(EmbeddingContext, "__init__", recording)
+        assert verify_suite(c6, greedy_color(c6), max_len=2, sample_count=20).passed
+        (group,) = built
+        (ctx,) = contexts
+        assert group.graph == c6 and ctx.source_group is group
+
+    def test_another_graphs_group_is_not_used(self, c6, figure_delta):
+        halo = subdivided_halo(build_halo(c6, greedy_color(c6)), 2)
+        ctx = EmbeddingContext(halo, source_group=RaagPresentation(figure_delta))
+        assert ctx.source_group.graph == c6
+
+
 class TestPhi:
     def test_empty_path(self, figure_context):
         ctx = figure_context

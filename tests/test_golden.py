@@ -4,15 +4,19 @@
 ``REPORT_GOLDEN`` pins ``dumps_canonical(report.to_json_dict())`` of the
 reports those runs never serialize: failing subdivision and halo reports,
 relator checks, unsquared injectivity failures, the squaring counterexample,
-pinch traces, and the suite over a 40-vertex Δ, larger than the CLI runs'
-graphs. A change that alters any output byte of these fails here,
+pinch traces, the suite over a 40-vertex Δ, larger than the CLI runs'
+graphs, and the halo of a 30-vertex regular 3-partite Δ coloured by its
+parts, with the homomorphism check over it. A change that alters any output byte of these fails here,
 so refactors that promise byte-identical output are checked mechanically.
 
 The CLI digests were computed before the factor search in
 ``graphs.minimal_subdivision`` was replaced by the closed form; the report
 digests before the reports were serialized through ``graphs.json_value``;
 the rand40 suite's before the injectivity check read the source exponent
-sums in place of the image sums over all 3,640 edge generators of its halo.
+sums in place of the image sums over all 3,640 edge generators of its halo;
+the 30-vertex halo's and its check's before ``build_halo`` built Γ without
+``SimpleGraph.make`` and the halo check read the shared vertices off its
+per-vertex index.
 The Petersen and C12 runs and the rand40 suite were re-pinned when the
 planarity test lost its 64-vertex cap: their halos' ``planar`` reads
 ``false`` where it read ``null``, and no other byte changed.
@@ -44,6 +48,7 @@ from raagbraid import (
     counterexample_report,
     graph_to_json_dict,
     greedy_color,
+    halo_to_json_dict,
     injectivity_spot_check,
     is_sufficiently_subdivided,
     pinch_trace,
@@ -53,7 +58,13 @@ from raagbraid import (
 from raagbraid.cli import main
 from raagbraid.graphs import dumps_canonical
 
-from oracles import complete_graph, cycle_graph, petersen_graph, random_connected_graph
+from oracles import (
+    complete_graph,
+    cycle_graph,
+    petersen_graph,
+    random_connected_graph,
+    random_regular_multipartite,
+)
 
 FIGURE = SimpleGraph.make(["a", "b", "c"], [("a", "c")])
 
@@ -67,6 +78,11 @@ GRAPHS = {
 
 #: 40 vertices, greedily 4-coloured
 RAND40 = random_connected_graph(random.Random(40), 40, 20)
+
+#: 30 vertices in 3 parts of 10, two perfect matchings between every two
+#: parts, coloured by its parts: the shape of the benchmark's ``scale``
+#: inputs. Its halo (753 vertices) needs no subdivision for 3 strands.
+SCALE30, SCALE30_PARTS = random_regular_multipartite(random.Random(30), 3, 10, 2)
 
 RUNS = {
     "verify": ["verify", "--max-len", "3", "--samples", "50"],
@@ -143,6 +159,12 @@ REPORTS = {
     "verify-rand40": lambda: verify_suite(
         RAND40, greedy_color(RAND40), max_len=2, sample_count=100
     ),
+    "homomorphism-scale30": lambda: check_homomorphism(
+        build_context(SCALE30, Coloring.make(SCALE30, SCALE30_PARTS))
+    ),
+    "halo-scale30": lambda: halo_to_json_dict(
+        build_halo(SCALE30, Coloring.make(SCALE30, SCALE30_PARTS))
+    ),
     **{
         f"pinch-{'squared' if squared else 'unsquared'}-{w}": (
             lambda w=w, squared=squared: pinch_trace(
@@ -158,9 +180,11 @@ REPORTS = {
 REPORT_GOLDEN = {
     "counterexample-figure": "e6c210238e164c06cbf33099988669678d5cf668576ba2b83e0ba0ce90f01469",
     "halo-c6-missing-loop": "a59f450f408f3cf1ee871a20737a8180481e9e4cc5ff1605a95040f70e8eaf13",
+    "halo-scale30": "afa612c0337aab76aa6cb9ecdef143b42c8284661b34436c6b3d5dc2402a4974",
     "homomorphism-c6": "92a41db8d0b2e28f8264031b59ff266da6bd15400ff8d519abbcf405e48ea7a5",
     "homomorphism-figure": "a591bfa9b56bc3472fede292615b8d40e69de8a2fa61366e434a8f35801c8851",
     "homomorphism-k4": "2b7b01221abdc479f0c045291071947c901069e294155050c23d0390b55702a1",
+    "homomorphism-scale30": "22a7f68edf78376b2d32e24b58785c65b9da605f9f831b42c8442f0f2c0c3dfd",
     "injectivity-figure-unsquared": "9c705b71ceeed814d33058da6a2f4560e2dd23c5b0dd01efdb012f5dd3ae1af5",
     "pinch-squared-a b c a^-1 b^-1 c^-1": "abb3cef0d78930da33c7b5499795a4ac914fc1742d7300d6dd2f57cd3d5b5f28",
     "pinch-squared-c b a b^-1 c^-1 b a^-1 b^-1": "3c186addfe5aefafc3e444447150e587d4627df647837aa0b63fe5b4e231a9c2",
@@ -172,7 +196,8 @@ REPORT_GOLDEN = {
 
 
 def report_digest(report_id: str) -> str:
-    text = dumps_canonical(REPORTS[report_id]().to_json_dict())
+    report = REPORTS[report_id]()
+    text = dumps_canonical(report if isinstance(report, dict) else report.to_json_dict())
     return hashlib.sha256(text.encode()).hexdigest()
 
 

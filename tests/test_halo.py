@@ -30,7 +30,15 @@ from raagbraid.halo import (
     HaloViolation,
 )
 
-from oracles import atlas_connected, random_proper_coloring
+from raagbraid.graphs import subdivide_uniform
+
+from oracles import (
+    atlas_connected,
+    cycle_graph,
+    halo_pair_violations,
+    random_proper_coloring,
+    random_regular_multipartite,
+)
 
 
 def halo_for(delta, mapping=None):
@@ -402,3 +410,163 @@ class TestHaloSerialization:
         assert dot.startswith("graph Halo {")
         assert "doublecircle" in dot
         assert "color=" in dot
+
+
+def _trusted_cases():
+    """(id, Δ, colouring): every connected Δ of up to 6 vertices under
+    greedy and exact colourings, K2 (grafted), a disconnected Δ and a
+    30-vertex regular 3-partite Δ coloured by its parts."""
+    cases = []
+    for i, g in enumerate(atlas_connected(6)):
+        cases.append((f"atlas{i}-greedy", g, greedy_color(g)))
+        cases.append((f"atlas{i}-exact", g, chromatic_number(g)))
+    k2 = SimpleGraph.make(["a", "b"], [("a", "b")])
+    cases.append(("k2", k2, greedy_color(k2)))
+    two = SimpleGraph.make(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    cases.append(("disconnected", two, greedy_color(two)))
+    g, parts = random_regular_multipartite(random.Random(30), 3, 10, 2)
+    cases.append(("scale30", g, Coloring.make(g, parts)))
+    return cases
+
+
+class TestTrustedConstruction:
+    """``build_halo`` and ``subdivide_uniform`` build their graphs with the
+    plain constructor; ``SimpleGraph.make`` would validate, normalise,
+    de-duplicate and sort what they emit, so its result must be equal."""
+
+    @pytest.fixture(scope="class")
+    def halos(self):
+        return [(name, build_halo(g, coloring)) for name, g, coloring in _trusted_cases()]
+
+    def test_gamma_is_what_make_returns(self, halos):
+        for name, h in halos:
+            gamma = h.gamma
+            assert gamma == SimpleGraph.make(gamma.vertices, gamma.edges), name
+
+    def test_edges_are_the_loops_and_the_grafts(self, halos):
+        grafted = set()
+        for name, h in halos:
+            loop_edges = {e for a, _ in h.artin_loops for e in h.loop_edges(a)}
+            graft_edges = {e for e in h.gamma.edges if any(v.startswith("g~") for v in e)}
+            assert not loop_edges & graft_edges, name
+            assert set(h.gamma.edges) == loop_edges | graft_edges, name
+            assert set(h.gamma.vertices) == (
+                {v for _, loop in h.artin_loops for v in loop}
+                | {v for e in graft_edges for v in e}
+            ), name
+            if graft_edges:
+                grafted.add(name)
+        # complete Δs, K2 among them, are the ones whose loops never meet
+        assert "k2" in grafted and "disconnected" not in grafted
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_subdivision_is_what_make_returns(self, halos, k):
+        # "a~ab~1" sorts after "ab": the chain's last edge is stored flipped
+        prefixed = SimpleGraph.make(["a", "ab", "b"], [("a", "ab"), ("ab", "b"), ("a", "b")])
+        for g in [h.gamma for _, h in halos[::7] + halos[-3:]] + [prefixed]:
+            sub, chains = subdivide_uniform(g, k)
+            assert sub == SimpleGraph.make(sub.vertices, sub.edges)
+            assert sub.n_edges == k * g.n_edges
+            assert set(chains) == set(g.edges)
+
+
+class TestPairOracle:
+    """``verify_halo``'s pair violations, in order and with their
+    witnesses, against ``oracles.halo_pair_violations``, which intersects
+    every two loops' vertex sets."""
+
+    PAIR_AXIOMS = (AXIOM_EDGE_DISJOINT, AXIOM_NON_EDGE)
+
+    @staticmethod
+    def pair_violations(h):
+        return [
+            (v.axiom, v.message, v.witnesses)
+            for v in verify_halo(h).violations
+            if v.axiom in TestPairOracle.PAIR_AXIOMS
+        ]
+
+    @staticmethod
+    def rethread(h, loops):
+        """``h`` with the loops replaced, Γ grown by their new vertices and
+        steps."""
+        new = dict(h.artin_loops) | loops
+        steps = [e for loop in loops.values() for e in zip(loop, loop[1:])]
+        return Halo(
+            gamma=SimpleGraph.make(
+                set(h.gamma.vertices) | {v for loop in loops.values() for v in loop},
+                list(h.gamma.edges) + steps,
+            ),
+            artin_loops=tuple(sorted(new.items())),
+            basepoints=h.basepoints,
+            coloring=h.coloring,
+            delta=h.delta,
+        )
+
+    @staticmethod
+    def insert(loop, v):
+        """The loop through ``v`` right after its start."""
+        return (loop[0], v) + loop[1:]
+
+    def corruptions(self, h, rng):
+        """(kind, corrupted halo) for each corruption that applies."""
+        loops, color, delta = h.loops, h.coloring.color_of, h.delta
+        names = sorted(loops)
+        basepoints = set(h.basepoint_of.values())
+        junctions = sorted(
+            v for v in {v for loop in loops.values() for v in loop}
+            if v.startswith("j~")
+        )
+        out = []
+        if len(names) >= 2:
+            a, b = rng.sample(names, 2)
+            out.append(("vertex-on-two-loops", self.rethread(
+                h, {a: self.insert(loops[a], "z~1"), b: self.insert(loops[b], "z~1")}
+            )))
+        if junctions:
+            j = rng.choice(junctions)
+            a = rng.choice([d for d in names if j in loops[d]])
+            out.append(("junction-dropped", self.rethread(
+                h, {a: tuple("z~2" if v == j else v for v in loops[a])}
+            )))
+            others = [d for d in names if j not in loops[d]]
+            if others:
+                c = rng.choice(others)
+                out.append(("junction-on-a-third-loop", self.rethread(
+                    h, {c: self.insert(loops[c], j)}
+                )))
+        if delta.edges:
+            a, b = rng.choice(delta.edges)
+            v = rng.choice([v for v in loops[b] if v not in basepoints])
+            out.append(("adjacent-loops-meet", self.rethread(
+                h, {a: self.insert(loops[a], v)}
+            )))
+        same = [(a, b) for a in names for b in names if a < b and color(a) == color(b)]
+        if same:
+            a, b = rng.choice(same)
+            # b's loop moved off its basepoint onto a private vertex of a's
+            v = loops[a][1]
+            out.append(("same-colour-off-basepoint", self.rethread(
+                h, {b: (v,) + loops[b][1:-1] + (v,)}
+            )))
+        return out
+
+    def test_canonical_halos_have_none(self):
+        for g in [cycle_graph(6)] + atlas_connected(5):
+            h = halo_for(g)
+            assert self.pair_violations(h) == halo_pair_violations(h) == []
+
+    def test_seeded_corruptions(self):
+        kinds = set()
+        for i, g in enumerate([cycle_graph(6)] + atlas_connected(5)):
+            for seed in range(3):
+                rng = random.Random(100 * i + seed)
+                h = halo_for(g, None if seed else greedy_color(g).as_dict)
+                for kind, broken in self.corruptions(h, rng):
+                    expected = halo_pair_violations(broken)
+                    assert expected, (kind, g)
+                    assert self.pair_violations(broken) == expected, (kind, g)
+                    kinds.add(kind)
+        assert kinds == {
+            "vertex-on-two-loops", "junction-dropped", "junction-on-a-third-loop",
+            "adjacent-loops-meet", "same-colour-off-basepoint",
+        }
