@@ -15,7 +15,6 @@ basepoints, so loops compose by concatenating their steps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -48,8 +47,7 @@ def closure_disjoint(c1: Cell, c2: Cell) -> bool:
     return not set(cell_vertices(c1)) & set(cell_vertices(c2))
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     cells: tuple[Cell, ...]
 
     @classmethod
@@ -68,14 +66,12 @@ class Configuration:
         return len(self.cells)
 
 
-@dataclass(frozen=True)
-class OneCell:
+class OneCell(NamedTuple):
     cells: Configuration
     endpoints: tuple[Configuration, Configuration]
 
 
-@dataclass(frozen=True)
-class DiscreteConfigSpace:
+class DiscreteConfigSpace(NamedTuple):
     n: int
     zero_cells: tuple[Configuration, ...]
     one_cells: tuple[OneCell, ...]
@@ -122,20 +118,22 @@ def build_udc(gamma: SimpleGraph, n: int, cell_budget: int = 1_000_000) -> Discr
 class Step(NamedTuple):
     """One token slides across one edge while every other token rests.
 
-    A named tuple, not a frozen dataclass: ``edge_path`` makes one per
-    step, and a dataclass ``__init__`` costs several times the checks that
-    step runs. It keeps ``.edge``, ``.source``, value equality and hashing."""
+    A named tuple, like the package's other plain records: value equality
+    and hashing come from the tuple, so a Step also equals the plain tuple
+    ``(edge, source)``. ``edge_path`` builds one per step with
+    ``tuple.__new__``, skipping the named tuple's Python-level ``__new__``."""
 
     edge: tuple[str, str]
     source: str
 
 
-@dataclass(frozen=True)
-class ConfigEdgePath:
+class ConfigEdgePath(NamedTuple):
     base: Configuration
     steps: tuple[Step, ...]
 
     def __len__(self) -> int:
+        # the step count, so an empty path is falsy; ``_make`` and
+        # ``_replace``, which check the field count with ``len``, are unusable
         return len(self.steps)
 
 

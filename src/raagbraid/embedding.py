@@ -34,8 +34,8 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .configspace import ConfigEdgePath, artin_basepoint, artin_loop_path
 from .errors import (
@@ -91,7 +91,6 @@ class EmbeddingContext:
         self.path_threshold = path_threshold
         if source_group is not None and source_group.graph == self.delta:
             self.source_group = source_group
-        self._edge_to_gen = {e: edge_generator_name(e) for e in halo.gamma.edges}
         self.base = artin_basepoint(halo)
         self._loop_paths: dict[tuple[str, int], ConfigEdgePath] = {}
         self._letter_images: dict[tuple[str, int, bool], tuple[Letter, ...]] = {}
@@ -101,6 +100,13 @@ class EmbeddingContext:
         """A(Δ), unless the caller passed it in: the homomorphism check
         never reads it."""
         return RaagPresentation(self.delta)
+
+    @cached_property
+    def _edge_to_gen(self) -> dict[tuple[str, str], str]:
+        """One generator name per halo edge, built on first use: only
+        ``phi`` and ``a_gamma`` read it, so a homomorphism check whose
+        loops never meet builds none."""
+        return {e: edge_generator_name(e) for e in self.halo.gamma.edges}
 
     @cached_property
     def a_gamma(self) -> RaagPresentation:
@@ -230,8 +236,7 @@ def _image_letters(ctx: EmbeddingContext, letters, squared: bool) -> list[Letter
 # --- verification suites ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelatorCheck:
+class RelatorCheck(NamedTuple):
     edge: tuple[str, str]
     commutator_trivial: bool
     supports_disjoint: bool
@@ -242,8 +247,7 @@ class RelatorCheck:
         return self.commutator_trivial and self.supports_disjoint and self.cross_pairs_commute
 
 
-@dataclass(frozen=True)
-class HomomorphismReport:
+class HomomorphismReport(NamedTuple):
     ok: bool
     relators: tuple[RelatorCheck, ...]
 
@@ -291,8 +295,7 @@ def check_homomorphism(ctx: EmbeddingContext) -> HomomorphismReport:
     return HomomorphismReport(ok=all(r.ok for r in relators), relators=tuple(relators))
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(NamedTuple):
     squared: bool
     max_len: int
     exhaustive_elements: int
@@ -595,8 +598,7 @@ def injectivity_spot_check(
     )
 
 
-@dataclass(frozen=True)
-class PinchEvent:
+class PinchEvent(NamedTuple):
     stable: str
     positions: tuple[int, int]
     flank_sign: int
@@ -604,8 +606,7 @@ class PinchEvent:
     inner_length: int
 
 
-@dataclass(frozen=True)
-class PinchTrace:
+class PinchTrace(NamedTuple):
     word: str
     squared: bool
     initial_length: int
@@ -679,8 +680,7 @@ def pinch_trace(w: GroupWord, ctx: EmbeddingContext, squared: bool = True) -> Pi
 # --- the squaring counterexample -------------------------------------------
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     applicable: bool
     word: str = ""
     nontrivial_in_source: bool = False
@@ -759,8 +759,7 @@ def counterexample_report(
 # --- the full suite ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: dict
@@ -768,8 +767,7 @@ class CheckResult:
     seconds: float
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     passed: bool
     path_threshold: str
     checks: tuple[CheckResult, ...]

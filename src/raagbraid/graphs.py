@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     GraphFormatError,
@@ -260,16 +261,14 @@ def essential_vertices(g: SimpleGraph) -> frozenset[str]:
 # --- subdivision -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubdivisionViolation:
+class SubdivisionViolation(NamedTuple):
     kind: str  # "path" or "loop"
     vertices: tuple[str, ...]
     length: int
     required: int
 
 
-@dataclass(frozen=True)
-class SubdivisionReport:
+class SubdivisionReport(NamedTuple):
     ok: bool
     n: int
     path_threshold: str
@@ -690,13 +689,13 @@ def graph_from_json_dict(data) -> SimpleGraph:
 
 
 def json_value(value):
-    """The JSON form of a report: a dataclass becomes an object of its
-    fields (read with ``dataclasses.fields``), tuples and lists become
-    lists, a dict keeps its keys, each converted recursively; any other
-    value is returned as it is. Unlike ``dataclasses.asdict``, tuples come
-    out as lists, so a report's text rendering prints ``[]``, not ``()``."""
-    if is_dataclass(value):
-        return {f.name: json_value(getattr(value, f.name)) for f in fields(value)}
+    """The JSON form of a report: a record (a named tuple) becomes an object
+    of its fields in declaration order, read off ``_fields``; other tuples
+    and lists become lists, a dict keeps its keys, each converted
+    recursively; any other value is returned as it is. Tuples come out as
+    lists, so a report's text rendering prints ``[]``, not ``()``."""
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: json_value(v) for name, v in zip(value._fields, value)}
     if isinstance(value, (tuple, list)):
         return [json_value(v) for v in value]
     if isinstance(value, dict):

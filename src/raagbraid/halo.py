@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import EmptyGraphError, GraphFormatError, UnknownVertexError
 from .graphs import (
@@ -76,15 +77,13 @@ class Halo:
         return _halo_report(self)
 
 
-@dataclass(frozen=True)
-class HaloViolation:
+class HaloViolation(NamedTuple):
     axiom: str
     message: str
     witnesses: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class HaloReport:
+class HaloReport(NamedTuple):
     ok: bool
     violations: tuple[HaloViolation, ...]
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from math import comb
+from typing import NamedTuple
 
 from .errors import (
     GraphFormatError,
@@ -378,8 +379,7 @@ def abelianization(w: GroupWord, p: RaagPresentation) -> dict[str, int]:
     return sums
 
 
-@dataclass(frozen=True)
-class PinchWitness:
+class PinchWitness(NamedTuple):
     """A subword v^e g v^-e whose interior g lies in the subgroup of link(v).
 
     ``positions`` are the letter indices of the two flanking v-letters.

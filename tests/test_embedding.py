@@ -156,6 +156,35 @@ class TestLazySourceGroup:
         assert ctx.source_group.graph == c6
 
 
+class TestLazyEdgeNames:
+    """The halo edges' generator names are built on first use."""
+
+    @pytest.fixture
+    def named(self, monkeypatch):
+        """Every edge passed to ``edge_generator_name``."""
+        edges = []
+
+        def counting(edge):
+            edges.append(edge)
+            return edge_generator_name(edge)
+
+        monkeypatch.setattr(embedding, "edge_generator_name", counting)
+        return edges
+
+    def test_homomorphism_check_names_none(self, c6, named):
+        ctx = build_context(c6, greedy_color(c6))
+        assert check_homomorphism(ctx).ok
+        assert named == []
+        phi(ctx.loop_path("a1", 1), ctx)
+        assert sorted(named) == sorted(ctx.halo.gamma.edges)
+        ctx.a_gamma
+        assert len(named) == ctx.halo.gamma.n_edges
+
+    def test_non_edge_raises(self, figure_context):
+        with pytest.raises(UnknownVertexError, match="not an edge of the halo graph"):
+            figure_context.edge_generator(("x_1", "x_2"))
+
+
 class TestPhi:
     def test_empty_path(self, figure_context):
         ctx = figure_context
