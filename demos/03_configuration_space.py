@@ -1,9 +1,9 @@
 """Discretized configuration spaces and loops of moving tokens.
 
-Counts 0- and 1-cells for small graphs and strand counts, then realizes a
-halo loop as a based path in which one token walks its loop while the other
-tokens rest. Loops based at the same configuration compose by concatenating
-their steps, which is what psi does for a word.
+Counts 0- and 1-cells for small graphs and strand counts, in closed form,
+then realizes a halo loop as a based path in which one token walks its loop
+while the other tokens rest. Loops based at the same configuration compose
+by concatenating their steps, which is what psi does for a word.
 """
 from raagbraid import (
     Coloring,
@@ -12,7 +12,7 @@ from raagbraid import (
     SimpleGraph,
     artin_loop_path,
     build_halo,
-    build_udc,
+    cell_counts,
     psi,
     subdivided_halo,
 )
@@ -25,8 +25,8 @@ square = SimpleGraph.make(
 
 for g, label in ((path3, "path"), (square, "square")):
     for n in (1, 2):
-        space = build_udc(g, n)
-        print(f"{label}, {n} strand(s):", space.counts_json_dict())
+        zero, one = cell_counts(g, n)
+        print(f"{label}, {n} strand(s): {zero} 0-cells, {one} 1-cells")
 
 # three tokens on the halo of <a, b, c | [a, c]>
 delta = SimpleGraph.make(["a", "b", "c"], [("a", "c")])

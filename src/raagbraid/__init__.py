@@ -53,13 +53,10 @@ from .halo import (
 from .configspace import (
     ConfigEdgePath,
     Configuration,
-    DiscreteConfigSpace,
-    OneCell,
     Step,
     artin_basepoint,
     artin_loop_path,
-    build_udc,
-    closure_disjoint,
+    cell_counts,
     edge_path,
 )
 from .raag import (

@@ -19,6 +19,7 @@ import sys
 
 from . import configspace, embedding, graphs, halo as halo_mod
 from .errors import (
+    DEFAULT_BUDGET,
     InputError,
     SizeExceededError,
     VerificationError,
@@ -125,14 +126,12 @@ def cmd_halo(args) -> int:
 
 def cmd_configspace(args) -> int:
     g = _load_graph(args.input)
-    space = configspace.build_udc(g, args.n, cell_budget=args.budget)
-    payload = space.counts_json_dict()
+    zero, one = configspace.cell_counts(g, args.n, cell_budget=args.budget)
+    payload = {"n": args.n, "zero_cells": zero, "one_cells": one}
     _emit(
         args,
         lambda: payload,
-        text=lambda: "".join(
-            f"{key}: {payload[key]}\n" for key in ("n", "zero_cells", "one_cells")
-        ),
+        text=lambda: "".join(f"{key}: {value}\n" for key, value in payload.items()),
     )
     return EXIT_OK
 
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     output(p_cfg, ("json", "text"))
     p_cfg.add_argument("--n", type=int, default=2, help="strand count (default 2)")
     p_cfg.add_argument(
-        "--budget", type=int, default=1_000_000, help="cell budget (default 1000000)"
+        "--budget", type=int, default=DEFAULT_BUDGET, help="cell budget (default %(default)s)"
     )
     p_cfg.set_defaults(func=cmd_configspace)
 

@@ -1,12 +1,12 @@
-"""Cells and token paths of the unordered discretized configuration space.
+"""Cell counts and token paths of the unordered discretized configuration space.
 
-A cell of the underlying graph is a vertex (a string) or a closed edge
-(a sorted pair). A configuration is an unordered set of n cells with
-pairwise disjoint closures, stored canonically sorted. Zero cells of the
-space are all-vertex configurations; one cells contain exactly one edge and
-connect the two zero cells obtained by parking the moving token at either
-endpoint. Higher cells are never needed here: words in the image of the
-edge-forgetting map are evaluated algebraically.
+A configuration is a set of n distinct vertices of the underlying graph,
+one token on each, stored sorted. The configuration space's 0-cells are
+the configurations, and its 1-cells are the edges crossed by one token
+while the other n - 1 tokens rest off the edge's closure. The cells are
+counted in closed form, never listed: only paths are built. Higher cells
+are never needed here: words in the image of the edge-forgetting map are
+evaluated algebraically.
 
 A path is a base configuration and its steps, each one token crossing one
 edge. ``edge_path`` alone moves tokens, checking each step against the
@@ -15,11 +15,11 @@ basepoints, so loops compose by concatenating their steps.
 """
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
 from .errors import (
+    DEFAULT_BUDGET,
     BaseMismatchError,
     GraphFormatError,
     IllegalStepError,
@@ -30,35 +30,16 @@ from .errors import (
 from .graphs import SimpleGraph, is_sufficiently_subdivided, normalize_edge
 from .halo import Halo
 
-Cell = str | tuple[str, str]
-
-
-def cell_key(cell: Cell):
-    if isinstance(cell, str):
-        return (0, cell, "")
-    return (1, cell[0], cell[1])
-
-
-def cell_vertices(cell: Cell) -> tuple[str, ...]:
-    return (cell,) if isinstance(cell, str) else cell
-
-
-def closure_disjoint(c1: Cell, c2: Cell) -> bool:
-    return not set(cell_vertices(c1)) & set(cell_vertices(c2))
-
 
 class Configuration(NamedTuple):
-    cells: tuple[Cell, ...]
+    cells: tuple[str, ...]
 
     @classmethod
-    def make(cls, cells) -> "Configuration":
-        cells = tuple(sorted(cells, key=cell_key))
-        for i, a in enumerate(cells):
-            for b in cells[i + 1 :]:
-                if not closure_disjoint(a, b):
-                    raise GraphFormatError(
-                        f"cells {a!r} and {b!r} have intersecting closures"
-                    )
+    def make(cls, vertices) -> "Configuration":
+        cells = tuple(sorted(vertices))
+        for a, b in zip(cells, cells[1:]):
+            if a == b:
+                raise GraphFormatError(f"vertex {a!r} holds two tokens")
         return cls(cells)
 
     @property
@@ -66,53 +47,27 @@ class Configuration(NamedTuple):
         return len(self.cells)
 
 
-class OneCell(NamedTuple):
-    cells: Configuration
-    endpoints: tuple[Configuration, Configuration]
+def cell_counts(gamma: SimpleGraph, n: int, cell_budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
+    """The numbers of 0-cells and 1-cells for n strands on gamma.
 
-
-class DiscreteConfigSpace(NamedTuple):
-    n: int
-    zero_cells: tuple[Configuration, ...]
-    one_cells: tuple[OneCell, ...]
-
-    def counts_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "zero_cells": len(self.zero_cells),
-            "one_cells": len(self.one_cells),
-        }
-
-
-def build_udc(gamma: SimpleGraph, n: int, cell_budget: int = 1_000_000) -> DiscreteConfigSpace:
-    """Enumerate the 0- and 1-cells for n strands on gamma."""
+    A 0-cell is a set of n vertices, C(V, n) of them; a 1-cell is an edge
+    and n - 1 vertices off it, E * C(V - 2, n - 1) of them. Counting costs
+    nothing, but the CLI's ``--budget`` keeps its contract: a space of more
+    than ``cell_budget`` cells raises ``SizeExceededError``."""
     if n < 1:
         raise GraphFormatError(f"strand count must be >= 1, got {n}")
     if n > gamma.n_vertices:
-        raise GraphFormatError(
-            f"{n} strands cannot occupy {gamma.n_vertices} vertices"
-        )
+        raise GraphFormatError(f"{n} strands cannot occupy {gamma.n_vertices} vertices")
     if cell_budget < 0:
         raise InputError(f"cell budget must be >= 0, got {cell_budget}")
     v = gamma.n_vertices
-    predicted = comb(v, n) + gamma.n_edges * comb(max(v - 2, 0), n - 1)
-    if predicted > cell_budget:
+    zero = comb(v, n)
+    one = gamma.n_edges * comb(max(v - 2, 0), n - 1)
+    if zero + one > cell_budget:
         raise SizeExceededError(
-            f"space would have {predicted} cells, over the budget of {cell_budget}"
+            f"space would have {zero + one} cells, over the budget of {cell_budget}"
         )
-    zero = tuple(
-        Configuration(cells) for cells in combinations(gamma.vertices, n)
-    )
-    ones = []
-    for edge in gamma.edges:
-        u, w = edge
-        rest_pool = tuple(x for x in gamma.vertices if x not in edge)
-        for rest in combinations(rest_pool, n - 1):
-            cfg = Configuration.make(rest + (edge,))
-            end_u = Configuration.make(rest + (u,))
-            end_w = Configuration.make(rest + (w,))
-            ones.append(OneCell(cells=cfg, endpoints=(end_u, end_w)))
-    return DiscreteConfigSpace(n=n, zero_cells=zero, one_cells=tuple(ones))
+    return zero, one
 
 
 class Step(NamedTuple):

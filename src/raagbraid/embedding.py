@@ -39,6 +39,7 @@ from typing import NamedTuple
 
 from .configspace import ConfigEdgePath, artin_basepoint, artin_loop_path
 from .errors import (
+    DEFAULT_BUDGET,
     InputError,
     SizeExceededError,
     UnknownVertexError,
@@ -56,9 +57,8 @@ from .raag import (
 
 Letter = tuple[str, int]
 
-#: most elements the injectivity check enumerates, and most words it
-#: samples; the magnitude of ``build_udc``'s default cell budget
-ELEMENT_BUDGET = 1_000_000
+#: most elements the injectivity check enumerates, and most words it samples
+ELEMENT_BUDGET = DEFAULT_BUDGET
 
 
 def edge_generator_name(edge: tuple[str, str]) -> str:

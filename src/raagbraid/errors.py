@@ -41,6 +41,10 @@ class SizeExceededError(RaagBraidError):
     """A configured resource bound (vertex count, cell budget) was exceeded."""
 
 
+#: the default of every budget: elements, samples, cells and cycle paths
+DEFAULT_BUDGET = 1_000_000
+
+
 class VerificationError(RaagBraidError):
     """A verified property failed to hold."""
 

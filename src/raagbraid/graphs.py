@@ -13,6 +13,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
+    DEFAULT_BUDGET,
     GraphFormatError,
     ImproperColoringError,
     SizeExceededError,
@@ -25,6 +26,9 @@ Edge = tuple[str, str]
 #: threshold conventions for the inter-essential-vertex path bound; see
 #: is_sufficiently_subdivided.
 PATH_THRESHOLDS = ("paper", "alt")
+
+#: most paths the short-cycle listing extends
+CYCLE_BUDGET = DEFAULT_BUDGET
 
 
 def normalize_edge(u: str, v: str) -> Edge:
@@ -150,7 +154,8 @@ class Coloring:
             raise ImproperColoringError("colors must be integers >= 1")
         colors = set(mapping.values())
         n = max(colors, default=0)
-        if colors != set(range(1, n + 1)):
+        # distinct integers >= 1 are exactly 1..n when there are n of them
+        if len(colors) != n:
             raise ImproperColoringError(
                 f"colors must be exactly 1..{n} with every color used, got {sorted(colors)}"
             )
@@ -369,8 +374,10 @@ def _has_cycle_within(g: SimpleGraph, max_edges: int) -> bool:
 
 def _short_cycles(g: SimpleGraph, max_edges: int):
     """All simple cycles with at most max_edges edges, each reported once
-    with its smallest vertex first."""
+    with its smallest vertex first. Raises ``SizeExceededError`` once the
+    listing has extended more than ``CYCLE_BUDGET`` paths."""
     order = {v: i for i, v in enumerate(g.vertices)}
+    extended = 0
     for root in g.vertices:
         stack = [(root, [root])]
         while stack:
@@ -384,6 +391,11 @@ def _short_cycles(g: SimpleGraph, max_edges: int):
                 if nxt in path or order[nxt] <= order[root]:
                     continue
                 if len(path) < max_edges:
+                    extended += 1
+                    if extended > CYCLE_BUDGET:
+                        raise SizeExceededError(
+                            f"listing the short cycles extends over {CYCLE_BUDGET} paths"
+                        )
                     stack.append((nxt, path + [nxt]))
 
 

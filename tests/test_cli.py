@@ -18,7 +18,7 @@ from raagbraid import (
     graph_to_json_dict,
     halo_to_json_dict,
 )
-from raagbraid import embedding
+from raagbraid import embedding, graphs
 from raagbraid.cli import build_parser, main
 from raagbraid.graphs import dumps_canonical
 
@@ -487,6 +487,25 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert "1000001 samples" in err
+
+    def test_cycle_budget_exit_3(self, tmp_path, capsys, monkeypatch):
+        """A halo file meets every axiom with a K_5 joined to x_1, but
+        listing its short cycles passes the budget."""
+        k5 = complete_graph(5)
+        data = halo_to_json_dict(build_halo(k5, chromatic_number(k5)))
+        gadget = [f"g{i}" for i in range(5)]
+        data["vertices"] += gadget
+        data["edges"] += [[a, b] for i, a in enumerate(gadget) for b in gadget[i + 1 :]]
+        data["edges"].append(["g0", "x_1"])
+        path = tmp_path / "halo.json"
+        path.write_text(json.dumps(data))
+        argv = ["verify", "--input", str(path), "--max-len", "1", "--samples", "0"]
+        assert run(capsys, argv)[0] == 0
+        monkeypatch.setattr(graphs, "CYCLE_BUDGET", 10)
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert "listing the short cycles extends over 10 paths" in err
 
     def test_corrupted_halo_with_bad_samples_exit_2(self, tmp_path, capsys, c6):
         """The suite checks its arguments before the halo axioms."""

@@ -12,15 +12,15 @@ from raagbraid import (
     artin_basepoint,
     artin_loop_path,
     build_halo,
-    build_udc,
+    cell_counts,
     chromatic_number,
-    closure_disjoint,
     edge_path,
     subdivided_halo,
 )
 
 from oracles import (
     atlas_connected,
+    atlas_graphs,
     brute_force_udc_counts,
     cycle_graph,
     path_graph,
@@ -29,78 +29,57 @@ from oracles import (
 
 
 class TestCells:
-    def test_closure_disjoint_rules(self):
-        assert closure_disjoint("a", "b")
-        assert not closure_disjoint("a", "a")
-        assert not closure_disjoint("a", ("a", "b"))
-        assert closure_disjoint("c", ("a", "b"))
-        assert not closure_disjoint(("a", "b"), ("b", "c"))
-        assert closure_disjoint(("a", "b"), ("c", "d"))
-
     def test_configuration_canonical_order(self):
-        c = Configuration.make([("a", "b"), "z", "c"])
-        assert c.cells == ("c", "z", ("a", "b"))
+        c = Configuration.make(["z", "c", "a~b~1"])
+        assert c.cells == ("a~b~1", "c", "z")
 
     def test_configuration_rejects_collision(self):
-        with pytest.raises(GraphFormatError):
-            Configuration.make(["a", ("a", "b")])
+        with pytest.raises(GraphFormatError, match="vertex 'a' holds two tokens"):
+            Configuration.make(["b", "a", "a"])
 
 
 class TestBuildUdc:
     def test_one_strand_is_the_graph(self):
         for g in (cycle_graph(4), path_graph(5)):
-            space = build_udc(g, 1)
-            assert len(space.zero_cells) == g.n_vertices
-            assert len(space.one_cells) == g.n_edges
+            assert cell_counts(g, 1) == (g.n_vertices, g.n_edges)
 
     def test_p3_two_strands(self):
-        space = build_udc(path_graph(3), 2)
-        assert len(space.zero_cells) == 3
-        assert len(space.one_cells) == 2
+        assert cell_counts(path_graph(3), 2) == (3, 2)
 
     def test_c4_two_strands(self):
-        space = build_udc(cycle_graph(4), 2)
-        assert len(space.zero_cells) == 6
-        assert len(space.one_cells) == 8
+        assert cell_counts(cycle_graph(4), 2) == (6, 8)
 
     def test_counts_match_brute_force_corpus(self):
         for g in atlas_connected(5):
             for n in (1, 2, 3):
                 if n > g.n_vertices:
                     continue
-                space = build_udc(g, n)
-                zero, one = brute_force_udc_counts(g, n)
-                assert (len(space.zero_cells), len(space.one_cells)) == (zero, one)
+                assert cell_counts(g, n) == brute_force_udc_counts(g, n)
 
-    def test_one_cell_endpoints_are_zero_cells(self):
-        space = build_udc(cycle_graph(5), 2)
-        zero = set(space.zero_cells)
-        for cell in space.one_cells:
-            a, b = cell.endpoints
-            assert a in zero and b in zero
-            assert a != b
-            # endpoints differ in exactly the moving token
-            assert len(set(a.cells) ^ set(b.cells)) == 2
+    def test_counts_match_brute_force_every_small_graph(self):
+        # isolated vertices and disconnected graphs included, every n up to V
+        corpus = [g for g in atlas_graphs() if 0 < g.n_vertices <= 5]
+        assert len(corpus) == 52
+        for g in corpus:
+            for n in range(1, g.n_vertices + 1):
+                assert cell_counts(g, n) == brute_force_udc_counts(g, n), (g, n)
 
     def test_budget(self):
         from oracles import complete_graph
 
         with pytest.raises(SizeExceededError):
-            build_udc(complete_graph(10), 5, cell_budget=100)
+            cell_counts(complete_graph(10), 5, cell_budget=100)
+        # 252 + 45 * C(8, 4) = 3,402 cells
+        assert cell_counts(complete_graph(10), 5, cell_budget=3402) == (252, 3150)
+        with pytest.raises(SizeExceededError, match="3402 cells, over the budget of 3401"):
+            cell_counts(complete_graph(10), 5, cell_budget=3401)
 
     def test_strand_count_bounds(self):
         g = path_graph(2)
         with pytest.raises(GraphFormatError):
-            build_udc(g, 0)
+            cell_counts(g, 0)
         with pytest.raises(GraphFormatError):
-            build_udc(g, 3)
-
-    def test_counts_json(self):
-        assert build_udc(path_graph(3), 2).counts_json_dict() == {
-            "n": 2,
-            "zero_cells": 3,
-            "one_cells": 2,
-        }
+            cell_counts(g, 3)
 
 
 def moves(p):
@@ -231,7 +210,8 @@ class TestEdgePathRejections:
             edge_path(path_graph(3), base, [(("p1", "p1"), "p1")])
 
     def test_base_holding_an_edge_cell(self):
-        base = Configuration.make([("p1", "p2")])
+        # make() holds vertices only, but a Configuration can be built directly
+        base = Configuration((("p1", "p2"),))
         with pytest.raises(GraphFormatError, match="all-vertex configuration"):
             edge_path(path_graph(3), base, [])
 

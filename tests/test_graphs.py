@@ -113,6 +113,20 @@ class TestColoring:
         with pytest.raises(ImproperColoringError, match="colors must be integers >= 1"):
             Coloring.make(g, {"a": True, "b": 2, "c": 3})
 
+    def test_large_color_costs_no_memory(self):
+        # the colours are checked without listing 1..n
+        import tracemalloc
+
+        g = SimpleGraph.make(["a", "b"])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ImproperColoringError, match=r"exactly 1\.\.1000000000000 "):
+                Coloring.make(g, {"a": 1, "b": 10**12})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
     def test_json_dict_is_a_copy(self):
         g = SimpleGraph.make(["a", "b"], [("a", "b")])
         coloring = Coloring.make(g, {"a": 1, "b": 2})
@@ -389,6 +403,16 @@ class TestSubdivisionFactor:
         checked.clear()
         minimal_subdivision(cycle_graph(6), 2)
         assert len(checked) == 1
+
+    def test_short_cycle_listing_is_budgeted(self, monkeypatch):
+        # K_8 at 8 strands lists every cycle, extending 16,064 paths
+        monkeypatch.setattr(graphs, "CYCLE_BUDGET", 16_064)
+        report = is_sufficiently_subdivided(complete_graph(8), 8)
+        # its 28 edges are short arcs, and it has 8,018 cycles
+        assert len(report.violations) == 28 + 8_018
+        monkeypatch.setattr(graphs, "CYCLE_BUDGET", 16_063)
+        with pytest.raises(SizeExceededError, match="extends over 16063 paths"):
+            is_sufficiently_subdivided(complete_graph(8), 8)
 
     def test_failing_subdivision_is_caught(self, monkeypatch):
         # the check on the graph returned stays as a safety net

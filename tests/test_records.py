@@ -1,5 +1,11 @@
 """The record contract: the package's plain records are named tuples.
 
+The records are ``HaloViolation``, ``HaloReport``, ``SubdivisionViolation``,
+``SubdivisionReport``, ``Configuration``, ``Step``, ``ConfigEdgePath``,
+``RelatorCheck``, ``HomomorphismReport``, ``InjectivityReport``,
+``PinchEvent``, ``PinchTrace``, ``CounterexampleReport``, ``CheckResult``,
+``VerificationReport`` and ``PinchWitness``.
+
 Each record keeps its fields, defaults, properties and methods; its JSON
 form is an object of its fields in declaration order; it cannot be
 changed; equal values give equal records (and equal hashes, where the
@@ -12,21 +18,19 @@ from dataclasses import is_dataclass
 
 import pytest
 
-from oracles import cycle_graph, path_graph
+from oracles import cycle_graph
 from raagbraid import (
     CheckResult,
     Coloring,
     ConfigEdgePath,
     Configuration,
     CounterexampleReport,
-    DiscreteConfigSpace,
     GroupWord,
     Halo,
     HaloReport,
     HaloViolation,
     HomomorphismReport,
     InjectivityReport,
-    OneCell,
     PinchEvent,
     PinchTrace,
     PinchWitness,
@@ -38,7 +42,6 @@ from raagbraid import (
     VerificationReport,
     build_context,
     build_halo,
-    build_udc,
     check_homomorphism,
     counterexample_report,
     counterexample_word,
@@ -95,8 +98,6 @@ RECORDS = {
     SubdivisionViolation: lambda: _unsubdivided_report().violations[0],
     SubdivisionReport: _unsubdivided_report,
     Configuration: lambda: _context().base,
-    OneCell: lambda: build_udc(path_graph(3), 2).one_cells[0],
-    DiscreteConfigSpace: lambda: build_udc(path_graph(3), 2),
     Step: lambda: _context().loop_path("a", 1).steps[0],
     ConfigEdgePath: lambda: _context().loop_path("a", 1),
     RelatorCheck: lambda: check_homomorphism(_context()).relators[0],
@@ -172,14 +173,17 @@ def test_nested_records_become_objects_and_tuples_arrays():
             {"axiom": "loop-start", "message": "loop of 'a' starts off x_1", "witnesses": ["a", "x_1"]}
         ],
     }
-    cell = OneCell(
-        cells=Configuration((("u", "v"), "w")),
-        endpoints=(Configuration(("u", "w")), Configuration(("v", "w"))),
+    path = ConfigEdgePath(
+        base=Configuration(("u", "w")),
+        steps=(Step(("u", "v"), "u"), Step(("v", "x"), "v")),
     )
-    assert json_value({"cell": cell, "pairs": [(1, 2)]}) == {
-        "cell": {
-            "cells": {"cells": [["u", "v"], "w"]},
-            "endpoints": [{"cells": ["u", "w"]}, {"cells": ["v", "w"]}],
+    assert json_value({"path": path, "pairs": [(1, 2)]}) == {
+        "path": {
+            "base": {"cells": ["u", "w"]},
+            "steps": [
+                {"edge": ["u", "v"], "source": "u"},
+                {"edge": ["v", "x"], "source": "v"},
+            ],
         },
         "pairs": [[1, 2]],
     }
