@@ -21,7 +21,8 @@ nonzero exponent sum is nontrivial. The walk over the elements reads zero
 sums off the L1 norm of the sums it carries, and skips the subtrees that
 cannot reach them. Over any other halo every image is piled. Rotations of
 a word and of its inverse have conjugate or inverse images, so one word per
-such class is piled.
+such class is piled: its verdict is memoized under every rotation of the
+word and of its inverse, and the other words of the class read it there.
 
 The edge group is built on first use. The homomorphism check decides a
 relator [a, b] from the supports of its loops: when they share no halo
@@ -40,6 +41,7 @@ from typing import NamedTuple
 from .configspace import ConfigEdgePath, artin_basepoint, artin_loop_path
 from .errors import (
     DEFAULT_BUDGET,
+    GraphFormatError,
     InputError,
     SizeExceededError,
     UnknownVertexError,
@@ -105,8 +107,19 @@ class EmbeddingContext:
     def _edge_to_gen(self) -> dict[tuple[str, str], str]:
         """One generator name per halo edge, built on first use: only
         ``phi`` and ``a_gamma`` read it, so a homomorphism check whose
-        loops never meet builds none."""
-        return {e: edge_generator_name(e) for e in self.halo.gamma.edges}
+        loops never meet builds none. Raises ``GraphFormatError`` when two
+        edges get one name, as ``(q, r|s)`` and ``(q|r, s)`` do: the edge
+        group would merge their generators."""
+        names: dict[tuple[str, str], str] = {}
+        named: dict[str, tuple[str, str]] = {}
+        for e in self.halo.gamma.edges:
+            name = names[e] = edge_generator_name(e)
+            other = named.setdefault(name, e)
+            if other != e:
+                raise GraphFormatError(
+                    f"halo edges {other} and {e} both get the generator name {name!r}"
+                )
+        return names
 
     @cached_property
     def a_gamma(self) -> RaagPresentation:
@@ -222,15 +235,10 @@ def phi_psi(w: GroupWord, ctx: EmbeddingContext, squared: bool = True) -> GroupW
     Concatenates the cached letter images (``ctx.letter_image``), so the
     cost is linear in the image length. Each image is validated once, when
     ``ctx.loop_path`` first builds its loop."""
-    return GroupWord(tuple(_image_letters(ctx, w.letters, squared)))
-
-
-def _image_letters(ctx: EmbeddingContext, letters, squared: bool) -> list[Letter]:
-    """``phi_psi`` on bare letters, for the injectivity check's inner loop."""
     img: list[Letter] = []
-    for gen, sign in letters:
+    for gen, sign in w.letters:
         img.extend(ctx.letter_image(gen, sign, squared))
-    return img
+    return GroupWord(tuple(img))
 
 
 # --- verification suites ---------------------------------------------------
@@ -372,14 +380,15 @@ def _bits(mask: int):
 def _nontrivial_elements(p: RaagPresentation, max_len: int, zero_sum: bool = True):
     """The spellings of the nontrivial elements of geodesic length at most
     max_len whose source exponent sums all vanish, or of every one of them
-    when ``zero_sum`` is false.
+    when ``zero_sum`` is false, as tuples of letter codes (see
+    ``_signed_letters``).
 
     The search runs depth first over the spellings ``p.reduce_letters``
     gives, the geodesics least in generator order, and visits each element
-    once. Sets of letter codes (see ``_signed_letters``) are bit masks. A
-    letter extends a spelling unless a backward scan over the suffix of
-    letters commuting with it meets its inverse (the word would not be
-    geodesic) or a larger generator (the spelling would not be the least).
+    once. Sets of letter codes are bit masks. A letter extends a spelling
+    unless a backward scan over the suffix of letters commuting with it
+    meets its inverse (the word would not be geodesic) or a larger
+    generator (the spelling would not be the least).
     So after a letter x of generator g, the extending letters are those of
     generators not commuting with g, except x's inverse, and those of larger
     generators commuting with g that extended the word before x.
@@ -392,7 +401,6 @@ def _nontrivial_elements(p: RaagPresentation, max_len: int, zero_sum: bool = Tru
     letters that may still follow it has no zero-sum extension and, with
     ``zero_sum``, is not entered.
     """
-    signed = _signed_letters(p)
     k = len(p.generators)
     by_gen = [0b11 << 2 * i for i in range(k)]
     later = []  # per generator: codes of the larger commuting generators
@@ -404,7 +412,7 @@ def _nontrivial_elements(p: RaagPresentation, max_len: int, zero_sum: bool = Tru
     follow = [blocking[code >> 1] & ~(1 << (code ^ 1)) for code in range(2 * k)]
     word: list[int] = []
     source_sums = [0] * k
-    found: list[tuple[Letter, ...]] = []
+    found: list[tuple[int, ...]] = []
     # one frame per letter of the word and one for the empty word: the
     # letters extending it, the extensions not yet entered, its source norm
     # and the letters that would lower that norm
@@ -413,8 +421,10 @@ def _nontrivial_elements(p: RaagPresentation, max_len: int, zero_sum: bool = Tru
     def enter(allowed: int, norm: int, toward: int) -> None:
         # with zero_sum, the extensions that lower a norm of 1 to 0
         emit = allowed if not zero_sum else allowed & toward if norm == 1 else 0
-        for code in _bits(emit):
-            found.append(tuple(signed[c] for c in word) + (signed[code],))
+        if emit:
+            prefix = tuple(word)
+            for code in _bits(emit):
+                found.append(prefix + (code,))
         todo = allowed if len(word) + 1 < max_len else 0
         if zero_sum and norm >= max_len - len(word) - 1:
             todo &= toward  # an extension raising the norm could not reach 0
@@ -519,14 +529,6 @@ def _sums_follow_the_source(ctx: EmbeddingContext) -> bool:
     return len(certified) == len(ctx.source_group.generators)
 
 
-def _conjugacy_key(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    """The least cyclic rotation of the word or of its inverse. Words with
-    one key have conjugate or mutually inverse images under φ∘ψ, which
-    concatenates letter images, so their images are trivial together."""
-    inverse = tuple((g, -s) for g, s in reversed(letters))
-    return min(w[i:] + w[:i] for w in (letters, inverse) for i in range(len(w)))
-
-
 def injectivity_spot_check(
     ctx: EmbeddingContext,
     max_len: int,
@@ -549,29 +551,46 @@ def injectivity_spot_check(
     halo that meets the axioms, only the words whose source sums vanish are
     piled, as an image with a nonzero exponent sum is nontrivial, and the
     walk enters only the subtrees that can still reach zero sums. Otherwise
-    every element and every sample is piled. One word per conjugacy class
-    (``_conjugacy_key``) is piled. ``exhaustive_elements`` is the count
-    predicted from the growth series. Raises ``SizeExceededError`` when
-    that count, or the number of samples, exceeds ``ELEMENT_BUDGET``.
+    every element and every sample is piled. The words that are cyclic
+    rotations of one another or of one another's inverse have conjugate or
+    inverse images under φ∘ψ, which concatenates letter images, so their
+    images are trivial together: the first word of such a class to be
+    walked is piled, and its verdict is kept under every rotation of the
+    word and of its inverse, the keys by which the rest of its class is
+    found. The walk and the check work in letter codes, and a word is named
+    only when it fails. ``exhaustive_elements`` is the count predicted from
+    the growth series. Raises ``SizeExceededError`` when that count, or the
+    number of samples, exceeds ``ELEMENT_BUDGET``.
     """
     p = ctx.source_group
     elements = _check_spot_check_args(p, max_len, sample_count)
     sample_max_len = 2 * max_len
     signed = _signed_letters(p)
     certified = _sums_follow_the_source(ctx)
+    # per letter code, its image: every generator's loop is built by now
+    images = [ctx.letter_image(g, s, squared) for g, s in signed]
 
-    def image_is_trivial(letters) -> bool:
-        return ctx.a_gamma.is_trivial_letters(_image_letters(ctx, letters, squared))
+    def image_is_trivial(codes) -> bool:
+        image: list[Letter] = []
+        for c in codes:
+            image += images[c]
+        return ctx.a_gamma.is_trivial_letters(image)
 
-    trivial_class: dict[tuple[Letter, ...], bool] = {}
     failures = []
+
+    def fail(codes) -> None:
+        failures.append(str(GroupWord(tuple(signed[c] for c in codes))))
+
+    verdict: dict[tuple[int, ...], bool] = {}
     for w in _nontrivial_elements(p, max_len, zero_sum=certified):
-        key = _conjugacy_key(w)
-        trivial = trivial_class.get(key)
+        trivial = verdict.get(w)
         if trivial is None:
-            trivial = trivial_class[key] = image_is_trivial(key)
+            trivial = image_is_trivial(w)
+            for u in (w, tuple(c ^ 1 for c in reversed(w))):
+                for i in range(len(u)):
+                    verdict[u[i:] + u[:i]] = trivial
         if trivial:
-            failures.append(str(GroupWord(w)))
+            fail(w)
 
     samples = _sample_codes(seed, sample_max_len, _pack(p, sample_max_len))
     sampled = 0
@@ -583,10 +602,8 @@ def injectivity_spot_check(
         if not sums and p.is_trivial_letters([signed[c] for c in codes]):
             continue
         sampled += 1
-        if not (certified and sums):
-            letters = tuple(signed[c] for c in codes)
-            if image_is_trivial(letters):
-                failures.append(str(GroupWord(letters)))
+        if not (certified and sums) and image_is_trivial(codes):
+            fail(codes)
     return InjectivityReport(
         squared=squared,
         max_len=max_len,

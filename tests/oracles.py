@@ -309,6 +309,16 @@ def free_word_spellings(generators, reduce, max_len: int) -> set:
     return out
 
 
+def per_element_failures(generators, reduce, max_len: int, *image_is_trivial) -> list[set]:
+    """Per decider in ``image_is_trivial``, the spellings
+    (``free_word_spellings``) of the nontrivial elements of geodesic length
+    at most max_len whose image it finds trivial. The elements are listed
+    once and every element's image is decided on its own: none is skipped
+    for its exponent sums, and none reads the verdict of another word."""
+    elements = free_word_spellings(generators, reduce, max_len)
+    return [{w for w in elements if trivial(w)} for trivial in image_is_trivial]
+
+
 # --- graph oracles ------------------------------------------------------------
 
 

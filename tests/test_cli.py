@@ -298,6 +298,27 @@ class TestVerify:
         assert code == 4
         assert json.loads(out)["pass"] is False
 
+    def test_colliding_edge_names_exit_2(self, tmp_path, capsys, figure_delta):
+        """Renamed so that the edges become (q, r|s) and (q|r, s), two edges
+        of the canonical halo join to one generator name: the edge group
+        would merge them, so the file is refused before any output."""
+        data = halo_to_json_dict(build_halo(figure_delta, chromatic_number(figure_delta)))
+        rename = {"j~b~c": "q", "p~b~1": "r|s", "p~a~1": "q|r", "p~a~2": "s"}
+        assert set(rename) <= set(data["vertices"])
+        data["vertices"] = [rename.get(v, v) for v in data["vertices"]]
+        data["edges"] = [[rename.get(v, v) for v in e] for e in data["edges"]]
+        data["loops"] = {a: [rename.get(v, v) for v in loop] for a, loop in data["loops"].items()}
+        path = tmp_path / "halo.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, ["verify", "--input", str(path), "--max-len", "4", "--samples", "200"]
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: halo edges ('q', 'r|s') and ('q|r', 's') both get the generator "
+            "name 'q|r|s'\n"
+        )
+
     def test_verified_halo_bundle_passes(self, tmp_path, capsys, figure_delta, figure_coloring):
         h = build_halo(figure_delta, figure_coloring)
         path = tmp_path / "halo.json"

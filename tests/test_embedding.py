@@ -49,6 +49,7 @@ from oracles import (
     cycle_graph,
     edges_commute,
     free_word_spellings,
+    per_element_failures,
     petersen_graph,
     random_connected_graph,
     random_multipartite,
@@ -630,10 +631,21 @@ class TestInjectivitySpotCheck:
             assert len(w) == 8 and not is_trivial(w, figure_context.source_group)
             assert is_trivial(phi_psi(w, figure_context, squared=False), figure_context.a_gamma)
 
-    def test_one_pile_per_conjugacy_class(self, c6, monkeypatch):
-        """C6's 72 zero-sum elements up to length 4 fall into 9 classes under
-        cyclic rotation and inversion, and one image is piled per class."""
-        ctx = build_context(c6, chromatic_number(c6))
+    @staticmethod
+    def piles_and_classes(ctx, max_len, monkeypatch) -> tuple[int, int]:
+        """The images the check piles, and the classes of the walked words
+        under cyclic rotation and inversion, counted word by word."""
+        p = ctx.source_group
+        words = spelled(p, embedding._nontrivial_elements(p, max_len))
+        inverse = {(g, s): (g, -s) for g in p.generators for s in (1, -1)}
+
+        def rotations(w):
+            return [w[i:] + w[:i] for i in range(len(w))]
+
+        classes = {
+            frozenset(rotations(w) + rotations(tuple(inverse[x] for x in reversed(w))))
+            for w in words
+        }
         piled = []
         original = RaagPresentation.is_trivial_letters
 
@@ -643,8 +655,20 @@ class TestInjectivitySpotCheck:
             return original(self, letters)
 
         monkeypatch.setattr(RaagPresentation, "is_trivial_letters", counted)
-        assert injectivity_spot_check(ctx, max_len=4, sample_count=0).ok
-        assert 0 < len(piled) <= 9
+        assert injectivity_spot_check(ctx, max_len=max_len, sample_count=0).ok
+        return len(piled), len(classes)
+
+    def test_one_pile_per_conjugacy_class(self, c6, monkeypatch):
+        """C6's 72 zero-sum elements up to length 4 fall into 9 classes under
+        cyclic rotation and inversion, and one image is piled per class."""
+        ctx = build_context(c6, chromatic_number(c6))
+        assert len(embedding._nontrivial_elements(ctx.source_group, 4)) == 72
+        assert self.piles_and_classes(ctx, 4, monkeypatch) == (9, 9)
+
+    def test_one_pile_per_class_at_length_6(self, c6, monkeypatch):
+        ctx = build_context(c6, chromatic_number(c6))
+        piles, classes = self.piles_and_classes(ctx, 6, monkeypatch)
+        assert piles == classes
 
     def test_max_len_zero_vacuous(self, figure_context):
         report = injectivity_spot_check(figure_context, max_len=0, sample_count=0)
@@ -686,13 +710,19 @@ ENUMERATION_CASES = (
 )
 
 
+def spelled(p: RaagPresentation, words) -> list:
+    """The walk's words of letter codes, spelled in ``(name, sign)`` letters."""
+    signed = embedding._signed_letters(p)
+    return [tuple(signed[c] for c in w) for w in words]
+
+
 class TestElementEnumeration:
     """The depth-first search visits exactly the spellings the piling
     reduction gives, once each, and as many as the growth series predicts."""
 
     @staticmethod
     def spellings(p: RaagPresentation, max_len: int) -> set:
-        found = embedding._nontrivial_elements(p, max_len, zero_sum=False)
+        found = spelled(p, embedding._nontrivial_elements(p, max_len, zero_sum=False))
         assert len(found) == len(set(found))
         return set(found)
 
@@ -766,9 +796,25 @@ class TestPrunedWalk:
     def test_pruned_walk_finds_the_unpruned_candidates(self, graph):
         p = RaagPresentation(graph)
         for max_len in range(1, 6):
-            full = embedding._nontrivial_elements(p, max_len, zero_sum=False)
+            full = spelled(p, embedding._nontrivial_elements(p, max_len, zero_sum=False))
             zero_sum = [w for w in full if not any(abelianization(GroupWord(w), p).values())]
-            assert embedding._nontrivial_elements(p, max_len) == zero_sum, max_len
+            assert spelled(p, embedding._nontrivial_elements(p, max_len)) == zero_sum, max_len
+
+
+def out_and_back_context(delta, coloring, gen) -> EmbeddingContext:
+    """The context over the canonical halo in which ``gen``'s loop is run
+    round and then back: the halo is subdivided but fails the axioms."""
+    h = build_halo(delta, coloring)
+    corrupted = Halo(
+        gamma=h.gamma,
+        artin_loops=tuple(
+            (a, loop + loop[-2::-1] if a == gen else loop) for a, loop in h.artin_loops
+        ),
+        basepoints=h.basepoints,
+        coloring=h.coloring,
+        delta=h.delta,
+    )
+    return EmbeddingContext(subdivided_halo(corrupted, 3))
 
 
 class TestSumCertificate:
@@ -785,17 +831,7 @@ class TestSumCertificate:
         edge, so the certificate fails: the check keeps the image sums over
         every edge generator and walks every element, and reports what
         piling every element's image reports."""
-        h = build_halo(figure_delta, figure_coloring)
-        corrupted = Halo(
-            gamma=h.gamma,
-            artin_loops=tuple(
-                (a, loop + loop[-2::-1] if a == gen else loop) for a, loop in h.artin_loops
-            ),
-            basepoints=h.basepoints,
-            coloring=h.coloring,
-            delta=h.delta,
-        )
-        ctx = EmbeddingContext(subdivided_halo(corrupted, 3))
+        ctx = out_and_back_context(figure_delta, figure_coloring, gen)
         assert not embedding._sums_follow_the_source(ctx)
         max_len = 5
         p = ctx.source_group
@@ -820,17 +856,7 @@ class TestSumCertificate:
         """Without the certificate every accepted sample is piled, whatever
         its own exponent sums: the failures are the walk's and those of the
         samples ``random`` draws that are nontrivial in A(Δ)."""
-        h = build_halo(figure_delta, figure_coloring)
-        corrupted = Halo(
-            gamma=h.gamma,
-            artin_loops=tuple(
-                (a, loop + loop[-2::-1] if a == "a" else loop) for a, loop in h.artin_loops
-            ),
-            basepoints=h.basepoints,
-            coloring=h.coloring,
-            delta=h.delta,
-        )
-        ctx = EmbeddingContext(subdivided_halo(corrupted, 3))
+        ctx = out_and_back_context(figure_delta, figure_coloring, "a")
         assert not embedding._sums_follow_the_source(ctx)
         max_len, sample_count, seed = 2, 60, 3
         p = ctx.source_group
@@ -861,6 +887,42 @@ class TestSumCertificate:
             seed=seed,
             failures=tuple(sorted(walked | sampled)),
         )
+
+
+class TestClassMemoOracle:
+    """The failures the class memo reports are those of deciding every
+    element's image on its own (``per_element_failures``), squared and
+    unsquared, over certified and uncertified halos alike."""
+
+    @staticmethod
+    def assert_memo_matches(contexts, max_len):
+        """``contexts`` share one source group; its elements are listed once."""
+        cases = [(ctx, squared) for ctx in contexts for squared in (True, False)]
+        p = contexts[0].source_group
+
+        def decider(ctx, squared):
+            return lambda w: is_trivial(phi_psi(GroupWord(w), ctx, squared), ctx.a_gamma)
+
+        expected = per_element_failures(
+            p.generators, p.reduce_letters, max_len, *(decider(*case) for case in cases)
+        )
+        for (ctx, squared), failures in zip(cases, expected):
+            report = injectivity_spot_check(ctx, max_len=max_len, sample_count=0, squared=squared)
+            assert report.failures == tuple(sorted(str(GroupWord(w)) for w in failures))
+
+    def test_atlas(self):
+        for g in atlas_connected(5):
+            colorings = {greedy_color(g), chromatic_number(g)}
+            self.assert_memo_matches([build_context(g, c) for c in colorings], 4)
+
+    def test_uncertified_halos(self, figure_delta, figure_coloring):
+        contexts = [out_and_back_context(figure_delta, figure_coloring, g) for g in "ab"]
+        assert not any(embedding._sums_follow_the_source(ctx) for ctx in contexts)
+        self.assert_memo_matches(contexts, 5)
+
+    def test_figure_graph(self, figure_context):
+        # length 6 takes about 1 s, length 7 about 5 s
+        self.assert_memo_matches([figure_context], 6)
 
 
 class TestElementBudget:
