@@ -15,8 +15,8 @@ basepoints, so loops compose by concatenating their steps.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb
-from typing import NamedTuple
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -31,8 +31,8 @@ from .graphs import SimpleGraph, is_sufficiently_subdivided, normalize_edge
 from .halo import Halo
 
 
-class Configuration(NamedTuple):
-    cells: tuple[str, ...]
+class Configuration(namedtuple("Configuration", "cells")):
+    __slots__ = ()
 
     @classmethod
     def make(cls, vertices) -> "Configuration":
@@ -70,7 +70,7 @@ def cell_counts(gamma: SimpleGraph, n: int, cell_budget: int = DEFAULT_BUDGET) -
     return zero, one
 
 
-class Step(NamedTuple):
+class Step(namedtuple("Step", "edge source")):
     """One token slides across one edge while every other token rests.
 
     A named tuple, like the package's other plain records: value equality
@@ -78,13 +78,11 @@ class Step(NamedTuple):
     ``(edge, source)``. ``edge_path`` builds one per step with
     ``tuple.__new__``, skipping the named tuple's Python-level ``__new__``."""
 
-    edge: tuple[str, str]
-    source: str
+    __slots__ = ()
 
 
-class ConfigEdgePath(NamedTuple):
-    base: Configuration
-    steps: tuple[Step, ...]
+class ConfigEdgePath(namedtuple("ConfigEdgePath", "base steps")):
+    __slots__ = ()
 
     def __len__(self) -> int:
         # the step count, so an empty path is falsy; ``_make`` and

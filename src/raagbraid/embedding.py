@@ -35,8 +35,8 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .configspace import ConfigEdgePath, artin_basepoint, artin_loop_path
 from .errors import (
@@ -244,20 +244,20 @@ def phi_psi(w: GroupWord, ctx: EmbeddingContext, squared: bool = True) -> GroupW
 # --- verification suites ---------------------------------------------------
 
 
-class RelatorCheck(NamedTuple):
-    edge: tuple[str, str]
-    commutator_trivial: bool
-    supports_disjoint: bool
-    cross_pairs_commute: bool
+class RelatorCheck(
+    namedtuple(
+        "RelatorCheck", "edge commutator_trivial supports_disjoint cross_pairs_commute"
+    )
+):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.commutator_trivial and self.supports_disjoint and self.cross_pairs_commute
 
 
-class HomomorphismReport(NamedTuple):
-    ok: bool
-    relators: tuple[RelatorCheck, ...]
+class HomomorphismReport(namedtuple("HomomorphismReport", "ok relators")):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -303,14 +303,13 @@ def check_homomorphism(ctx: EmbeddingContext) -> HomomorphismReport:
     return HomomorphismReport(ok=all(r.ok for r in relators), relators=tuple(relators))
 
 
-class InjectivityReport(NamedTuple):
-    squared: bool
-    max_len: int
-    exhaustive_elements: int
-    sample_count: int
-    sample_max_len: int
-    seed: int
-    failures: tuple[str, ...]
+class InjectivityReport(
+    namedtuple(
+        "InjectivityReport",
+        "squared max_len exhaustive_elements sample_count sample_max_len seed failures",
+    )
+):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -555,12 +554,13 @@ def injectivity_spot_check(
     rotations of one another or of one another's inverse have conjugate or
     inverse images under φ∘ψ, which concatenates letter images, so their
     images are trivial together: the first word of such a class to be
-    walked is piled, and its verdict is kept under every rotation of the
-    word and of its inverse, the keys by which the rest of its class is
-    found. The walk and the check work in letter codes, and a word is named
-    only when it fails. ``exhaustive_elements`` is the count predicted from
-    the growth series. Raises ``SizeExceededError`` when that count, or the
-    number of samples, exceeds ``ELEMENT_BUDGET``.
+    walked is piled, and its verdict is kept under the rotations of the
+    word and of its inverse that the walk has still to reach, the keys by
+    which the rest of its class is found. The walk and the check work in
+    letter codes, and a word is named only when it fails.
+    ``exhaustive_elements`` is the count predicted from the growth series.
+    Raises ``SizeExceededError`` when that count, or the number of samples,
+    exceeds ``ELEMENT_BUDGET``.
     """
     p = ctx.source_group
     elements = _check_spot_check_args(p, max_len, sample_count)
@@ -581,14 +581,24 @@ def injectivity_spot_check(
     def fail(codes) -> None:
         failures.append(str(GroupWord(tuple(signed[c] for c in codes))))
 
+    # The walk yields each element once, and the words of one length in
+    # increasing order (it enters the prefixes of a length in depth-first
+    # order, which is their lexicographic order, and lists each prefix's
+    # extensions in increasing code order). A class's words share a length,
+    # so when w misses, the members still to come are greater than w: the
+    # verdict is kept only under those rotations, and each key is dropped
+    # once read. Were the order otherwise, a member would only be piled
+    # again, for the same verdict.
     verdict: dict[tuple[int, ...], bool] = {}
     for w in _nontrivial_elements(p, max_len, zero_sum=certified):
-        trivial = verdict.get(w)
+        trivial = verdict.pop(w, None)
         if trivial is None:
             trivial = image_is_trivial(w)
             for u in (w, tuple(c ^ 1 for c in reversed(w))):
                 for i in range(len(u)):
-                    verdict[u[i:] + u[:i]] = trivial
+                    r = u[i:] + u[:i]
+                    if r > w:
+                        verdict[r] = trivial
         if trivial:
             fail(w)
 
@@ -615,21 +625,19 @@ def injectivity_spot_check(
     )
 
 
-class PinchEvent(NamedTuple):
-    stable: str
-    positions: tuple[int, int]
-    flank_sign: int
-    pattern: int  # 1: positive flank first, 2: negative flank first
-    inner_length: int
+class PinchEvent(
+    namedtuple("PinchEvent", "stable positions flank_sign pattern inner_length")
+):
+    """``pattern`` is 1 when the positive flank comes first, 2 when the
+    negative one does."""
+
+    __slots__ = ()
 
 
-class PinchTrace(NamedTuple):
-    word: str
-    squared: bool
-    initial_length: int
-    events: tuple[PinchEvent, ...]
-    final_word: str
-    emptied: bool
+class PinchTrace(
+    namedtuple("PinchTrace", "word squared initial_length events final_word emptied")
+):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return json_value(self)
@@ -697,12 +705,15 @@ def pinch_trace(w: GroupWord, ctx: EmbeddingContext, squared: bool = True) -> Pi
 # --- the squaring counterexample -------------------------------------------
 
 
-class CounterexampleReport(NamedTuple):
-    applicable: bool
-    word: str = ""
-    nontrivial_in_source: bool = False
-    unsquared_image_trivial: bool = False
-    squared_image_nontrivial: bool = False
+class CounterexampleReport(
+    namedtuple(
+        "CounterexampleReport",
+        "applicable word nontrivial_in_source unsquared_image_trivial"
+        " squared_image_nontrivial",
+        defaults=("", False, False, False),
+    )
+):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -776,18 +787,12 @@ def counterexample_report(
 # --- the full suite ---------------------------------------------------------
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    details: dict
-    witnesses: tuple[str, ...]
-    seconds: float
+class CheckResult(namedtuple("CheckResult", "name passed details witnesses seconds")):
+    __slots__ = ()
 
 
-class VerificationReport(NamedTuple):
-    passed: bool
-    path_threshold: str
-    checks: tuple[CheckResult, ...]
+class VerificationReport(namedtuple("VerificationReport", "passed path_threshold checks")):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.passed

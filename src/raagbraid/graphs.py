@@ -7,10 +7,8 @@ given input always produces byte-identical output.
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -37,16 +35,57 @@ def normalize_edge(u: str, v: str) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class _Value:
+    """An immutable value over the attributes named in ``_fields``.
+
+    Two values are equal when they are of one class and their fields are
+    equal; the hash and the repr are those of the fields, and pickling and
+    copying rebuild a value from them. A field cannot be assigned or
+    deleted. A subclass declares ``_fields`` and its ``__slots__``, with
+    ``"__dict__"`` among them where a cached property needs the instance
+    dict, and its ``__init__`` sets each field with ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SimpleGraph(_Value):
     """A finite simple graph with string vertex identifiers.
 
     ``vertices`` is lexicographically sorted, and each edge is stored with
     its smaller endpoint first; the edge tuple is itself sorted.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    __slots__ = ("vertices", "edges", "__dict__")
+    _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def make(cls, vertices, edges=()) -> "SimpleGraph":
@@ -131,12 +170,15 @@ class SimpleGraph:
         return len(self.components()) <= 1
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Value):
     """A proper vertex coloring with colors 1..color_count, all of them used."""
 
-    assignment: tuple[tuple[str, int], ...]
-    color_count: int
+    __slots__ = ("assignment", "color_count", "__dict__")
+    _fields = ("assignment", "color_count")
+
+    def __init__(self, assignment: tuple[tuple[str, int], ...], color_count: int):
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "color_count", color_count)
 
     @classmethod
     def make(cls, graph: SimpleGraph, mapping) -> "Coloring":
@@ -266,20 +308,20 @@ def essential_vertices(g: SimpleGraph) -> frozenset[str]:
 # --- subdivision -----------------------------------------------------------
 
 
-class SubdivisionViolation(NamedTuple):
-    kind: str  # "path" or "loop"
-    vertices: tuple[str, ...]
-    length: int
-    required: int
+class SubdivisionViolation(namedtuple("SubdivisionViolation", "kind vertices length required")):
+    """A path or loop of ``length`` edges, fewer than ``required``; ``kind``
+    is "path" or "loop"."""
+
+    __slots__ = ()
 
 
-class SubdivisionReport(NamedTuple):
-    ok: bool
-    n: int
-    path_threshold: str
-    path_required: int
-    loop_required: int
-    violations: tuple[SubdivisionViolation, ...]
+class SubdivisionReport(
+    namedtuple(
+        "SubdivisionReport",
+        "ok n path_threshold path_required loop_required violations",
+    )
+):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok

@@ -16,16 +16,16 @@ so no axiom is disturbed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple
 
 from .errors import EmptyGraphError, GraphFormatError, UnknownVertexError
 from .graphs import (
     Coloring,
     SimpleGraph,
     _DOT_PALETTE,
+    _Value,
     _dot_quote,
     coloring_from_json_dict,
     graph_from_json_dict,
@@ -45,13 +45,23 @@ AXIOM_EDGE_DISJOINT = "edge-disjoint"
 AXIOM_CONNECTED = "connected"
 
 
-@dataclass(frozen=True)
-class Halo:
-    gamma: SimpleGraph
-    artin_loops: tuple[tuple[str, tuple[str, ...]], ...]
-    basepoints: tuple[tuple[int, str], ...]
-    coloring: Coloring
-    delta: SimpleGraph
+class Halo(_Value):
+    __slots__ = ("gamma", "artin_loops", "basepoints", "coloring", "delta", "__dict__")
+    _fields = ("gamma", "artin_loops", "basepoints", "coloring", "delta")
+
+    def __init__(
+        self,
+        gamma: SimpleGraph,
+        artin_loops: tuple[tuple[str, tuple[str, ...]], ...],
+        basepoints: tuple[tuple[int, str], ...],
+        coloring: Coloring,
+        delta: SimpleGraph,
+    ):
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "artin_loops", artin_loops)
+        object.__setattr__(self, "basepoints", basepoints)
+        object.__setattr__(self, "coloring", coloring)
+        object.__setattr__(self, "delta", delta)
 
     @cached_property
     def loops(self) -> dict[str, tuple[str, ...]]:
@@ -77,15 +87,12 @@ class Halo:
         return _halo_report(self)
 
 
-class HaloViolation(NamedTuple):
-    axiom: str
-    message: str
-    witnesses: tuple[str, ...]
+class HaloViolation(namedtuple("HaloViolation", "axiom message witnesses")):
+    __slots__ = ()
 
 
-class HaloReport(NamedTuple):
-    ok: bool
-    violations: tuple[HaloViolation, ...]
+class HaloReport(namedtuple("HaloReport", "ok violations")):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok

@@ -24,11 +24,10 @@ scan of every pile.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from heapq import heappop, heappush
 from math import comb
-from typing import NamedTuple
 
 from .errors import (
     GraphFormatError,
@@ -36,16 +35,19 @@ from .errors import (
     UnknownVertexError,
     WordFormatError,
 )
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, _Value
 
 Letter = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class GroupWord:
+class GroupWord(_Value):
     """A word over signed generators; the empty word is the identity."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("letters",)
+    _fields = ("letters",)
+
+    def __init__(self, letters: tuple[Letter, ...] = ()):
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def parse(cls, text: str) -> "GroupWord":
@@ -82,6 +84,8 @@ class GroupWord:
         return len(self.letters)
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
+        if not isinstance(other, GroupWord):
+            return NotImplemented
         return GroupWord(self.letters + other.letters)
 
     def inverse(self) -> "GroupWord":
@@ -379,15 +383,13 @@ def abelianization(w: GroupWord, p: RaagPresentation) -> dict[str, int]:
     return sums
 
 
-class PinchWitness(NamedTuple):
+class PinchWitness(namedtuple("PinchWitness", "stable positions inner")):
     """A subword v^e g v^-e whose interior g lies in the subgroup of link(v).
 
     ``positions`` are the letter indices of the two flanking v-letters.
     """
 
-    stable: str
-    positions: tuple[int, int]
-    inner: GroupWord
+    __slots__ = ()
 
 
 def detect_pinch(w: GroupWord, v: str, p: RaagPresentation) -> PinchWitness | None:

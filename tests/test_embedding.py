@@ -737,6 +737,23 @@ class TestElementEnumeration:
         assert self.spellings(p, max_len) == reference
         assert sum(p.sphere_sizes(max_len)) - 1 == len(reference)
 
+    @pytest.mark.parametrize(
+        "graph, max_len",
+        [case[1:] for case in ENUMERATION_CASES],
+        ids=[case[0] for case in ENUMERATION_CASES],
+    )
+    def test_each_length_comes_in_increasing_order(self, graph, max_len):
+        """The injectivity check's memo keeps a class's verdict only under
+        the words greater than the first one walked, which is sound because
+        the words of one length come in increasing order of their codes."""
+        p = RaagPresentation(graph)
+        for zero_sum in (False, True):
+            by_length: dict[int, list] = {}
+            for w in embedding._nontrivial_elements(p, max_len, zero_sum):
+                by_length.setdefault(len(w), []).append(w)
+            for words in by_length.values():
+                assert all(u < w for u, w in zip(words, words[1:]))
+
     def test_packing_has_no_carries(self):
         # with a base of b or less, the b + 1 letters a^-b b would pack to 0
         p = RaagPresentation(SimpleGraph.make(["a", "b"]))

@@ -123,6 +123,14 @@ class TestGroupWord:
         assert W("a b^-1 " * 2) == w * w
         assert len(W("a b^-1 " * 0)) == 0
 
+    @pytest.mark.parametrize("other", [3, "a", ("a", 1), None], ids=repr)
+    def test_product_with_a_non_word_is_a_type_error(self, other):
+        w = W("a b")
+        with pytest.raises(TypeError):
+            w * other
+        with pytest.raises(TypeError):
+            other * w
+
 
 class TestRaagReduce:
     def test_defining_relator_dies(self):

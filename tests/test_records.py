@@ -1,20 +1,33 @@
-"""The record contract: the package's plain records are named tuples.
+"""The record contract: the package's plain records are named tuples, and
+its four value classes are plain classes.
 
 The records are ``HaloViolation``, ``HaloReport``, ``SubdivisionViolation``,
 ``SubdivisionReport``, ``Configuration``, ``Step``, ``ConfigEdgePath``,
 ``RelatorCheck``, ``HomomorphismReport``, ``InjectivityReport``,
 ``PinchEvent``, ``PinchTrace``, ``CounterexampleReport``, ``CheckResult``,
-``VerificationReport`` and ``PinchWitness``.
+``VerificationReport`` and ``PinchWitness``: ``collections.namedtuple``
+subclasses with ``__slots__ = ()``. Each keeps its fields, defaults,
+properties and methods; its JSON form is an object of its fields in
+declaration order; it cannot be changed; equal values give equal records
+(and equal hashes, where the fields are hashable).
 
-Each record keeps its fields, defaults, properties and methods; its JSON
-form is an object of its fields in declaration order; it cannot be
-changed; equal values give equal records (and equal hashes, where the
-fields are hashable). The only dataclasses left are the three classes
-whose cached properties need an instance ``__dict__``, and ``GroupWord``,
-which as a tuple would take on the tuple's ``+`` and iteration.
+The value classes are ``SimpleGraph``, ``Coloring``, ``Halo`` and
+``GroupWord``. Equality holds between instances of one class with equal
+fields, the hash and the repr are those of the fields, a field cannot be
+assigned or deleted, and copying and pickling rebuild an equal value.
+
+No class of the package is a dataclass, and importing the CLI loads
+neither ``dataclasses`` nor ``typing`` (nor ``inspect``, which
+``dataclasses`` imports): each costs a cold command start-up time.
 """
+import copy
 import json
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import is_dataclass
+from pathlib import Path
 
 import pytest
 
@@ -219,15 +232,141 @@ def test_reports_are_falsy_exactly_when_they_fail():
     assert _suite() and check_homomorphism(_context())
 
 
-def test_only_the_cached_and_operator_classes_stay_dataclasses():
-    kept = set()
-    for module in (cli, configspace, embedding, errors, graphs, halo, raag):
-        for name, obj in vars(module).items():
-            if (
-                not name.startswith("_")
-                and isinstance(obj, type)
-                and obj.__module__ == module.__name__
-                and is_dataclass(obj)
-            ):
-                kept.add(obj)
-    assert kept == {SimpleGraph, Coloring, Halo, GroupWord}
+MODULES = (cli, configspace, embedding, errors, graphs, halo, raag)
+
+
+def test_no_public_class_is_a_dataclass():
+    classes = [
+        obj
+        for module in MODULES
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and isinstance(obj, type)
+        and obj.__module__ == module.__name__
+    ]
+    assert {SimpleGraph, Coloring, Halo, GroupWord} <= set(classes)
+    assert not [cls for cls in classes if is_dataclass(cls)]
+
+
+def test_cold_cli_import_loads_neither_dataclasses_nor_typing():
+    code = (
+        "import sys, raagbraid.cli; "
+        "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(raag.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
+
+
+def _single_vertex():
+    delta = SimpleGraph.make(["a"])
+    return delta, Coloring.make(delta, {"a": 1})
+
+
+def _graph():
+    g = _figure()[0]
+    g.adjacency  # cached in the instance dict, which pickling leaves behind
+    return g
+
+
+#: each value class, with a function that builds one, its fields and its repr
+VALUES = {
+    SimpleGraph: (
+        _graph,
+        ("vertices", "edges"),
+        "SimpleGraph(vertices=('a', 'b', 'c'), edges=(('a', 'c'),))",
+    ),
+    Coloring: (
+        lambda: _figure()[1],
+        ("assignment", "color_count"),
+        "Coloring(assignment=(('a', 1), ('b', 2), ('c', 3)), color_count=3)",
+    ),
+    Halo: (
+        lambda: build_halo(*_single_vertex()),
+        ("gamma", "artin_loops", "basepoints", "coloring", "delta"),
+        "Halo(gamma=SimpleGraph(vertices=('p~a~1', 'p~a~2', 'x_1'), edges=(('p~a~1', 'p~a~2'),"
+        " ('p~a~1', 'x_1'), ('p~a~2', 'x_1'))), artin_loops=(('a', ('x_1', 'p~a~1', 'p~a~2',"
+        " 'x_1')),), basepoints=((1, 'x_1'),), coloring=Coloring(assignment=(('a', 1),),"
+        " color_count=1), delta=SimpleGraph(vertices=('a',), edges=()))",
+    ),
+    GroupWord: (
+        lambda: GroupWord.parse("a b^-1"),
+        ("letters",),
+        "GroupWord(letters=(('a', 1), ('b', -1)))",
+    ),
+}
+
+value_params = pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
+
+
+@value_params
+def test_value_equality_and_hash_follow_the_fields(cls):
+    build, names, _ = VALUES[cls]
+    value, again = build(), build()
+    assert value == again and value is not again and not value != again
+    fields = tuple(getattr(value, name) for name in names)
+    assert hash(value) == hash(again) == hash(fields)
+    assert cls(*fields) == cls(**dict(zip(names, fields))) == value
+
+
+@value_params
+def test_a_value_is_unequal_to_another_class(cls):
+    build, names, _ = VALUES[cls]
+    value = build()
+    fields = tuple(getattr(value, name) for name in names)
+    others = [fields, object(), None] + [VALUES[other][0]() for other in VALUES if other is not cls]
+    for other in others:
+        assert value != other and other != value
+        assert not value == other
+
+
+@value_params
+def test_value_fields_cannot_be_assigned_or_deleted(cls):
+    build, names, _ = VALUES[cls]
+    value = build()
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.not_a_field = None
+    assert build() == value
+
+
+@value_params
+def test_value_repr_names_the_fields(cls):
+    build, _, text = VALUES[cls]
+    assert repr(build()) == text
+
+
+def test_cached_properties_are_computed_once():
+    g = _figure()[0]
+    assert g.adjacency is g.adjacency
+    coloring = _figure()[1]
+    assert coloring.as_dict is coloring.as_dict
+    h = build_halo(*_figure())
+    assert h.loops is h.loops
+
+
+@value_params
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copy_and_pickle_give_an_equal_value(cls, round_trip):
+    value = VALUES[cls][0]()
+    again = round_trip(value)
+    assert type(again) is cls and again == value
+    assert hash(again) == hash(value)
+
+
+def test_the_default_word_is_the_empty_word():
+    assert GroupWord() == GroupWord(()) == GroupWord(letters=()) == GroupWord.parse("")
+    assert repr(GroupWord()) == "GroupWord(letters=())" and not GroupWord()
