@@ -144,9 +144,9 @@ class EmbeddingContext:
     def loop_path(self, delta_vertex: str, power: int) -> ConfigEdgePath:
         """The generator's loop at ``self.base``, built and validated once.
 
-        ``artin_loop_path`` checks the subdivision at the "paper" threshold,
-        a memo hit after ``__init__`` (a graph that meets "alt" meets
-        "paper" too), validates every step and raises
+        ``artin_loop_path`` checks the subdivision at the "paper" threshold
+        (a memo hit after ``__init__`` at "paper"; at "alt", one full check
+        per context, which passes), validates every step and raises
         ``BaseMismatchError`` unless the loop closes at the basepoint, which
         is ``self.base``."""
         key = (delta_vertex, power)
@@ -457,16 +457,18 @@ def _nontrivial_elements(p: RaagPresentation, max_len: int, zero_sum: bool = Tru
     return found
 
 
-def _check_spot_check_args(p: RaagPresentation, max_len: int, sample_count: int) -> int:
+def _check_spot_check_args(p: RaagPresentation, max_len: int, sample_count: int, seed: int) -> int:
     """Check the injectivity check's arguments before any work, and return
     the number of nontrivial elements of ``p`` up to length ``max_len``.
-    Raise ``InputError`` for a negative length or sample count, or for
-    samples with ``max_len`` 0, and ``SizeExceededError`` for more than
+    Raise ``InputError`` for a negative length, sample count or seed, or
+    for samples with ``max_len`` 0, and ``SizeExceededError`` for more than
     ``ELEMENT_BUDGET`` samples or elements."""
     if max_len < 0:
         raise InputError(f"max_len must be >= 0, got {max_len}")
     if sample_count < 0:
         raise InputError(f"sample_count must be >= 0, got {sample_count}")
+    if seed < 0:  # random.Random(-s) draws what random.Random(s) draws
+        raise InputError(f"seed must be >= 0, got {seed}")
     if sample_count > 0 and max_len == 0:
         raise InputError(
             f"{sample_count} samples need max_len >= 1: samples have up to 2 * max_len letters"
@@ -563,7 +565,7 @@ def injectivity_spot_check(
     exceeds ``ELEMENT_BUDGET``.
     """
     p = ctx.source_group
-    elements = _check_spot_check_args(p, max_len, sample_count)
+    elements = _check_spot_check_args(p, max_len, sample_count, seed)
     sample_max_len = 2 * max_len
     signed = _signed_letters(p)
     certified = _sums_follow_the_source(ctx)
@@ -860,7 +862,7 @@ def verify_suite(
     they raise before any halo is built or verified, on the presentation
     of A(Δ) that the injectivity check then uses."""
     source = RaagPresentation(delta)
-    _check_spot_check_args(source, max_len, sample_count)
+    _check_spot_check_args(source, max_len, sample_count, seed)
     checks: list[CheckResult] = []
 
     def run(name: str, fn) -> bool:

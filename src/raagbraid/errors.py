@@ -41,7 +41,7 @@ class SizeExceededError(RaagBraidError):
     """A configured resource bound (vertex count, cell budget) was exceeded."""
 
 
-#: the default of every budget: elements, samples, cells and cycle paths
+#: the default of every budget: elements, samples and cells
 DEFAULT_BUDGET = 1_000_000
 
 

@@ -11,7 +11,6 @@ from collections import deque, namedtuple
 from functools import cached_property
 
 from .errors import (
-    DEFAULT_BUDGET,
     GraphFormatError,
     ImproperColoringError,
     SizeExceededError,
@@ -24,9 +23,6 @@ Edge = tuple[str, str]
 #: threshold conventions for the inter-essential-vertex path bound; see
 #: is_sufficiently_subdivided.
 PATH_THRESHOLDS = ("paper", "alt")
-
-#: most paths the short-cycle listing extends
-CYCLE_BUDGET = DEFAULT_BUDGET
 
 
 def normalize_edge(u: str, v: str) -> Edge:
@@ -378,67 +374,72 @@ def _arcs(g: SimpleGraph):
             yield (u, cur, tuple(interior))
 
 
-def _has_cycle_within(g: SimpleGraph, max_edges: int) -> bool:
-    """Whether some simple cycle has at most max_edges edges.
+def _tree_path(parent: dict[str, str], v: str) -> list[str]:
+    """v, its parent, and so on up to the root of the search."""
+    path = [v]
+    while parent[v] != v:
+        v = parent[v]
+        path.append(v)
+    return path
 
-    A cycle that passes through no vertex of degree at least 3 has only
-    vertices of degree 2, so it is a whole component: such a component is
-    tested by its size. Every other cycle passes through an essential
-    vertex, so a breadth-first search from each essential vertex, cut off
-    at radius max_edges // 2, finds it: a non-tree edge x-y closes a closed
-    walk of dist[x] + dist[y] + 1 edges, which holds a cycle, and each edge
-    of a cycle of L edges through the root has dist[x] + dist[y] + 1 <= L,
-    one of them off the tree. Degree-2 vertices, most of a subdivided
-    graph, are never roots."""
+
+def _keep(found: set[tuple[str, ...]], bound: int, walk: list[str]) -> int:
+    """Add a closed walk of at most bound edges to found, from its least vertex
+    and second vertex before last, clearing found if it is shorter; return
+    its length, the new bound."""
+    if len(walk) < bound:
+        found.clear()
+    i = walk.index(min(walk))
+    cycle = walk[i:] + walk[:i]
+    if cycle[1] > cycle[-1]:
+        cycle[1:] = cycle[:0:-1]
+    found.add(tuple(cycle))
+    return len(walk)
+
+
+def _shortest_cycles(g: SimpleGraph, max_edges: int) -> list[tuple[str, ...]]:
+    """Every shortest simple cycle, if it has at most max_edges edges, in
+    ``_keep``'s form and sorted; otherwise [].
+
+    A breadth-first search, cut off at half the least length kept, starts
+    at each essential vertex and at one vertex of each cycle of degree-2
+    vertices. A path shorter than half the girth is the only shortest path
+    between its ends, so a shortest cycle is the tree paths to the ends of
+    an edge x-y at one distance, or to any two parents x, p of a vertex y,
+    not only to y's own. A kept walk of least length is simple: tree paths
+    sharing a vertex besides the root would close a shorter cycle."""
     adjacency = g.adjacency
+    roots = [v for v in g.vertices if len(adjacency[v]) >= 3]
     for comp in g.components():
         if len(comp) <= max_edges and all(len(adjacency[v]) == 2 for v in comp):
-            return True
-    radius = max_edges // 2
-    for root in g.vertices:
-        if len(adjacency[root]) < 3:
-            continue
+            roots.append(comp[0])
+    bound, radius = max_edges, max_edges // 2
+    found: set[tuple[str, ...]] = set()
+    for root in roots:
         dist = {root: 0}
         parent = {root: root}
         queue = deque([root])
         while queue:
             x = queue.popleft()
+            dx = dist[x]
             for y in adjacency[x]:
-                if y not in dist:
-                    if dist[x] < radius:
-                        dist[y] = dist[x] + 1
+                dy = dist.get(y)
+                if dy is None:
+                    if dx < radius:
+                        dist[y] = dx + 1
                         parent[y] = x
                         queue.append(y)
-                elif y != parent[x] and dist[x] + dist[y] + 1 <= max_edges:
-                    return True
-    return False
-
-
-def _short_cycles(g: SimpleGraph, max_edges: int):
-    """All simple cycles with at most max_edges edges, each reported once
-    with its smallest vertex first. Raises ``SizeExceededError`` once the
-    listing has extended more than ``CYCLE_BUDGET`` paths."""
-    order = {v: i for i, v in enumerate(g.vertices)}
-    extended = 0
-    for root in g.vertices:
-        stack = [(root, [root])]
-        while stack:
-            cur, path = stack.pop()
-            for nxt in sorted(g.adjacency[cur], reverse=True):
-                if nxt == root and len(path) >= 3:
-                    # canonical orientation: second vertex smaller than last
-                    if order[path[1]] < order[path[-1]]:
-                        yield tuple(path)
-                    continue
-                if nxt in path or order[nxt] <= order[root]:
-                    continue
-                if len(path) < max_edges:
-                    extended += 1
-                    if extended > CYCLE_BUDGET:
-                        raise SizeExceededError(
-                            f"listing the short cycles extends over {CYCLE_BUDGET} paths"
-                        )
-                    stack.append((nxt, path + [nxt]))
+                elif dy == dx and 2 * dx < bound:
+                    walk = _tree_path(parent, x) + _tree_path(parent, y)[-2::-1]
+                    bound = _keep(found, bound, walk)
+                    radius = bound // 2
+                elif dy > dx and parent[y] != x and 2 * dx + 2 <= bound:
+                    up = _tree_path(parent, x)
+                    for p in adjacency[y]:
+                        if p != x and dist.get(p) == dx:
+                            bound = _keep(found, bound, up + _tree_path(parent, p)[-2::-1] + [y])
+                    radius = bound // 2
+    return sorted(found)
 
 
 def is_sufficiently_subdivided(
@@ -449,8 +450,8 @@ def is_sufficiently_subdivided(
     Requires every arc between two distinct essential vertices (interior
     free of essential vertices) to have at least ``path_required`` edges and
     every simple cycle to have at least ``n + 1`` edges. The report lists
-    every violating arc and cycle. It is computed once per graph instance
-    and (n, path_threshold), and reused on later calls.
+    every short arc, and every shortest cycle if it is short. It is computed
+    once per graph instance and (n, path_threshold), and reused later.
     """
     key = (n, path_threshold)
     report = g._subdivision_reports.get(key)
@@ -460,8 +461,7 @@ def is_sufficiently_subdivided(
 
 
 def _subdivision_report(g: SimpleGraph, n: int, path_threshold: str) -> SubdivisionReport:
-    """The unmemoised check. Short cycles are listed only after a bounded
-    breadth-first search (``_has_cycle_within``) finds that one exists."""
+    """The unmemoised check: the short arcs, then the shortest cycles."""
     if n < 1:
         raise GraphFormatError(f"strand count must be >= 1, got {n}")
     path_required = _path_required(n, path_threshold)
@@ -473,11 +473,8 @@ def _subdivision_report(g: SimpleGraph, n: int, path_threshold: str) -> Subdivis
             violations.append(
                 SubdivisionViolation("path", (u, *interior, w), length, path_required)
             )
-    if _has_cycle_within(g, loop_required - 1):
-        for cycle in sorted(_short_cycles(g, loop_required - 1)):
-            violations.append(
-                SubdivisionViolation("loop", cycle, len(cycle), loop_required)
-            )
+    for cycle in _shortest_cycles(g, loop_required - 1):
+        violations.append(SubdivisionViolation("loop", cycle, len(cycle), loop_required))
     return SubdivisionReport(
         ok=not violations,
         n=n,

@@ -6,11 +6,12 @@ rewriting closures, the elements of bounded length from every freely reduced
 word (spelled by a reduction the caller passes in), colorability from
 exhaustive assignment, seeded sample words from ``random``'s own
 ``randint`` and ``choice``, planarity from networkx's ``check_planarity``,
-graph corpora from the networkx atlas, and the arcs between essential
+graph corpora from the networkx atlas, the arcs between essential
 vertices from the components networkx finds once those vertices are
-deleted. The one exception is ``smallest_passing_factor``: it tries every
-candidate factor against the library's subdivision check, as a reference
-for the closed form that reads the factor off that check's violations.
+deleted, and the short cycles from every simple path. The one exception
+is ``smallest_passing_factor``: it tries every candidate factor against
+the library's subdivision check, as a reference for the closed form that
+reads the factor off that check's violations.
 """
 from __future__ import annotations
 
@@ -366,6 +367,30 @@ def arcs_by_deletion(g: SimpleGraph) -> list[tuple[str, str, tuple[str, ...]]]:
     return sorted(arcs, key=lambda arc: (arc[0], (*arc[2], arc[1])[0]))
 
 
+def cycles_by_paths(g: SimpleGraph, max_edges: int) -> set[tuple[str, ...]]:
+    """Every simple cycle of at most max_edges edges: each simple path is
+    extended from its first vertex through larger vertices only, and closes
+    a cycle when its last vertex is adjacent to its first. A cycle is
+    written as the least of its rotations and reflections, so its smallest
+    vertex comes first and its second vertex before its last. For small
+    graphs: the paths grow exponentially with max_edges."""
+    G = nx.Graph(list(g.edges))
+    G.add_nodes_from(g.vertices)
+    cycles = set()
+
+    def extend(path):
+        for w in G[path[-1]]:
+            if w == path[0] and len(path) >= 3:
+                c = tuple(path)
+                cycles.add(min(r[i:] + r[:i] for r in (c, c[::-1]) for i in range(len(c))))
+            elif w > path[0] and w not in path and len(path) < max_edges:
+                extend(path + [w])
+
+    for s in G:
+        extend([s])
+    return cycles
+
+
 def smallest_passing_factor(g: SimpleGraph, n: int, path_threshold: str) -> int:
     """The least uniform factor k = 1..n+2 whose subdivision passes the
     check, found by subdividing by each in turn."""
@@ -382,6 +407,12 @@ def _from_networkx(G) -> SimpleGraph:
     return SimpleGraph.make(
         [f"v{i}" for i in G.nodes], [(f"v{u}", f"v{v}") for u, v in G.edges]
     )
+
+
+def networkx_graph(G) -> SimpleGraph:
+    """A networkx graph, its vertices numbered in its own order and named
+    v0, v1, ..."""
+    return _from_networkx(nx.convert_node_labels_to_integers(G))
 
 
 def atlas_graphs() -> list[SimpleGraph]:

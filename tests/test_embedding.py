@@ -978,6 +978,7 @@ class TestElementBudget:
             ({"sample_count": -1}, InputError, "sample_count must be >= 0"),
             ({"max_len": -1}, InputError, "max_len must be >= 0"),
             ({"max_len": 0, "sample_count": 5}, InputError, "5 samples need max_len >= 1"),
+            ({"seed": -1}, InputError, "seed must be >= 0, got -1"),
         ],
     )
     def test_suite_checks_before_the_halo(

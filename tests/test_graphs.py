@@ -1,6 +1,9 @@
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,7 @@ from raagbraid import (
 from raagbraid import graphs
 from raagbraid.graphs import (
     _arcs,
-    _has_cycle_within,
+    _shortest_cycles,
     dumps_canonical,
     subdivide_uniform,
 )
@@ -39,7 +42,9 @@ from oracles import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    cycles_by_paths,
     exhaustive_k_colorable,
+    networkx_graph,
     nx_is_planar,
     path_graph,
     petersen_graph,
@@ -322,6 +327,27 @@ def _component_corpus() -> list[SimpleGraph]:
     ]
 
 
+def _cycle_corpus() -> list[SimpleGraph]:
+    """Small graphs for the short-cycle search: the factor and component
+    corpora, named graphs whose shortest cycles share vertices and edges,
+    and seeded random graphs, connected or not."""
+    import networkx as nx
+
+    corpus = _factor_corpus() + _component_corpus()
+    corpus += [complete_graph(k) for k in range(3, 9)]
+    corpus += [cycle_graph(k) for k in range(3, 9)]
+    corpus += [petersen_graph(), complete_bipartite(3, 3), complete_bipartite(2, 5)]
+    corpus += [
+        networkx_graph(G)
+        for G in (nx.hypercube_graph(3), nx.heawood_graph(), nx.grid_2d_graph(3, 4))
+    ]
+    rng = random.Random(24)
+    for _ in range(150):
+        corpus.append(random_connected_graph(rng, rng.randint(3, 10), rng.randint(0, 8)))
+        corpus.append(random_graph(rng, rng.randint(3, 10), rng.choice((0.2, 0.3, 0.5))))
+    return corpus
+
+
 def _arc_shapes() -> list[SimpleGraph]:
     """Essential vertices joined by direct edges, parallel arcs, a loop back
     to one essential vertex, dead ends and a lone cycle."""
@@ -369,7 +395,53 @@ class TestSubdivisionFactor:
             G.add_nodes_from(g.vertices)
             girth = nx.girth(G)
             for m in range(9):
-                assert _has_cycle_within(g, m) == (girth <= m), (g, m)
+                cycles = _shortest_cycles(g, m)
+                if girth <= m:
+                    assert {len(c) for c in cycles} == {girth}, (g, m)
+                else:
+                    assert cycles == [], (g, m)
+
+    def test_shortest_cycles_match_path_search(self):
+        """The cycles of least length among those of at most m edges, from
+        a search over every simple path, in the same form and order."""
+        for g in _cycle_corpus():
+            every = cycles_by_paths(g, 9)
+            for m in range(10):
+                short = [c for c in every if len(c) <= m]
+                least = min(map(len, short), default=0)
+                expected = sorted(c for c in short if len(c) == least)
+                assert _shortest_cycles(g, m) == expected, (g, m)
+
+    def test_reports_do_not_hang_on_the_hash_seed(self):
+        """The search walks frozensets, whose order follows the hash seed;
+        failing reports, whose shortest cycles share edges, read the same
+        under two seeds."""
+        script = (
+            "import networkx as nx\n"
+            "from oracles import complete_bipartite, networkx_graph, petersen_graph\n"
+            "from raagbraid import is_sufficiently_subdivided\n"
+            "from raagbraid.graphs import dumps_canonical\n"
+            "cube = networkx_graph(nx.hypercube_graph(3))\n"
+            "cases = [(complete_bipartite(3, 3), 4), (cube, 4),\n"
+            "         (complete_bipartite(2, 5), 4), (petersen_graph(), 5)]\n"
+            "for g, n in cases:\n"
+            "    print(dumps_canonical(is_sufficiently_subdivided(g, n).to_json_dict()), end='')\n"
+        )
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join((str(here.parent / "src"), str(here)))
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0].count('"loop"') == 9 + 6 + 10 + 12
 
     def test_arcs_match_deletion_oracle(self):
         """Each arc once, in the order of its smaller end and then its
@@ -404,15 +476,12 @@ class TestSubdivisionFactor:
         minimal_subdivision(cycle_graph(6), 2)
         assert len(checked) == 1
 
-    def test_short_cycle_listing_is_budgeted(self, monkeypatch):
-        # K_8 at 8 strands lists every cycle, extending 16,064 paths
-        monkeypatch.setattr(graphs, "CYCLE_BUDGET", 16_064)
+    def test_dense_graph_reports_its_triangles(self):
+        # K_8 at 8 strands: its 28 edges are short arcs, and of its 8,018
+        # cycles under 9 edges the report lists the 56 triangles
         report = is_sufficiently_subdivided(complete_graph(8), 8)
-        # its 28 edges are short arcs, and it has 8,018 cycles
-        assert len(report.violations) == 28 + 8_018
-        monkeypatch.setattr(graphs, "CYCLE_BUDGET", 16_063)
-        with pytest.raises(SizeExceededError, match="extends over 16063 paths"):
-            is_sufficiently_subdivided(complete_graph(8), 8)
+        assert [v.kind for v in report.violations] == ["path"] * 28 + ["loop"] * 56
+        assert {v.length for v in report.violations[28:]} == {3}
 
     def test_failing_subdivision_is_caught(self, monkeypatch):
         # the check on the graph returned stays as a safety net
