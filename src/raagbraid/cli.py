@@ -87,7 +87,7 @@ def cmd_color(args) -> int:
     _emit(
         args,
         coloring.to_json_dict,
-        text=lambda: "\n".join(f"{v} {c}" for v, c in coloring.assignment) + "\n",
+        text=lambda: "".join(f"{v} {c}\n" for v, c in coloring.assignment),
         dot=lambda: graphs.to_dot(g, coloring),
     )
     return EXIT_OK
@@ -214,14 +214,17 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (default json)",
         )
 
-    def common(p, formats):
+    def colored_input(p, formats):
         p.add_argument("--input", required=True, help="path to a graph JSON file")
         output(p, formats)
-        p.add_argument("--coloring", help="path to a coloring JSON file")
         p.add_argument(
             "--exact", action="store_true",
             help="use the exact chromatic coloring instead of the greedy one",
         )
+
+    def common(p, formats):
+        colored_input(p, formats)
+        p.add_argument("--coloring", help="path to a coloring JSON file")
         p.add_argument(
             "--path-threshold", choices=graphs.PATH_THRESHOLDS, default="paper",
             dest="path_threshold",
@@ -229,9 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_color = sub.add_parser("color", help="color a graph")
-    p_color.add_argument("--input", required=True)
-    p_color.add_argument("--exact", action="store_true")
-    output(p_color, ("json", "dot", "text"))
+    colored_input(p_color, ("json", "dot", "text"))
     p_color.set_defaults(func=cmd_color)
 
     p_halo = sub.add_parser("halo", help="build, subdivide and verify a halo")
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_halo.set_defaults(func=cmd_halo)
 
     p_cfg = sub.add_parser("configspace", help="count configuration-space cells")
-    p_cfg.add_argument("--input", required=True)
+    p_cfg.add_argument("--input", required=True, help="path to a graph JSON file")
     output(p_cfg, ("json", "text"))
     p_cfg.add_argument("--n", type=int, default=2, help="strand count (default 2)")
     p_cfg.add_argument(

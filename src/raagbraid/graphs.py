@@ -11,6 +11,7 @@ from collections import deque, namedtuple
 from functools import cached_property
 
 from .errors import (
+    DEFAULT_BUDGET,
     GraphFormatError,
     ImproperColoringError,
     SizeExceededError,
@@ -123,9 +124,6 @@ class SimpleGraph(_Value):
 
     def has_vertex(self, v: str) -> bool:
         return v in self.adjacency
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return u != v and v in self.adjacency.get(u, frozenset())
 
     def neighbors(self, v: str) -> frozenset[str]:
         try:
@@ -242,58 +240,56 @@ def greedy_color(g: SimpleGraph) -> Coloring:
 def _greedy_clique(g: SimpleGraph, order) -> list[str]:
     clique: list[str] = []
     for v in order:
-        if all(g.has_edge(v, w) for w in clique):
+        if g.adjacency[v].issuperset(clique):
             clique.append(v)
     return clique
-
-
-def _try_k_coloring(g: SimpleGraph, order: list[str], k: int) -> dict[str, int] | None:
-    """Backtracking k-coloring over the given vertex order, colors tried
-    ascending, with the usual new-color symmetry break."""
-    assignment: dict[str, int] = {}
-
-    def place(i: int, used: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        taken = {assignment[w] for w in g.adjacency[v] if w in assignment}
-        for c in range(1, min(k, used + 1) + 1):
-            if c in taken:
-                continue
-            assignment[v] = c
-            if place(i + 1, max(used, c)):
-                return True
-            del assignment[v]
-        return False
-
-    return dict(assignment) if place(0, 0) else None
-
-
-#: most vertices ``chromatic_number`` colors; its search is exponential
-EXACT_COLORING_LIMIT = 16
 
 
 def chromatic_number(g: SimpleGraph) -> Coloring:
     """A proper coloring with provably minimal color count.
 
-    Exhaustive backtracking between a greedy-clique lower bound and the
-    greedy-coloring upper bound. Exact, hence capped at
-    ``EXACT_COLORING_LIMIT`` vertices.
+    One depth-first branch and bound on an explicit stack: vertices by degree
+    descending, then name; colors ascending, a vertex opening at most the next
+    new color. It allows one color fewer than the best coloring so far,
+    ``greedy_color``'s at first, and stops below a greedy clique's size.
+    Raises ``SizeExceededError`` once its color placements pass
+    ``DEFAULT_BUDGET``.
     """
-    if g.n_vertices > EXACT_COLORING_LIMIT:
-        raise SizeExceededError(
-            f"exact coloring limited to {EXACT_COLORING_LIMIT} vertices, got {g.n_vertices}"
-        )
-    if g.n_vertices == 0:
-        return Coloring((), 0)
+    best = greedy_color(g)
+    allowance = best.color_count - 1
     order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
     lower = max(1, len(_greedy_clique(g, order)))
-    upper_coloring = greedy_color(g)
-    for k in range(lower, upper_coloring.color_count):
-        found = _try_k_coloring(g, order, k)
-        if found is not None:
-            return Coloring.make(g, found)
-    return upper_coloring
+    rank = {v: i for i, v in enumerate(order)}
+    earlier = [[rank[w] for w in g.adjacency[v] if rank[w] < i] for i, v in enumerate(order)]
+    n = len(order)
+    # color[i] is order[i]'s color on the current branch, 0 before its first
+    # try; used[i] counts the colors among order[:i]
+    color = [0] * (n + 1)
+    used = [0] * (n + 1)
+    placements = i = 0
+    while i >= 0 and allowance >= lower:
+        if i == n:
+            best = Coloring.make(g, zip(order, color))
+            allowance = used[n] - 1
+            # pop the first vertex of the top color and every frame above it:
+            # each is colored past the new allowance or sits on one that is
+            i = color.index(used[n]) - 1
+            continue
+        taken = {color[p] for p in earlier[i]}
+        c = color[i] + 1
+        while c in taken:
+            c += 1
+        if c > min(allowance, used[i] + 1):
+            i -= 1
+            continue
+        placements += 1
+        if placements > DEFAULT_BUDGET:
+            raise SizeExceededError(f"exact coloring needs over {DEFAULT_BUDGET} color placements")
+        color[i] = c
+        used[i + 1] = max(used[i], c)
+        i += 1
+        color[i] = 0
+    return best
 
 
 def essential_vertices(g: SimpleGraph) -> frozenset[str]:

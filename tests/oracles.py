@@ -4,13 +4,14 @@ Nothing here may import the algorithms under test: cell counts come from raw
 subset enumeration, word triviality and least spellings from breadth-first
 rewriting closures, the elements of bounded length from every freely reduced
 word (spelled by a reduction the caller passes in), colorability from
-exhaustive assignment, seeded sample words from ``random``'s own
-``randint`` and ``choice``, planarity from networkx's ``check_planarity``,
-graph corpora from the networkx atlas, the arcs between essential
-vertices from the components networkx finds once those vertices are
-deleted, and the short cycles from every simple path. The one exception
-is ``smallest_passing_factor``: it tries every candidate factor against
-the library's subdivision check, as a reference for the closed form that
+exhaustive assignment, the exact coloring from one recursive search per
+color count, seeded sample words from ``random``'s own ``randint`` and
+``choice``, planarity from networkx's ``check_planarity``, graph corpora
+from the networkx atlas, the arcs between essential vertices from the
+components networkx finds once those vertices are deleted, and the short
+cycles from every simple path. The one exception is
+``smallest_passing_factor``: it tries every candidate factor against the
+library's subdivision check, as a reference for the closed form that
 reads the factor off that check's violations.
 """
 from __future__ import annotations
@@ -331,6 +332,48 @@ def exhaustive_k_colorable(g: SimpleGraph, k: int) -> bool:
         if all(colors[u] != colors[v] for u, v in g.edges):
             return True
     return False
+
+
+def per_k_coloring(g: SimpleGraph) -> dict[str, int]:
+    """The exact coloring from one backtracking search per color count k,
+    from a greedy clique's size up to one below a greedy coloring's count.
+
+    Vertices go by degree descending, then name; colors are tried ascending,
+    and a vertex may open at most the next unused color. The first k that
+    succeeds gives the assignment; if none does, the greedy coloring (each
+    vertex in name order takes its least free color) is returned."""
+    adj = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    greedy: dict[str, int] = {}
+    for v in sorted(adj):
+        taken = {greedy[w] for w in adj[v] if w in greedy}
+        greedy[v] = min(c for c in range(1, len(adj) + 1) if c not in taken)
+    order = sorted(adj, key=lambda v: (-len(adj[v]), v))
+    clique: list[str] = []
+    for v in order:
+        if all(w in adj[v] for w in clique):
+            clique.append(v)
+    for k in range(max(1, len(clique)), max(greedy.values(), default=0)):
+        assignment: dict[str, int] = {}
+
+        def place(i: int, used: int) -> bool:
+            if i == len(order):
+                return True
+            v = order[i]
+            taken = {assignment[w] for w in adj[v] if w in assignment}
+            for c in range(1, min(k, used + 1) + 1):
+                if c not in taken:
+                    assignment[v] = c
+                    if place(i + 1, max(used, c)):
+                        return True
+                    del assignment[v]
+            return False
+
+        if place(0, 0):
+            return assignment
+    return greedy
 
 
 # --- subdivision --------------------------------------------------------------

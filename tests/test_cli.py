@@ -58,10 +58,26 @@ class TestColor:
         assert code == 2
         assert "error" in err
 
-    def test_exact_size_bound_exit_3(self, tmp_path, capsys):
-        path = write_graph(tmp_path, complete_graph(17))
-        code, _, _ = run(capsys, ["color", "--input", path, "--exact"])
-        assert code == 3
+    def test_exact_size_bound_exit_3(self, tmp_path, capsys, monkeypatch):
+        """The bound is the search's color placements, not the vertex count:
+        K17, past the old 16-vertex cap, needs none; Petersen needs 6."""
+        from raagbraid import graphs
+
+        monkeypatch.setattr(graphs, "DEFAULT_BUDGET", 5)
+        k17 = write_graph(tmp_path, complete_graph(17), "k17.json")
+        code, out, _ = run(capsys, ["color", "--input", k17, "--exact"])
+        assert (code, json.loads(out)["colors"]) == (0, 17)
+        petersen = write_graph(tmp_path, petersen_graph(), "petersen.json")
+        code, out, err = run(capsys, ["color", "--input", petersen, "--exact"])
+        assert (code, out) == (3, "")
+        assert err == "error: exact coloring needs over 5 color placements\n"
+
+    def test_text_empty_graph(self, tmp_path, capsys):
+        path = write_graph(tmp_path, SimpleGraph.make([], []))
+        assert run(capsys, ["color", "--input", path, "--format", "text"]) == (0, "", "")
+        path = write_graph(tmp_path, cycle_graph(3))
+        code, out, _ = run(capsys, ["color", "--input", path, "--format", "text"])
+        assert out == "a1 1\na2 2\na3 3\n"
 
     def test_dot_output(self, tmp_path, capsys, c6):
         path = write_graph(tmp_path, c6)

@@ -8,8 +8,10 @@ reports those runs never serialize: failing subdivision and halo reports,
 relator checks, unsquared injectivity failures, the squaring counterexample,
 pinch traces, the suite over a 40-vertex Δ, larger than the CLI runs'
 graphs, and the halo of a 30-vertex regular 3-partite Δ coloured by its
-parts, with the homomorphism check over it. A change that alters any output byte of these fails here,
-so refactors that promise byte-identical output are checked mechanically.
+parts, with the homomorphism check over it, and the exact colourings of
+two random graphs that the greedy colouring gives one colour too many.
+A change that alters any output byte of these fails here, so refactors
+that promise byte-identical output are checked mechanically.
 
 The CLI digests were computed before the factor search in
 ``graphs.minimal_subdivision`` was replaced by the closed form; the report
@@ -19,6 +21,8 @@ sums in place of the image sums over all 3,640 edge generators of its halo;
 the 30-vertex halo's and its check's before ``build_halo`` built Γ without
 ``SimpleGraph.make`` and the halo check read the shared vertices off its
 per-vertex index.
+The ``color --exact`` runs and the exact colourings were pinned before
+the search per colour count was replaced by one branch and bound.
 The Petersen and C12 runs and the rand40 suite were re-pinned when the
 planarity test lost its 64-vertex cap: their halos' ``planar`` reads
 ``false`` where it read ``null``, and no other byte changed.
@@ -47,6 +51,7 @@ from raagbraid import (
     build_context,
     build_halo,
     check_homomorphism,
+    chromatic_number,
     counterexample_report,
     graph_to_json_dict,
     greedy_color,
@@ -95,10 +100,12 @@ RUNS = {
     "configspace-n3": ["configspace", "--n", "3"],
     "configspace-n2-text": ["configspace", "--n", "2", "--format", "text"],
     "configspace-n3-budget5": ["configspace", "--n", "3", "--budget", "5"],
+    "color-exact": ["color", "--exact"],
 }
 
 #: (graph, run) -> (exit code, sha256 of stdout)
 GOLDEN = {
+    ("c12", "color-exact"): (0, "b93402b70d20bbfa55e0af748f9c30ba3ca05cdc31ffddf4b6f13a1b4cfc2801"),
     ("c12", "configspace-n1"): (0, "291ebace7fb6d87d0300bcd1870c8f08136990df399562a452cbe1920e15cf76"),
     ("c12", "configspace-n2"): (0, "af79336ba657d9470bf3b12cdb448cea9110d105428d467a173bda058427ca64"),
     ("c12", "configspace-n2-text"): (0, "0d915a7485392cd208cb9062b5ab69781fb9a99e86179351c3676ce5f06d2d64"),
@@ -107,6 +114,7 @@ GOLDEN = {
     ("c12", "halo-alt"): (0, "b74acb2fda7a3cc2f1c2788930a60319f4d02e99b9b60a2c13cda1bf0378cd9a"),
     ("c12", "halo-paper"): (0, "7d27372325812ce9e33fd3661f7f1c597483668d0e15586de4f6ac8f8b89569b"),
     ("c12", "verify"): (0, "aad7075abcd9de0218404818b9d26c7047ca228f7cd0e82d86d97af21cc1d6e2"),
+    ("c6", "color-exact"): (0, "7893ea3e39c07a4aafeb58ad8090669a06a632c462e42e64efbcb1ba80a44bc5"),
     ("c6", "configspace-n1"): (0, "e33ad83f3c190397855aedcca3690954e98c2632e862d4c4be6e9e29dd0aa50e"),
     ("c6", "configspace-n2"): (0, "9afa5e01c4ffa4b7742c2e036c940a68c08daf2c7e5ec42be9916f6e0de2811e"),
     ("c6", "configspace-n2-text"): (0, "9adb247c3dc3e1102c305ff6d4cbe7bd3048d89bd17c2efc8543862fa79caef6"),
@@ -115,6 +123,7 @@ GOLDEN = {
     ("c6", "halo-alt"): (0, "aae21c53f7b6fbc1c7fb8367b4cd86ecc2876032a4dd985d5cd80b648b472869"),
     ("c6", "halo-paper"): (0, "2d2a3ee13eb91c7145026e457b5ea8d9c0955ca91c3f291709ff06aa7545417b"),
     ("c6", "verify"): (0, "c4689302c73146414510d2d8749d964793acd5c488ffd39fde3f8c1e3ca045b5"),
+    ("figure", "color-exact"): (0, "5752e2118e6c091857a9693f4e15b80e3359b68eb91d5e7780c006453091afd0"),
     ("figure", "configspace-n1"): (0, "84e3fe062650b0b6ce0a2750b67d66a7530efb70f9c30610d618bbfc5974399a"),
     ("figure", "configspace-n2"): (0, "c30ed3e49cd6d0b7a5634005157ccdaa0e14eaac73ae44a6bb0d03037751e992"),
     ("figure", "configspace-n2-text"): (0, "38787408c603916952acdaed8b531e1285b130284e5709ae630470e264006e2b"),
@@ -123,6 +132,7 @@ GOLDEN = {
     ("figure", "halo-alt"): (0, "61172c5e1b281e6bb976c9ccc756857b16d36611ebad6569850ed392ac8b0c21"),
     ("figure", "halo-paper"): (0, "a70827b0c56200ae6d34fd59d7f718197bfc6c65aaa6ff4cbb0e38f892be4c69"),
     ("figure", "verify"): (0, "61eb560d5af82dda330bff470a59ab4e6855bd0423750fe3a14fa63125139ddd"),
+    ("k4", "color-exact"): (0, "14a9bf0db6ca0ee2cafedbb0aedbb0ee8da922ffaba033a598f365449c766a0a"),
     ("k4", "configspace-n1"): (0, "3de044a01e43c8feb7a5fde62ff5e2d9bf8d00b89a8b87ea9e3254a51ac191ff"),
     ("k4", "configspace-n2"): (0, "14c091bbbb9c30ca48723b11d3f4a4bb7273c1f7f87f1b70a5a9b5758f4d77cb"),
     ("k4", "configspace-n2-text"): (0, "87c4a301d1b1c5312c1934eb3f604fe3643a03e3b5fb7d2efeb14e70a3bd4a42"),
@@ -131,6 +141,7 @@ GOLDEN = {
     ("k4", "halo-alt"): (0, "3942718415a46e677d7bc10960c20663a7a9a2b5269796abf3beb53f0bca7082"),
     ("k4", "halo-paper"): (0, "145f3ae7e6ed8b6f41556588f5cb2734b17b686c14bedb3ecfb0b5e333c71eca"),
     ("k4", "verify"): (0, "ef2cfdf4f6e3a7a07fc2faaae193d9f4d6a1ebc8fa97f278092cc207cccdd591"),
+    ("petersen", "color-exact"): (0, "8c2ddd84637e8ee4f266248e46780bf99573a9634152d9f94fde0c7324dd9da0"),
     ("petersen", "configspace-n1"): (0, "92c2248cc0e2ae9e54630d78dcb442f2984437e2dfd1b97a87409a35b52e76d9"),
     ("petersen", "configspace-n2"): (0, "ee11d6a1dd48865403de0a64c7d92f9c6595de4bd807b43a4e04d8948dec8bec"),
     ("petersen", "configspace-n2-text"): (0, "3bcb12a348bd5f8d928e91992b7bcf11df9b5077c76d0d62b0917c9a5ace877e"),
@@ -191,6 +202,12 @@ REPORTS = {
     "verify-rand40": lambda: verify_suite(
         RAND40, greedy_color(RAND40), max_len=2, sample_count=100
     ),
+    **{
+        f"exact-coloring-rand{n}": (
+            lambda n=n: chromatic_number(random_connected_graph(random.Random(n), n, n // 2))
+        )
+        for n in (10, 16)
+    },
     "homomorphism-scale30": lambda: check_homomorphism(
         build_context(SCALE30, Coloring.make(SCALE30, SCALE30_PARTS))
     ),
@@ -211,6 +228,8 @@ REPORTS = {
 #: report id -> sha256 of the report's canonical JSON
 REPORT_GOLDEN = {
     "counterexample-figure": "e6c210238e164c06cbf33099988669678d5cf668576ba2b83e0ba0ce90f01469",
+    "exact-coloring-rand10": "2613dc3bb86639870ea5435b36e742615f072b17545a458a91fed7d984dbc087",
+    "exact-coloring-rand16": "64243eb493e8072e03b7b875ef9f75732085d73310850c8d93ca6130b5ab9e85",
     "halo-c6-missing-loop": "a59f450f408f3cf1ee871a20737a8180481e9e4cc5ff1605a95040f70e8eaf13",
     "halo-scale30": "afa612c0337aab76aa6cb9ecdef143b42c8284661b34436c6b3d5dc2402a4974",
     "homomorphism-c6": "92a41db8d0b2e28f8264031b59ff266da6bd15400ff8d519abbcf405e48ea7a5",

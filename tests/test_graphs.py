@@ -47,6 +47,7 @@ from oracles import (
     networkx_graph,
     nx_is_planar,
     path_graph,
+    per_k_coloring,
     petersen_graph,
     random_connected_graph,
     random_graph,
@@ -167,9 +168,50 @@ class TestChromaticNumber:
         assert exhaustive_k_colorable(g, 3)
         assert chromatic_number(g).color_count == 3
 
-    def test_size_bound(self):
-        with pytest.raises(SizeExceededError):
-            chromatic_number(complete_graph(17))
+    def test_size_bound(self, monkeypatch):
+        """The bound is on color placements, not vertices: K17, past the old
+        16-vertex cap, needs none, as its clique bound meets greedy."""
+        monkeypatch.setattr(graphs, "DEFAULT_BUDGET", 0)
+        assert chromatic_number(complete_graph(17)).color_count == 17
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        import networkx as nx
+
+        grotzsch = networkx_graph(nx.mycielski_graph(4))
+        monkeypatch.setattr(graphs, "DEFAULT_BUDGET", 77)
+        assert chromatic_number(grotzsch).color_count == 4
+        monkeypatch.setattr(graphs, "DEFAULT_BUDGET", 76)
+        with pytest.raises(SizeExceededError, match="over 76 color placements"):
+            chromatic_number(grotzsch)
+
+    def test_matches_per_k_search(self):
+        """The one search returns the colouring the first k of a search per
+        color count finds, on every atlas graph, 324 seeded random graphs of
+        8-16 vertices at densities 0.1-0.9, Grötzsch and Chvátal."""
+        import networkx as nx
+
+        corpus = atlas_graphs()
+        corpus += [
+            random_graph(random.Random(1000 * n + 10 * p + seed), n, p / 10)
+            for n in range(8, 17)
+            for p in range(1, 10)
+            for seed in range(4)
+        ]
+        corpus += [networkx_graph(nx.mycielski_graph(4)), networkx_graph(nx.chvatal_graph())]
+        for g in corpus:
+            assert chromatic_number(g).as_dict == per_k_coloring(g), g
+
+    def test_past_old_cap_and_recursion_limit(self):
+        import networkx as nx
+
+        dodecahedron = nx.dodecahedral_graph()
+        assert not nx.is_bipartite(dodecahedron)
+        g = networkx_graph(dodecahedron)
+        assert (greedy_color(g).color_count, chromatic_number(g).color_count) == (4, 3)
+        for g, k in ((cycle_graph(2001), 3), (cycle_graph(2000), 2), (path_graph(3000), 2)):
+            coloring = chromatic_number(g)
+            assert coloring.color_count == k
+            Coloring.make(g, coloring.as_dict)
 
     def test_agrees_with_oracle_small(self):
         for g in atlas_connected(5):
