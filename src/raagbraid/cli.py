@@ -18,12 +18,7 @@ import json
 import sys
 
 from . import configspace, embedding, graphs, halo as halo_mod
-from .errors import (
-    DEFAULT_BUDGET,
-    InputError,
-    SizeExceededError,
-    VerificationError,
-)
+from .errors import InputError, SizeExceededError, VerificationError
 from .graphs import Coloring, SimpleGraph
 from .raag import GroupWord, is_trivial
 
@@ -126,7 +121,7 @@ def cmd_halo(args) -> int:
 
 def cmd_configspace(args) -> int:
     g = _load_graph(args.input)
-    zero, one = configspace.cell_counts(g, args.n, cell_budget=args.budget)
+    zero, one = configspace.cell_counts(g, args.n)
     payload = {"n": args.n, "zero_cells": zero, "one_cells": one}
     _emit(
         args,
@@ -178,6 +173,8 @@ def cmd_verify(args) -> int:
         delta, coloring, halo = given.delta, given.coloring, given
     else:
         delta = graphs.graph_from_json_dict(data)
+        # before --exact's search, which may take the whole budget
+        embedding.check_spot_check_args(args.max_len, args.samples, args.seed)
         coloring = _resolve_coloring(args, delta)
         halo = None
     report = embedding.verify_suite(
@@ -243,9 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cfg.add_argument("--input", required=True, help="path to a graph JSON file")
     output(p_cfg, ("json", "text"))
     p_cfg.add_argument("--n", type=int, default=2, help="strand count (default 2)")
-    p_cfg.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET, help="cell budget (default %(default)s)"
-    )
     p_cfg.set_defaults(func=cmd_configspace)
 
     p_embed = sub.add_parser("embed", help="map a word through the composite")

@@ -19,13 +19,10 @@ from collections import namedtuple
 from math import comb
 
 from .errors import (
-    DEFAULT_BUDGET,
     BaseMismatchError,
     GraphFormatError,
     IllegalStepError,
-    InputError,
     InsufficientSubdivisionError,
-    SizeExceededError,
 )
 from .graphs import SimpleGraph, is_sufficiently_subdivided, normalize_edge
 from .halo import Halo
@@ -47,27 +44,18 @@ class Configuration(namedtuple("Configuration", "cells")):
         return len(self.cells)
 
 
-def cell_counts(gamma: SimpleGraph, n: int, cell_budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
+def cell_counts(gamma: SimpleGraph, n: int) -> tuple[int, int]:
     """The numbers of 0-cells and 1-cells for n strands on gamma.
 
     A 0-cell is a set of n vertices, C(V, n) of them; a 1-cell is an edge
-    and n - 1 vertices off it, E * C(V - 2, n - 1) of them. Counting costs
-    nothing, but the CLI's ``--budget`` keeps its contract: a space of more
-    than ``cell_budget`` cells raises ``SizeExceededError``."""
+    and n - 1 vertices off it, E * C(V - 2, n - 1) of them. The counts are
+    closed-form, so no budget bounds them."""
     if n < 1:
         raise GraphFormatError(f"strand count must be >= 1, got {n}")
     if n > gamma.n_vertices:
         raise GraphFormatError(f"{n} strands cannot occupy {gamma.n_vertices} vertices")
-    if cell_budget < 0:
-        raise InputError(f"cell budget must be >= 0, got {cell_budget}")
     v = gamma.n_vertices
-    zero = comb(v, n)
-    one = gamma.n_edges * comb(max(v - 2, 0), n - 1)
-    if zero + one > cell_budget:
-        raise SizeExceededError(
-            f"space would have {zero + one} cells, over the budget of {cell_budget}"
-        )
-    return zero, one
+    return comb(v, n), gamma.n_edges * comb(max(v - 2, 0), n - 1)
 
 
 class Step(namedtuple("Step", "edge source")):

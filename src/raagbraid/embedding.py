@@ -38,9 +38,9 @@ import time
 from collections import namedtuple
 from functools import cached_property
 
+from . import errors
 from .configspace import ConfigEdgePath, artin_basepoint, artin_loop_path
 from .errors import (
-    DEFAULT_BUDGET,
     GraphFormatError,
     InputError,
     SizeExceededError,
@@ -58,9 +58,6 @@ from .raag import (
 )
 
 Letter = tuple[str, int]
-
-#: most elements the injectivity check enumerates, and most words it samples
-ELEMENT_BUDGET = DEFAULT_BUDGET
 
 
 def edge_generator_name(edge: tuple[str, str]) -> str:
@@ -325,24 +322,25 @@ class InjectivityReport(
 def _check_element_budget(p: RaagPresentation, max_len: int) -> int:
     """Return the number of nontrivial elements of length at most max_len,
     predicted from the growth series, length by length, and raise before
-    enumerating more than ELEMENT_BUDGET of them: the count is bounded from
-    below while its cliques are listed. The presentation keeps the counts
-    within budget by (max_len, budget), so the prediction runs once for
-    each."""
-    key = (max_len, ELEMENT_BUDGET)
+    enumerating more than ``errors.DEFAULT_BUDGET`` of them, read when it is
+    called: the count is bounded from below while its cliques are listed.
+    The presentation keeps the counts within budget by (max_len, budget),
+    so the prediction runs once for each."""
+    budget = errors.DEFAULT_BUDGET
+    key = (max_len, budget)
     total = p.within_budget.get(key)
     if total is not None:
         return total
     total = -1  # the identity is not enumerated
-    for length, size in enumerate(p.sphere_sizes(max_len, ELEMENT_BUDGET)):
+    for length, size in enumerate(p.sphere_sizes(max_len, budget)):
         if not size:
             # each prefix of a geodesic is one, so every longer sphere is empty too
             break
         total += size
-        if total > ELEMENT_BUDGET:
+        if total > budget:
             raise SizeExceededError(
                 f"{total} nontrivial elements of length at most {length} to enumerate, "
-                f"over the budget of {ELEMENT_BUDGET}"
+                f"over the budget of {budget}"
             )
     p.within_budget[key] = total
     return total
@@ -457,12 +455,12 @@ def _nontrivial_elements(p: RaagPresentation, max_len: int, zero_sum: bool = Tru
     return found
 
 
-def _check_spot_check_args(p: RaagPresentation, max_len: int, sample_count: int, seed: int) -> int:
-    """Check the injectivity check's arguments before any work, and return
-    the number of nontrivial elements of ``p`` up to length ``max_len``.
-    Raise ``InputError`` for a negative length, sample count or seed, or
-    for samples with ``max_len`` 0, and ``SizeExceededError`` for more than
-    ``ELEMENT_BUDGET`` samples or elements."""
+def check_spot_check_args(max_len: int, sample_count: int, seed: int) -> None:
+    """Check the injectivity check's arguments alone, before any work: raise
+    ``InputError`` for a negative length, sample count or seed, or for
+    samples with ``max_len`` 0, and ``SizeExceededError`` for more samples
+    than ``errors.DEFAULT_BUDGET``. The element count, which needs the
+    presentation, is ``_check_element_budget``'s."""
     if max_len < 0:
         raise InputError(f"max_len must be >= 0, got {max_len}")
     if sample_count < 0:
@@ -473,11 +471,10 @@ def _check_spot_check_args(p: RaagPresentation, max_len: int, sample_count: int,
         raise InputError(
             f"{sample_count} samples need max_len >= 1: samples have up to 2 * max_len letters"
         )
-    if sample_count > ELEMENT_BUDGET:
+    if sample_count > errors.DEFAULT_BUDGET:
         raise SizeExceededError(
-            f"{sample_count} samples to draw, over the budget of {ELEMENT_BUDGET}"
+            f"{sample_count} samples to draw, over the budget of {errors.DEFAULT_BUDGET}"
         )
-    return _check_element_budget(p, max_len)
 
 
 def _sample_codes(seed: int, max_length: int, weights: list[int]):
@@ -562,10 +559,11 @@ def injectivity_spot_check(
     letter codes, and a word is named only when it fails.
     ``exhaustive_elements`` is the count predicted from the growth series.
     Raises ``SizeExceededError`` when that count, or the number of samples,
-    exceeds ``ELEMENT_BUDGET``.
+    exceeds ``errors.DEFAULT_BUDGET``.
     """
     p = ctx.source_group
-    elements = _check_spot_check_args(p, max_len, sample_count, seed)
+    check_spot_check_args(max_len, sample_count, seed)
+    elements = _check_element_budget(p, max_len)
     sample_max_len = 2 * max_len
     signed = _signed_letters(p)
     certified = _sums_follow_the_source(ctx)
@@ -859,10 +857,12 @@ def verify_suite(
     spot check, and, for the matching shape, the squaring counterexample.
 
     The injectivity check's arguments and budgets are checked first, so
-    they raise before any halo is built or verified, on the presentation
-    of A(Δ) that the injectivity check then uses."""
+    they raise before any halo is built or verified; the element count is
+    predicted on the presentation of A(Δ) that the injectivity check then
+    uses."""
+    check_spot_check_args(max_len, sample_count, seed)
     source = RaagPresentation(delta)
-    _check_spot_check_args(source, max_len, sample_count, seed)
+    _check_element_budget(source, max_len)
     checks: list[CheckResult] = []
 
     def run(name: str, fn) -> bool:

@@ -30,7 +30,7 @@ class EmptyGraphError(InputError):
 
 
 class BaseMismatchError(InputError):
-    """Path composition with incompatible basepoints."""
+    """A loop that does not close at its basepoint."""
 
 
 class InsufficientSubdivisionError(InputError):
@@ -38,10 +38,13 @@ class InsufficientSubdivisionError(InputError):
 
 
 class SizeExceededError(RaagBraidError):
-    """A configured resource bound (vertex count, cell budget) was exceeded."""
+    """A predicted count (colour placements, elements or samples) passed
+    ``DEFAULT_BUDGET``."""
 
 
-#: the default of every budget: elements, samples and cells
+#: the one budget: most colour placements of the exact colouring, and most
+#: elements and samples of the injectivity check. Every bounded step reads
+#: it at call time, so that setting ``errors.DEFAULT_BUDGET`` bounds them all.
 DEFAULT_BUDGET = 1_000_000
 
 

@@ -10,8 +10,8 @@ import json
 from collections import deque, namedtuple
 from functools import cached_property
 
+from . import errors
 from .errors import (
-    DEFAULT_BUDGET,
     GraphFormatError,
     ImproperColoringError,
     SizeExceededError,
@@ -253,8 +253,9 @@ def chromatic_number(g: SimpleGraph) -> Coloring:
     new color. It allows one color fewer than the best coloring so far,
     ``greedy_color``'s at first, and stops below a greedy clique's size.
     Raises ``SizeExceededError`` once its color placements pass
-    ``DEFAULT_BUDGET``.
+    ``errors.DEFAULT_BUDGET``, read when it is called.
     """
+    budget = errors.DEFAULT_BUDGET
     best = greedy_color(g)
     allowance = best.color_count - 1
     order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
@@ -283,8 +284,8 @@ def chromatic_number(g: SimpleGraph) -> Coloring:
             i -= 1
             continue
         placements += 1
-        if placements > DEFAULT_BUDGET:
-            raise SizeExceededError(f"exact coloring needs over {DEFAULT_BUDGET} color placements")
+        if placements > budget:
+            raise SizeExceededError(f"exact coloring needs over {budget} color placements")
         color[i] = c
         used[i + 1] = max(used[i], c)
         i += 1
@@ -337,8 +338,11 @@ def _arcs(g: SimpleGraph):
     vertices are all non-essential. Yields (u, w, interior) once per arc,
     u < w, in the order of (u, the arc's first vertex after u).
 
-    Every interior vertex has degree 2, so a walk can enter its chain only
-    from one of the chain's two ends, and each chain is walked once: from
+    Every interior vertex has exactly two neighbours, so a walk can enter
+    its chain only from one of the chain's two ends, and leaves each vertex
+    by the neighbour it did not come from: it cannot revisit a vertex before
+    it reaches an essential vertex (u, if it loops back) or one of degree 1,
+    so it always ends. Each chain is walked once: from
     its smaller essential end, whose turn comes first, or from the end it
     loops back to. The other end skips a first step into a walked vertex,
     so every arc is yielded from its smaller end.
@@ -363,8 +367,6 @@ def _arcs(g: SimpleGraph):
                 interior.append(cur)
                 a, b = adjacency[cur]
                 prev, cur = cur, (b if a == prev else a)
-                if len(interior) > g.n_vertices:  # cannot happen in a simple graph
-                    raise GraphFormatError("runaway chain walk")
             if cur not in ess or cur == u:
                 continue
             yield (u, cur, tuple(interior))

@@ -61,9 +61,9 @@ class TestColor:
     def test_exact_size_bound_exit_3(self, tmp_path, capsys, monkeypatch):
         """The bound is the search's color placements, not the vertex count:
         K17, past the old 16-vertex cap, needs none; Petersen needs 6."""
-        from raagbraid import graphs
+        from raagbraid import errors
 
-        monkeypatch.setattr(graphs, "DEFAULT_BUDGET", 5)
+        monkeypatch.setattr(errors, "DEFAULT_BUDGET", 5)
         k17 = write_graph(tmp_path, complete_graph(17), "k17.json")
         code, out, _ = run(capsys, ["color", "--input", k17, "--exact"])
         assert (code, json.loads(out)["colors"]) == (0, 17)
@@ -209,20 +209,24 @@ class TestConfigspace:
         data = json.loads(out)
         assert (data["zero_cells"], data["one_cells"]) == (6, 6)
 
-    def test_budget_exit_3(self, tmp_path, capsys):
-        path = write_graph(tmp_path, complete_graph(10))
-        code, _, _ = run(
-            capsys,
-            ["configspace", "--input", path, "--n", "5", "--budget", "100"],
-        )
-        assert code == 3
-
-    def test_negative_budget_exit_2(self, tmp_path, capsys, figure_delta):
+    @pytest.mark.parametrize("budget", ["5", "-5"])
+    def test_budget_option_exit_2(self, tmp_path, capsys, figure_delta, budget):
+        """Cell counts are closed-form and bounded by no budget, so
+        ``--budget`` is no option: a usage error."""
         path = write_graph(tmp_path, figure_delta)
-        code, out, err = run(capsys, ["configspace", "--input", path, "--budget", "-5"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["configspace", "--input", path, "--budget", budget])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert "cell budget must be >= 0, got -5" in err
+        assert "unrecognized arguments: --budget" in err
+
+    def test_k10_five_strands(self, tmp_path, capsys):
+        # 252 + 45 * C(8, 4) = 3,402 cells, counted at once
+        path = write_graph(tmp_path, complete_graph(10))
+        code, out, _ = run(capsys, ["configspace", "--input", path, "--n", "5"])
+        assert code == 0
+        assert json.loads(out) == {"n": 5, "zero_cells": 252, "one_cells": 3150}
 
 
 class TestEmbed:
@@ -496,6 +500,29 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "seed must be >= 0, got -5" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, code, message",
+        [
+            ("--seed", "-1", 2, "seed must be >= 0, got -1"),
+            ("--max-len", "-1", 2, "max_len must be >= 0, got -1"),
+            ("--samples", "1000001", 3, "1000001 samples to draw, over the budget of 1000000"),
+        ],
+    )
+    def test_arguments_checked_before_exact_coloring(
+        self, tmp_path, capsys, figure_delta, monkeypatch, flag, value, code, message
+    ):
+        """``--exact``'s search, which may take the whole budget, runs only
+        once the other arguments are checked."""
+        from raagbraid import graphs
+
+        def never(g):
+            raise AssertionError("colored before the arguments were checked")
+
+        monkeypatch.setattr(graphs, "chromatic_number", never)
+        path = write_graph(tmp_path, figure_delta)
+        argv = ["verify", "--input", path, "--exact", flag, value]
+        assert run(capsys, argv) == (code, "", f"error: {message}\n")
 
     def test_samples_without_length_exit_2(self, tmp_path, capsys, figure_delta):
         path = write_graph(tmp_path, figure_delta)

@@ -40,7 +40,7 @@ from raagbraid import (
     subdivided_halo,
     verify_suite,
 )
-from raagbraid import embedding, graphs
+from raagbraid import embedding, errors, graphs
 from raagbraid.embedding import InjectivityReport, edge_generator_name
 
 from oracles import (
@@ -952,14 +952,14 @@ class TestElementBudget:
             injectivity_spot_check(figure_context, max_len=10)
 
     def test_budget_is_inclusive(self, figure_context, monkeypatch):
-        monkeypatch.setattr(embedding, "ELEMENT_BUDGET", 608)
+        monkeypatch.setattr(errors, "DEFAULT_BUDGET", 608)
         assert injectivity_spot_check(figure_context, max_len=4).exhaustive_elements == 608
-        monkeypatch.setattr(embedding, "ELEMENT_BUDGET", 607)
+        monkeypatch.setattr(errors, "DEFAULT_BUDGET", 607)
         with pytest.raises(SizeExceededError, match="608"):
             injectivity_spot_check(figure_context, max_len=4)
 
     def test_sample_budget_is_inclusive(self, figure_context, monkeypatch):
-        monkeypatch.setattr(embedding, "ELEMENT_BUDGET", 10)
+        monkeypatch.setattr(errors, "DEFAULT_BUDGET", 10)
         report = injectivity_spot_check(figure_context, max_len=1, sample_count=10)
         assert report.sample_count == 10
 
@@ -970,10 +970,22 @@ class TestElementBudget:
         with pytest.raises(SizeExceededError, match="11 samples"):
             injectivity_spot_check(figure_context, max_len=1, sample_count=11)
 
+    def test_one_budget_bounds_every_step(self, figure_context, monkeypatch):
+        """One setting of ``errors.DEFAULT_BUDGET``, made after import,
+        bounds the exact coloring's placements and the injectivity check's
+        elements and samples alike."""
+        monkeypatch.setattr(errors, "DEFAULT_BUDGET", 5)
+        with pytest.raises(SizeExceededError, match="over 5 color placements"):
+            chromatic_number(petersen_graph())
+        with pytest.raises(SizeExceededError, match="over the budget of 5"):
+            injectivity_spot_check(figure_context, max_len=1)
+        with pytest.raises(SizeExceededError, match="6 samples to draw, over the budget of 5"):
+            injectivity_spot_check(figure_context, max_len=1, sample_count=6)
+
     @pytest.mark.parametrize(
         "kwargs, error, message",
         [
-            ({"sample_count": embedding.ELEMENT_BUDGET + 1}, SizeExceededError, "1000001 samples"),
+            ({"sample_count": errors.DEFAULT_BUDGET + 1}, SizeExceededError, "1000001 samples"),
             ({"max_len": 10}, SizeExceededError, "3524576"),
             ({"sample_count": -1}, InputError, "sample_count must be >= 0"),
             ({"max_len": -1}, InputError, "max_len must be >= 0"),
@@ -1042,11 +1054,11 @@ class TestElementBudget:
         for k in range(1, 15):
             p = RaagPresentation(complete_graph(k))
             sizes = list(p.sphere_sizes(k))
-            if sum(sizes) - 1 > embedding.ELEMENT_BUDGET:
+            if sum(sizes) - 1 > errors.DEFAULT_BUDGET:
                 with pytest.raises(SizeExceededError):
                     embedding._check_element_budget(p, k)
             else:
-                assert list(p.sphere_sizes(k, embedding.ELEMENT_BUDGET)) == sizes
+                assert list(p.sphere_sizes(k, errors.DEFAULT_BUDGET)) == sizes
                 embedding._check_element_budget(p, k)
 
 

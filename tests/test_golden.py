@@ -99,7 +99,6 @@ RUNS = {
     "configspace-n2": ["configspace", "--n", "2"],
     "configspace-n3": ["configspace", "--n", "3"],
     "configspace-n2-text": ["configspace", "--n", "2", "--format", "text"],
-    "configspace-n3-budget5": ["configspace", "--n", "3", "--budget", "5"],
     "color-exact": ["color", "--exact"],
 }
 
@@ -110,7 +109,6 @@ GOLDEN = {
     ("c12", "configspace-n2"): (0, "af79336ba657d9470bf3b12cdb448cea9110d105428d467a173bda058427ca64"),
     ("c12", "configspace-n2-text"): (0, "0d915a7485392cd208cb9062b5ab69781fb9a99e86179351c3676ce5f06d2d64"),
     ("c12", "configspace-n3"): (0, "9a490b93190481c746837ccd9c7b5c6d4d4f1556679dbbc5cf16445836efa6d7"),
-    ("c12", "configspace-n3-budget5"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("c12", "halo-alt"): (0, "b74acb2fda7a3cc2f1c2788930a60319f4d02e99b9b60a2c13cda1bf0378cd9a"),
     ("c12", "halo-paper"): (0, "7d27372325812ce9e33fd3661f7f1c597483668d0e15586de4f6ac8f8b89569b"),
     ("c12", "verify"): (0, "aad7075abcd9de0218404818b9d26c7047ca228f7cd0e82d86d97af21cc1d6e2"),
@@ -119,7 +117,6 @@ GOLDEN = {
     ("c6", "configspace-n2"): (0, "9afa5e01c4ffa4b7742c2e036c940a68c08daf2c7e5ec42be9916f6e0de2811e"),
     ("c6", "configspace-n2-text"): (0, "9adb247c3dc3e1102c305ff6d4cbe7bd3048d89bd17c2efc8543862fa79caef6"),
     ("c6", "configspace-n3"): (0, "d5c4184355fcab9977747f6b0e17779264466cabb518f244634e8e30ca399290"),
-    ("c6", "configspace-n3-budget5"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("c6", "halo-alt"): (0, "aae21c53f7b6fbc1c7fb8367b4cd86ecc2876032a4dd985d5cd80b648b472869"),
     ("c6", "halo-paper"): (0, "2d2a3ee13eb91c7145026e457b5ea8d9c0955ca91c3f291709ff06aa7545417b"),
     ("c6", "verify"): (0, "c4689302c73146414510d2d8749d964793acd5c488ffd39fde3f8c1e3ca045b5"),
@@ -128,7 +125,6 @@ GOLDEN = {
     ("figure", "configspace-n2"): (0, "c30ed3e49cd6d0b7a5634005157ccdaa0e14eaac73ae44a6bb0d03037751e992"),
     ("figure", "configspace-n2-text"): (0, "38787408c603916952acdaed8b531e1285b130284e5709ae630470e264006e2b"),
     ("figure", "configspace-n3"): (0, "1fe761eccb584688f93abf265012b2072d51af9666b729388f426030dbb85759"),
-    ("figure", "configspace-n3-budget5"): (0, "1fe761eccb584688f93abf265012b2072d51af9666b729388f426030dbb85759"),
     ("figure", "halo-alt"): (0, "61172c5e1b281e6bb976c9ccc756857b16d36611ebad6569850ed392ac8b0c21"),
     ("figure", "halo-paper"): (0, "a70827b0c56200ae6d34fd59d7f718197bfc6c65aaa6ff4cbb0e38f892be4c69"),
     ("figure", "verify"): (0, "61eb560d5af82dda330bff470a59ab4e6855bd0423750fe3a14fa63125139ddd"),
@@ -137,7 +133,6 @@ GOLDEN = {
     ("k4", "configspace-n2"): (0, "14c091bbbb9c30ca48723b11d3f4a4bb7273c1f7f87f1b70a5a9b5758f4d77cb"),
     ("k4", "configspace-n2-text"): (0, "87c4a301d1b1c5312c1934eb3f604fe3643a03e3b5fb7d2efeb14e70a3bd4a42"),
     ("k4", "configspace-n3"): (0, "5eaa08069d706c37d9eb48948a31faccd8fed17be13e4ac61b557510b83f6444"),
-    ("k4", "configspace-n3-budget5"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("k4", "halo-alt"): (0, "3942718415a46e677d7bc10960c20663a7a9a2b5269796abf3beb53f0bca7082"),
     ("k4", "halo-paper"): (0, "145f3ae7e6ed8b6f41556588f5cb2734b17b686c14bedb3ecfb0b5e333c71eca"),
     ("k4", "verify"): (0, "ef2cfdf4f6e3a7a07fc2faaae193d9f4d6a1ebc8fa97f278092cc207cccdd591"),
@@ -146,7 +141,6 @@ GOLDEN = {
     ("petersen", "configspace-n2"): (0, "ee11d6a1dd48865403de0a64c7d92f9c6595de4bd807b43a4e04d8948dec8bec"),
     ("petersen", "configspace-n2-text"): (0, "3bcb12a348bd5f8d928e91992b7bcf11df9b5077c76d0d62b0917c9a5ace877e"),
     ("petersen", "configspace-n3"): (0, "2ccca4ed0054d2b788b5e2e1486e556bc6d25f652693848f5c169e0f12868c5f"),
-    ("petersen", "configspace-n3-budget5"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("petersen", "halo-alt"): (0, "8ce58842fe84edc69ccfb1476cabf0a836d41bad9f0ac12168b35963a0dcd652"),
     ("petersen", "halo-paper"): (0, "d05d844a3152fb403db592759e0d00653e8d1ed17d7fbddb9b3558730d3bcc40"),
     ("petersen", "verify"): (0, "920173cec637b3fc92dd14a8bcddbf572a7d209d8c2197805f660cc3e6f08d26"),

@@ -27,7 +27,7 @@ from raagbraid import (
     minimal_subdivision,
     to_dot,
 )
-from raagbraid import graphs
+from raagbraid import errors, graphs
 from raagbraid.graphs import (
     _arcs,
     _shortest_cycles,
@@ -171,16 +171,16 @@ class TestChromaticNumber:
     def test_size_bound(self, monkeypatch):
         """The bound is on color placements, not vertices: K17, past the old
         16-vertex cap, needs none, as its clique bound meets greedy."""
-        monkeypatch.setattr(graphs, "DEFAULT_BUDGET", 0)
+        monkeypatch.setattr(errors, "DEFAULT_BUDGET", 0)
         assert chromatic_number(complete_graph(17)).color_count == 17
 
     def test_budget_is_inclusive(self, monkeypatch):
         import networkx as nx
 
         grotzsch = networkx_graph(nx.mycielski_graph(4))
-        monkeypatch.setattr(graphs, "DEFAULT_BUDGET", 77)
+        monkeypatch.setattr(errors, "DEFAULT_BUDGET", 77)
         assert chromatic_number(grotzsch).color_count == 4
-        monkeypatch.setattr(graphs, "DEFAULT_BUDGET", 76)
+        monkeypatch.setattr(errors, "DEFAULT_BUDGET", 76)
         with pytest.raises(SizeExceededError, match="over 76 color placements"):
             chromatic_number(grotzsch)
 
