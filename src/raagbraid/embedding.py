@@ -21,8 +21,9 @@ nonzero exponent sum is nontrivial. The walk over the elements reads zero
 sums off the L1 norm of the sums it carries, and skips the subtrees that
 cannot reach them. Over any other halo every image is piled. Rotations of
 a word and of its inverse have conjugate or inverse images, so one word per
-such class is piled: its verdict is memoized under every rotation of the
-word and of its inverse, and the other words of the class read it there.
+such class is piled: its verdict is memoized under the rotations of the
+word and of its inverse that the walk reaches later, and the other words of
+the class read it there.
 
 The edge group is built on first use. The homomorphism check decides a
 relator [a, b] from the supports of its loops: when they share no halo
@@ -366,12 +367,50 @@ def _pack(p: RaagPresentation, max_len: int) -> list[int]:
     return [s * base**i for i in range(len(p.generators)) for s in (1, -1)]
 
 
-def _bits(mask: int):
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _walk_masks(p: RaagPresentation) -> tuple[list[int], list[int], list[int]]:
+    """The bit masks of letter codes the walk steps by: per generator, its
+    two codes (``by_gen``) and the codes of the larger generators commuting
+    with it (``later``); per letter code x, the codes of the generators not
+    commuting with x's, except x's inverse (``follow``). After a letter x of
+    generator i, the letters extending a least geodesic are
+    ``follow[x] | allowed & later[i]``, where ``allowed`` are those that
+    extended it before x. The non-commuting generators are read off the
+    presentation's cliques (``RaagPresentation._blockers``)."""
+    k = len(p.generators)
+    by_gen = [0b11 << 2 * i for i in range(k)]
+    everything = (1 << 2 * k) - 1
+    later = []
+    blocking = []  # per generator: codes of itself and the non-commuting ones
+    for i, blockers in enumerate(p._blockers):
+        block = by_gen[i]
+        for j in blockers:
+            block |= by_gen[j]
+        later.append((everything ^ block) >> 2 * i + 2 << 2 * i + 2)
+        blocking.append(block)
+    follow = [blocking[code >> 1] & ~(1 << (code ^ 1)) for code in range(2 * k)]
+    return by_gen, later, follow
+
+
+def _walked_rotations(later: list[int], follow: list[int], w: tuple[int, ...]) -> list:
+    """The rotations of ``w`` and of its inverse that are greater than ``w``
+    and that the walk of ``_nontrivial_elements`` spells: each letter is
+    among those extending the letters before it, by the walk's own
+    ``follow``/``later`` recurrence (``_walk_masks``). The walk gives each of
+    them after ``w``: their exponent sums vanish when ``w``'s do, and the
+    walk gives the spellings of one length in increasing order."""
+    found = []
+    for u in (w, tuple(code ^ 1 for code in reversed(w))):
+        for i in range(len(u)):
+            r = u[i:] + u[:i]
+            if r > w:
+                allowed = -1  # every letter extends the empty word
+                for code in r:
+                    if not allowed >> code & 1:
+                        break
+                    allowed = follow[code] | allowed & later[code >> 1]
+                else:
+                    found.append(r)
+    return found
 
 
 def _nontrivial_elements(p: RaagPresentation, max_len: int, zero_sum: bool = True):
@@ -388,7 +427,8 @@ def _nontrivial_elements(p: RaagPresentation, max_len: int, zero_sum: bool = Tru
     generator (the spelling would not be the least).
     So after a letter x of generator g, the extending letters are those of
     generators not commuting with g, except x's inverse, and those of larger
-    generators commuting with g that extended the word before x.
+    generators commuting with g that extended the word before x
+    (``_walk_masks``).
 
     The L1 norm of the source exponent sums is carried down the search: each
     letter moves it by exactly 1, down when the letter is ``toward`` zero on
@@ -397,41 +437,30 @@ def _nontrivial_elements(p: RaagPresentation, max_len: int, zero_sum: bool = Tru
     search gives is one it gives, so a spelling whose norm exceeds the
     letters that may still follow it has no zero-sum extension and, with
     ``zero_sum``, is not entered.
+
+    The search is one loop over an explicit stack, with no call per node. A
+    spelling gets a frame only when it has extensions to enter; its own
+    extensions are listed when it is reached, in increasing code order, so
+    the spellings of each length come in increasing order.
     """
+    found: list[tuple[int, ...]] = []
+    if max_len < 1:
+        return found
+    by_gen, later, follow = _walk_masks(p)
     k = len(p.generators)
-    by_gen = [0b11 << 2 * i for i in range(k)]
-    later = []  # per generator: codes of the larger commuting generators
-    blocking = []  # per generator: codes of itself and the non-commuting ones
-    for i, g in enumerate(p.generators):
-        link = {p.index_of(h) for h in p.link(g)}
-        later.append(sum(by_gen[j] for j in link if j > i))
-        blocking.append(sum(by_gen[j] for j in range(k) if j not in link))
-    follow = [blocking[code >> 1] & ~(1 << (code ^ 1)) for code in range(2 * k)]
     word: list[int] = []
     source_sums = [0] * k
-    found: list[tuple[int, ...]] = []
-    # one frame per letter of the word and one for the empty word: the
-    # letters extending it, the extensions not yet entered, its source norm
-    # and the letters that would lower that norm
-    stack: list[list[int]] = []
-
-    def enter(allowed: int, norm: int, toward: int) -> None:
-        # with zero_sum, the extensions that lower a norm of 1 to 0
-        emit = allowed if not zero_sum else allowed & toward if norm == 1 else 0
-        if emit:
-            prefix = tuple(word)
-            for code in _bits(emit):
-                found.append(prefix + (code,))
-        todo = allowed if len(word) + 1 < max_len else 0
-        if zero_sum and norm >= max_len - len(word) - 1:
-            todo &= toward  # an extension raising the norm could not reach 0
-        stack.append([allowed, todo, norm, toward])
-
-    if max_len > 0:
-        enter((1 << 2 * k) - 1, 0, 0)
+    if not zero_sum:
+        found += [(code,) for code in range(2 * k)]
+    # one frame per spelling on the path from the empty word, each with
+    # extensions still to enter: the letters extending it, those not yet
+    # entered, its source norm and the letters that would lower that norm.
+    # So word has one letter fewer than the stack has frames.
+    everything = (1 << 2 * k) - 1
+    stack = [[everything, everything, 0, 0]] if max_len > 1 else []
     while stack:
         frame = stack[-1]
-        todo = frame[1]
+        allowed, todo, norm, toward = frame
         if not todo:
             stack.pop()
             if word:
@@ -441,17 +470,31 @@ def _nontrivial_elements(p: RaagPresentation, max_len: int, zero_sum: bool = Tru
         low = todo & -todo
         frame[1] = todo ^ low
         code = low.bit_length() - 1
-        word.append(code)
         i = code >> 1
-        d = source_sums[i] = source_sums[i] + 1 - 2 * (code & 1)
-        toward = frame[3] & ~by_gen[i]
+        d = source_sums[i] + 1 - 2 * (code & 1)
+        allowed = follow[code] | allowed & later[i]
+        norm += -1 if toward & low else 1
+        toward &= ~by_gen[i]
         if d:
             toward |= 1 << (2 * i + (d > 0))
-        enter(
-            follow[code] | frame[0] & later[i],
-            frame[2] + (-1 if frame[3] & low else 1),
-            toward,
-        )
+        # the extensions of word + [code], which has len(stack) letters;
+        # with zero_sum, those that lower a norm of 1 to 0
+        emit = allowed if not zero_sum else allowed & toward if norm == 1 else 0
+        if emit:
+            prefix = (*word, code)
+            while emit:
+                low = emit & -emit
+                found.append(prefix + (low.bit_length() - 1,))
+                emit ^= low
+        left = max_len - len(stack)  # the letters that may follow the extension
+        if left > 1:
+            # with zero_sum, an extension raising a norm that high could not
+            # reach 0
+            todo = allowed if not zero_sum or norm < left - 1 else allowed & toward
+            if todo:
+                word.append(code)
+                source_sums[i] = d
+                stack.append([allowed, todo, norm, toward])
     return found
 
 
@@ -477,35 +520,59 @@ def check_spot_check_args(max_len: int, sample_count: int, seed: int) -> None:
         )
 
 
-def _sample_codes(seed: int, max_length: int, weights: list[int]):
-    """Endless seeded words over the letter codes ``0 .. len(weights) - 1``,
-    each yielded as ``(codes, weight_sum)``: its codes and the sum of their
-    ``weights``, added as each letter is drawn.
+def _draw_samples(
+    seed: int, max_length: int, weights: list[int], count: int, read, certified: bool
+) -> int:
+    """Draw seeded words over the letter codes ``0 .. len(weights) - 1``
+    until ``count`` are accepted or ``100 * count`` are drawn, and return the
+    number accepted.
 
     The words are those ``rng = random.Random(seed)`` gives by
     ``rng.randint(1, max_length)`` letters of
     ``rng.choice(range(len(weights)))`` each. Both draw below a bound as
     ``Random._randbelow`` does: values of ``getrandbits(bound.bit_length())``
-    until one is below the bound. Needs ``max_length`` and ``len(weights)``
-    at least 1.
+    until one is below the bound. A word is read by
+    ``read(codes, weight_sum)``, with the sum of its codes' ``weights`` added
+    as each letter is drawn, which says whether it is accepted. When
+    ``certified``, the weights are packed source exponent sums (``_pack``),
+    and a word whose sums do not all vanish is accepted unread: one of an
+    odd letter count has an odd exponent sum, so its letters are drawn and
+    not kept. Needs ``max_length`` and ``len(weights)`` at least 1 when
+    ``count`` is.
     """
+    if not count:
+        return 0
     getrandbits = random.Random(seed).getrandbits
     n_codes = len(weights)
     length_bits = max_length.bit_length()
     code_bits = n_codes.bit_length()
-    while True:
+    # per length drawn, the range of its letters, built once
+    letters = [range(length + 1) for length in range(max_length)]
+    accepted = 0
+    for _ in range(100 * count):
         length = getrandbits(length_bits)
         while length >= max_length:
             length = getrandbits(length_bits)
-        codes = []
-        weight_sum = 0
-        for _ in range(length + 1):
-            code = getrandbits(code_bits)
-            while code >= n_codes:
+        if certified and not length & 1:
+            # length + 1 letters, an odd count
+            for _ in letters[length]:
+                while getrandbits(code_bits) >= n_codes:
+                    pass
+            accepted += 1
+        else:
+            codes = []
+            weight_sum = 0
+            for _ in letters[length]:
                 code = getrandbits(code_bits)
-            codes.append(code)
-            weight_sum += weights[code]
-        yield codes, weight_sum
+                while code >= n_codes:
+                    code = getrandbits(code_bits)
+                codes.append(code)
+                weight_sum += weights[code]
+            if certified and weight_sum or read(codes, weight_sum):
+                accepted += 1
+        if accepted == count:
+            break
+    return accepted
 
 
 def _sums_follow_the_source(ctx: EmbeddingContext) -> bool:
@@ -540,23 +607,27 @@ def injectivity_spot_check(
     ``sample_count`` seeded random words of length up to ``2 * max_len``:
     the words ``random.Random(seed)``'s ``randint`` and ``choice`` would
     draw, with their packed source exponent sums (``_pack``) carried as they
-    are drawn (``_sample_codes``). In squared mode any failure is an
-    implementation bug; in unsquared mode failures witness the lost
-    injectivity.
+    are drawn (``_draw_samples``). A sample with zero sums that is trivial
+    in A(Δ) is rejected and another drawn, up to 100 draws per sample. In
+    squared mode any failure is an implementation bug; in unsquared mode
+    failures witness the lost injectivity.
 
     When the letter images certify that the image exponent sums vanish
     exactly with the source sums (``_sums_follow_the_source``), as on every
     halo that meets the axioms, only the words whose source sums vanish are
     piled, as an image with a nonzero exponent sum is nontrivial, and the
-    walk enters only the subtrees that can still reach zero sums. Otherwise
-    every element and every sample is piled. The words that are cyclic
-    rotations of one another or of one another's inverse have conjugate or
-    inverse images under φ∘ψ, which concatenates letter images, so their
-    images are trivial together: the first word of such a class to be
-    walked is piled, and its verdict is kept under the rotations of the
-    word and of its inverse that the walk has still to reach, the keys by
-    which the rest of its class is found. The walk and the check work in
-    letter codes, and a word is named only when it fails.
+    walk enters only the subtrees that can still reach zero sums. A sample
+    with an odd letter count has an odd exponent sum, so over a certified
+    halo it is drawn but never read. Otherwise every element and every
+    sample is piled. The words that are cyclic rotations of one another or
+    of one another's inverse have conjugate or inverse images under φ∘ψ,
+    which concatenates letter images, so their images are trivial together:
+    the first word of such a class to be walked is piled, and its verdict is
+    kept under the rotations of the word and of its inverse that the walk
+    has still to reach (``_walked_rotations``), the keys by which the rest
+    of its class is found. Each key kept is read, so the memo ends empty.
+    The walk and the check work in letter codes, and a word is named only
+    when it fails.
     ``exhaustive_elements`` is the count predicted from the growth series.
     Raises ``SizeExceededError`` when that count, or the number of samples,
     exceeds ``errors.DEFAULT_BUDGET``.
@@ -569,6 +640,7 @@ def injectivity_spot_check(
     certified = _sums_follow_the_source(ctx)
     # per letter code, its image: every generator's loop is built by now
     images = [ctx.letter_image(g, s, squared) for g, s in signed]
+    _, later, follow = _walk_masks(p)
 
     def image_is_trivial(codes) -> bool:
         image: list[Letter] = []
@@ -594,26 +666,22 @@ def injectivity_spot_check(
         trivial = verdict.pop(w, None)
         if trivial is None:
             trivial = image_is_trivial(w)
-            for u in (w, tuple(c ^ 1 for c in reversed(w))):
-                for i in range(len(u)):
-                    r = u[i:] + u[:i]
-                    if r > w:
-                        verdict[r] = trivial
+            for r in _walked_rotations(later, follow, w):
+                verdict[r] = trivial
         if trivial:
             fail(w)
 
-    samples = _sample_codes(seed, sample_max_len, _pack(p, sample_max_len))
-    sampled = 0
-    attempts = 0
-    while sampled < sample_count and attempts < 100 * sample_count:
-        attempts += 1
-        codes, sums = next(samples)
+    def read(codes, sums) -> bool:
         # a word whose own exponent sums do not all vanish is nontrivial
         if not sums and p.is_trivial_letters([signed[c] for c in codes]):
-            continue
-        sampled += 1
-        if not (certified and sums) and image_is_trivial(codes):
+            return False
+        if image_is_trivial(codes):
             fail(codes)
+        return True
+
+    sampled = _draw_samples(
+        seed, sample_max_len, _pack(p, sample_max_len), sample_count, read, certified
+    )
     return InjectivityReport(
         squared=squared,
         max_len=max_len,

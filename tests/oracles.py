@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import networkx as nx
 from networkx.generators.atlas import graph_atlas_g
@@ -30,17 +30,20 @@ from raagbraid.graphs import is_sufficiently_subdivided, subdivide_uniform
 # --- seeded sample words -----------------------------------------------------
 
 
-def reference_samples(seed: int, n_codes: int, max_length: int, count: int) -> list[list[int]]:
-    """The first ``count`` sample words of ``random.Random(seed)``, drawn
-    through the standard library: a length by ``randint(1, max_length)``,
-    then that many letter codes by ``choice`` over ``range(n_codes)``."""
+def reference_sample_stream(seed: int, n_codes: int, max_length: int):
+    """The sample words of ``random.Random(seed)``, endlessly, drawn through
+    the standard library: a length by ``randint(1, max_length)``, then that
+    many letter codes by ``choice`` over ``range(n_codes)``."""
     rng = random.Random(seed)
     codes = list(range(n_codes))
-    words = []
-    for _ in range(count):
+    while True:
         length = rng.randint(1, max_length)
-        words.append([rng.choice(codes) for _ in range(length)])
-    return words
+        yield [rng.choice(codes) for _ in range(length)]
+
+
+def reference_samples(seed: int, n_codes: int, max_length: int, count: int) -> list[list[int]]:
+    """The first ``count`` words of ``reference_sample_stream``."""
+    return list(islice(reference_sample_stream(seed, n_codes, max_length), count))
 
 
 # --- configuration-space counts and paths -----------------------------------

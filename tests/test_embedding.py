@@ -53,6 +53,7 @@ from oracles import (
     petersen_graph,
     random_connected_graph,
     random_multipartite,
+    reference_sample_stream,
     reference_samples,
     replay_psi,
 )
@@ -682,22 +683,85 @@ class TestInjectivitySpotCheck:
 
 
 class TestSampleStream:
-    """``_sample_codes`` draws the words ``random.Random``'s ``randint`` and
+    """``_draw_samples`` draws the words ``random.Random``'s ``randint`` and
     ``choice`` draw, on every alphabet and length bound. Powers of two are
     among them: only there does ``(bound - 1).bit_length()``, a likely slip,
     differ from the ``bound.bit_length()`` bits that ``_randbelow`` draws."""
+
+    @staticmethod
+    def drawn(seed, max_length, weights, count, certified, accept=lambda codes: True):
+        """The words ``_draw_samples`` reads, each with its weight sum, and
+        the number it accepts."""
+        read = []
+
+        def reader(codes, weight_sum):
+            read.append((codes, weight_sum))
+            return accept(codes)
+
+        accepted = embedding._draw_samples(seed, max_length, weights, count, reader, certified)
+        return read, accepted
 
     @pytest.mark.parametrize("n_codes", range(2, 41))
     def test_matches_randint_and_choice(self, n_codes):
         weights = [3 - c * c for c in range(n_codes)]
         for max_length in range(1, 17):
             for seed in range(5):
-                drawn = list(islice(embedding._sample_codes(seed, max_length, weights), 60))
+                drawn, accepted = self.drawn(seed, max_length, weights, 60, certified=False)
+                assert accepted == 60
                 assert [codes for codes, _ in drawn] == reference_samples(
                     seed, n_codes, max_length, 60
                 ), (seed, max_length)
                 for codes, weight_sum in drawn:
                     assert weight_sum == sum(weights[c] for c in codes)
+
+    def test_rejected_words_are_redrawn_up_to_the_cap(self):
+        weights = [1, -1, 5, -5]
+        drawn, accepted = self.drawn(3, 6, weights, 40, False, lambda codes: len(codes) > 2)
+        reference = reference_samples(3, 4, 6, len(drawn))
+        assert [codes for codes, _ in drawn] == reference
+        assert accepted == 40 == sum(len(codes) > 2 for codes in reference)
+        assert len(reference[-1]) > 2
+        drawn, accepted = self.drawn(3, 6, weights, 7, False, lambda codes: False)
+        assert accepted == 0 and len(drawn) == 700
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_certified_reads_only_zero_sums(self, k):
+        """Over packed exponent sums, a word whose sums do not all vanish is
+        accepted unread, its letters drawn all the same: one of an odd
+        letter count is never built. The zero-sum words read are those of
+        the stream, in its order."""
+        p = RaagPresentation(SimpleGraph.make([f"g{i}" for i in range(k)]))
+        reads = 0
+        for max_length in range(1, 17):
+            weights = embedding._pack(p, max_length)
+            for seed in range(5):
+                accept = lambda codes: codes[0] % 3 != 0  # noqa: E731
+                drawn, accepted = self.drawn(seed, max_length, weights, 60, True, accept)
+                expected_read = []
+                expected_accepted = 0
+                for codes in reference_sample_stream(seed, 2 * k, max_length):
+                    if sum(weights[c] for c in codes):
+                        expected_accepted += 1
+                    else:
+                        assert len(codes) % 2 == 0
+                        expected_read.append((codes, 0))
+                        expected_accepted += accept(codes)
+                    if expected_accepted == 60:
+                        break
+                assert drawn == expected_read, (seed, max_length)
+                assert accepted == expected_accepted
+                reads += len(drawn)
+        assert reads
+
+    def test_no_samples_draw_nothing(self, figure_context, monkeypatch):
+        def never(*args):
+            raise AssertionError("a generator was seeded")
+
+        monkeypatch.setattr(embedding.random, "Random", never)
+        for certified in (False, True):
+            assert self.drawn(5, 0, [], 0, certified) == ([], 0)
+        for max_len in (0, 3):
+            assert injectivity_spot_check(figure_context, max_len, 0, 5).sample_count == 0
 
 
 ENUMERATION_CASES = (
@@ -904,6 +968,97 @@ class TestSumCertificate:
             seed=seed,
             failures=tuple(sorted(walked | sampled)),
         )
+
+
+class TestSampleOracle:
+    """The samples' count and failures are those of drawing the stream
+    through ``random`` (``reference_sample_stream``), rejecting a word with
+    zero exponent sums that is trivial in A(Δ), for at most 100 draws per
+    sample, and piling every accepted word's image, or over a certified
+    halo only those of the zero-sum words."""
+
+    @staticmethod
+    def expected(ctx, max_len, sample_count, seed, squared):
+        p = ctx.source_group
+        signed = embedding._signed_letters(p)
+        certified = embedding._sums_follow_the_source(ctx)
+        stream = reference_sample_stream(seed, len(signed), 2 * max_len)
+        accepted = 0
+        # the walk's own failures, which TestClassMemoOracle checks
+        failures = set(injectivity_spot_check(ctx, max_len, 0, seed, squared).failures)
+        for codes in islice(stream, 100 * sample_count):
+            w = GroupWord(tuple(signed[c] for c in codes))
+            zero_sum = not any(abelianization(w, p).values())
+            if zero_sum and is_trivial(w, p):
+                continue
+            accepted += 1
+            if (zero_sum or not certified) and is_trivial(phi_psi(w, ctx, squared), ctx.a_gamma):
+                failures.add(str(w))
+            if accepted == sample_count:
+                break
+        return accepted, tuple(sorted(failures))
+
+    def assert_samples_match(self, ctx, max_lens, seeds, sample_count=40):
+        for max_len in max_lens:
+            for seed in seeds:
+                for squared in (True, False):
+                    report = injectivity_spot_check(ctx, max_len, sample_count, seed, squared)
+                    expected = self.expected(ctx, max_len, sample_count, seed, squared)
+                    assert (report.sample_count, report.failures) == expected, (
+                        max_len, seed, squared,
+                    )
+
+    @pytest.mark.parametrize(
+        "graph",
+        atlas_connected(5) + [cycle_graph(6), complete_graph(5)],
+        ids=[f"atlas{i}" for i in range(len(atlas_connected(5)))] + ["C6", "K5"],
+    )
+    def test_certified(self, graph):
+        ctx = build_context(graph, greedy_color(graph))
+        assert embedding._sums_follow_the_source(ctx)
+        self.assert_samples_match(ctx, range(1, 5), (0, 1, 2))
+
+    def test_figure_graph(self, figure_context):
+        """At length 4 the samples reach 8 letters, the length of the
+        unsquared figure graph's failures."""
+        self.assert_samples_match(figure_context, range(1, 5), range(6), sample_count=200)
+
+    @pytest.mark.parametrize("gen", ["a", "b"])
+    def test_uncertified(self, figure_delta, figure_coloring, gen):
+        ctx = out_and_back_context(figure_delta, figure_coloring, gen)
+        assert not embedding._sums_follow_the_source(ctx)
+        self.assert_samples_match(ctx, range(1, 4), (0, 1, 2))
+
+
+class TestWalkedRotations:
+    """The verdict memo keeps a class's verdict only under the rotations the
+    walk reaches after the word piled, so every key kept is read and the
+    memo ends empty."""
+
+    @pytest.mark.parametrize(
+        "graph, max_len",
+        [case[1:] for case in ENUMERATION_CASES],
+        ids=[case[0] for case in ENUMERATION_CASES],
+    )
+    def test_kept_rotations_are_those_walked_later(self, graph, max_len):
+        p = RaagPresentation(graph)
+        _, later, follow = embedding._walk_masks(p)
+        walked = embedding._nontrivial_elements(p, max_len, zero_sum=False)
+        position = {w: i for i, w in enumerate(walked)}
+        dead = 0
+        for i, w in enumerate(walked):
+            inverse = tuple(c ^ 1 for c in reversed(w))
+            later_rotations = {
+                u[j:] + u[:j] for u in (w, inverse) for j in range(len(u))
+            } - {w}
+            kept = embedding._walked_rotations(later, follow, w)
+            assert set(kept) == {r for r in later_rotations if r in position and r > w}
+            assert all(position[r] > i for r in kept)
+            dead += sum(r > w and r not in position for r in later_rotations)
+        if graph.n_edges:
+            # with a commuting pair a < b, the rotation b a of a b is not
+            # a least spelling
+            assert dead
 
 
 class TestClassMemoOracle:
