@@ -68,9 +68,10 @@ def edge_generator_name(edge: tuple[str, str]) -> str:
 class EmbeddingContext:
     """Everything needed to evaluate the composite map over one halo.
 
-    ``source_group`` is A(Δ) when the caller has built it already; one of
-    another graph than ``halo.delta`` is not used, and without one A(Δ) is
-    built on first use."""
+    ``self.halo`` is the halo given, subdivided if it must be by
+    ``subdivided_halo``; its axioms are not checked here. ``source_group``
+    is A(Δ) when the caller has built it already; one of another graph than
+    ``halo.delta`` is not used, and without one A(Δ) is built on first use."""
 
     def __init__(
         self,
@@ -78,13 +79,7 @@ class EmbeddingContext:
         path_threshold: str = "paper",
         source_group: RaagPresentation | None = None,
     ):
-        report = is_sufficiently_subdivided(halo.gamma, halo.coloring.color_count, path_threshold)
-        if not report.ok:
-            raise VerificationError(
-                "context requires a sufficiently subdivided halo; "
-                f"violations: {report.violations}"
-            )
-        self.halo = halo
+        halo = self.halo = subdivided_halo(halo, halo.coloring.color_count, path_threshold)
         self.delta = halo.delta
         self.coloring = halo.coloring
         self.n = halo.coloring.color_count
@@ -185,20 +180,19 @@ class EmbeddingContext:
 def build_context(
     delta: SimpleGraph, coloring: Coloring, path_threshold: str = "paper"
 ) -> EmbeddingContext:
-    """Canonical halo, subdivided for n = color count, packaged for mapping."""
-    halo = build_halo(delta, coloring)
-    sub = subdivided_halo(halo, coloring.color_count, path_threshold)
-    return EmbeddingContext(sub, path_threshold)
+    """The context over the canonical halo: ``context_from_halo`` of
+    ``build_halo``'s halo, which checks its axioms once."""
+    return context_from_halo(build_halo(delta, coloring), path_threshold)
 
 
 def context_from_halo(halo: Halo, path_threshold: str = "paper") -> EmbeddingContext:
-    """Context over a user-supplied halo that meets the axioms, subdivided
-    if necessary (``subdivided_halo`` returns a sufficient one unchanged)."""
+    """Context over a halo that meets the axioms: ``verify_halo`` checks
+    them once, and ``VerificationError`` names those violated; the context
+    then subdivides the halo if it must."""
     report = verify_halo(halo)
     if not report.ok:
         raise VerificationError(f"halo violates axioms {report.axioms_violated()}")
-    n = halo.coloring.color_count
-    return EmbeddingContext(subdivided_halo(halo, n, path_threshold), path_threshold)
+    return EmbeddingContext(halo, path_threshold)
 
 
 def phi(path: ConfigEdgePath, ctx: EmbeddingContext) -> GroupWord:
@@ -924,11 +918,14 @@ def verify_suite(
     halo axioms, subdivision, the homomorphism property, the injectivity
     spot check, and, for the matching shape, the squaring counterexample.
 
-    The injectivity check's arguments and budgets are checked first, so
-    they raise before any halo is built or verified; the element count is
-    predicted on the presentation of A(Δ) that the injectivity check then
-    uses."""
+    The injectivity check's arguments, a supplied halo's Δ and coloring,
+    and the budgets are checked first, so they raise before any halo is
+    built or verified; the element count is predicted on the presentation
+    of A(Δ) that the injectivity check then uses. The subdivision check
+    builds the context, which subdivides the halo."""
     check_spot_check_args(max_len, sample_count, seed)
+    if halo is not None and (halo.delta != delta or halo.coloring != coloring):
+        raise GraphFormatError("the supplied halo is of another graph or coloring")
     source = RaagPresentation(delta)
     _check_element_budget(source, max_len)
     checks: list[CheckResult] = []
@@ -949,7 +946,7 @@ def verify_suite(
 
     # built and subdivided inside the checks, so that their time is theirs
     base_halo = halo
-    sub = None
+    ctx = None
 
     def check_axioms():
         nonlocal base_halo
@@ -967,20 +964,14 @@ def verify_suite(
     if not run("halo-axioms", check_axioms):
         return VerificationReport(False, path_threshold, tuple(checks))
 
-    n = coloring.color_count
-
     def check_subdivision():
-        nonlocal sub
-        sub = subdivided_halo(base_halo, n, path_threshold)
-        report = is_sufficiently_subdivided(sub.gamma, n, path_threshold)
-        details = report.to_json_dict()
-        return report.ok, details, []
+        nonlocal ctx
+        ctx = EmbeddingContext(base_halo, path_threshold, source)
+        report = is_sufficiently_subdivided(ctx.halo.gamma, ctx.n, path_threshold)
+        return report.ok, report.to_json_dict(), []
 
-    ok = run("subdivision", check_subdivision)
-    if not ok:
+    if not run("subdivision", check_subdivision):
         return VerificationReport(False, path_threshold, tuple(checks))
-
-    ctx = EmbeddingContext(sub, path_threshold, source)
 
     def check_hom():
         report = check_homomorphism(ctx)

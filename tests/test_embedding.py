@@ -1,3 +1,4 @@
+import json
 import random
 import time
 import tracemalloc
@@ -10,6 +11,7 @@ from raagbraid import (
     Coloring,
     ConfigEdgePath,
     EmbeddingContext,
+    GraphFormatError,
     GroupWord,
     Halo,
     InputError,
@@ -41,7 +43,10 @@ from raagbraid import (
     verify_suite,
 )
 from raagbraid import embedding, errors, graphs
+from raagbraid import halo as halo_mod
+from raagbraid.cli import main
 from raagbraid.embedding import InjectivityReport, edge_generator_name
+from raagbraid.graphs import dumps_canonical, graph_to_json_dict
 
 from oracles import (
     atlas_connected,
@@ -59,6 +64,22 @@ from oracles import (
 )
 
 W = GroupWord.parse
+
+
+@pytest.fixture
+def verified(monkeypatch):
+    """Every halo ``verify_halo`` checks. ``embedding`` imports it by name,
+    so both modules are patched."""
+    halos = []
+    original = halo_mod.verify_halo
+
+    def counted(h):
+        halos.append(h)
+        return original(h)
+
+    monkeypatch.setattr(halo_mod, "verify_halo", counted)
+    monkeypatch.setattr(embedding, "verify_halo", counted)
+    return halos
 
 
 class TestBuildContext:
@@ -112,6 +133,42 @@ class TestBuildContext:
         )
         with pytest.raises(VerificationError):
             context_from_halo(broken)
+
+    @pytest.mark.parametrize("path_threshold", ["paper", "alt"])
+    def test_context_subdivides_the_halo_it_is_given(self, path_threshold):
+        g = complete_graph(4)
+        h = build_halo(g, chromatic_number(g))
+        ctx = EmbeddingContext(h, path_threshold)
+        assert ctx.halo == subdivided_halo(h, 4, path_threshold)
+        assert ctx.halo != h
+        # a halo that suffices already is kept as it is
+        assert EmbeddingContext(ctx.halo, path_threshold).halo is ctx.halo
+
+    @pytest.mark.parametrize(
+        "loop, message",
+        [
+            (
+                ("x_1", "p~k2~1", "p~k1~2", "x_1"),
+                r"loop of 'k1': step 1, 'x_1'-'p~k2~1', is no edge",
+            ),
+            ((), "loop of 'k1': it is empty"),
+        ],
+    )
+    def test_unthreadable_loop_is_a_format_error(self, loop, message):
+        # K4's halo needs subdividing for 4 strands
+        g = complete_graph(4)
+        h = build_halo(g, chromatic_number(g))
+        broken = Halo(
+            gamma=h.gamma,
+            artin_loops=(("k1", loop),) + h.artin_loops[1:],
+            basepoints=h.basepoints,
+            coloring=h.coloring,
+            delta=h.delta,
+        )
+        with pytest.raises(GraphFormatError, match=message):
+            subdivided_halo(broken, 4)
+        with pytest.raises(GraphFormatError, match=message):
+            EmbeddingContext(broken)
 
 
 class TestLazySourceGroup:
@@ -502,6 +559,55 @@ class TestSubdivisionMemo:
         report = verify_suite(figure_delta, figure_coloring, max_len=1, sample_count=0)
         assert report.check("squaring-counterexample").passed
         assert sum(g == accepted for g in checked) == 1
+
+
+class TestAxiomChecks:
+    """Every path that embeds or reports a halo checks its axioms once:
+    ``build_halo`` only builds, and the caller that reads the report runs
+    ``verify_halo``. The suite's own count is
+    ``TestVerifySuite.test_axioms_checked_once``."""
+
+    @pytest.fixture
+    def k4(self):
+        # its halo needs subdividing for 4 strands
+        g = complete_graph(4)
+        return g, chromatic_number(g)
+
+    def test_build_halo(self, verified, k4):
+        build_halo(*k4)
+        assert verified == []
+
+    def test_build_context(self, verified, k4):
+        ctx = build_context(*k4)
+        assert verified == [build_halo(*k4)]
+        assert ctx.halo != verified[0]
+
+    @pytest.mark.parametrize("from_json", [False, True])
+    def test_context_from_halo(self, verified, k4, from_json):
+        h = build_halo(*k4)
+        if from_json:
+            h = halo_from_json_dict(halo_to_json_dict(h))
+        context_from_halo(h)
+        assert len(verified) == 1 and verified[0] is h
+
+    @pytest.mark.parametrize("supplied", [False, True])
+    def test_verify_suite(self, verified, k4, supplied):
+        h = build_halo(*k4) if supplied else None
+        assert verify_suite(*k4, max_len=1, sample_count=0, halo=h).passed
+        assert verified == [build_halo(*k4)]
+
+    def test_counterexample_report(self, verified, figure_delta):
+        assert counterexample_report(figure_delta).ok
+        assert len(verified) == 1
+
+    def test_cli_halo(self, verified, k4, tmp_path, capsys):
+        """The command checks the subdivided halo it prints, and not the
+        halo it subdivided."""
+        path = tmp_path / "k4.json"
+        path.write_text(dumps_canonical(graph_to_json_dict(k4[0])))
+        assert main(["halo", "--input", str(path), "--exact"]) == 0
+        printed = halo_from_json_dict(json.loads(capsys.readouterr().out)["halo"])
+        assert verified == [printed]
 
 
 class TestCheckHomomorphism:
@@ -1318,21 +1424,37 @@ class TestVerifySuite:
         assert not report.passed
         assert [c.name for c in report.checks] == ["halo-axioms"]
 
-    def test_axioms_checked_once(self, figure_delta, figure_coloring, monkeypatch):
-        """``build_halo`` checks the halo it builds, and the suite's axiom
-        check reads that report, so it is computed once."""
-        from raagbraid import halo as halo_mod
+    def test_axioms_checked_once(self, figure_delta, figure_coloring, verified):
+        """``build_halo`` only builds, and the suite's axiom check verifies
+        the halo; the counterexample reuses the suite's context and checks
+        nothing more."""
+        report = verify_suite(figure_delta, figure_coloring, max_len=2, sample_count=10)
+        assert report.check("squaring-counterexample").passed
+        assert len(verified) == 1
 
-        checked = []
-        original = halo_mod._halo_report
+    def test_supplied_halo_of_another_input_rejected(
+        self, c6, figure_delta, figure_coloring, monkeypatch
+    ):
+        c4 = cycle_graph(4)
+        c6_coloring = chromatic_number(c6)
+        c6_halo = build_halo(c6, c6_coloring)
+        swapped = Coloring.make(c6, {v: 3 - c for v, c in c6_coloring.assignment})
+        cases = [
+            # C4 and C6 both take 2 colors, so subdividing would not notice
+            (c4, chromatic_number(c4), c6_halo),
+            (figure_delta, figure_coloring, c6_halo),
+            # the same graph and color count, the colors swapped
+            (c6, c6_coloring, build_halo(c6, swapped)),
+        ]
 
-        def counted(h):
-            checked.append(h)
-            return original(h)
+        def never(*args, **kwargs):
+            raise AssertionError("halo work before the halo was matched")
 
-        monkeypatch.setattr(halo_mod, "_halo_report", counted)
-        assert verify_suite(figure_delta, figure_coloring, max_len=2, sample_count=10)
-        assert len(checked) == 1
+        for name in ("build_halo", "verify_halo", "subdivided_halo"):
+            monkeypatch.setattr(embedding, name, never)
+        for delta, coloring, halo in cases:
+            with pytest.raises(GraphFormatError, match="another graph or coloring"):
+                verify_suite(delta, coloring, max_len=1, sample_count=0, halo=halo)
 
     def test_checks_time_the_halo_they_check(
         self, figure_delta, figure_coloring, c6, monkeypatch
