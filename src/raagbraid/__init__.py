@@ -11,13 +11,11 @@ is needed.
 """
 
 from .errors import (
-    BaseMismatchError,
     EmptyGraphError,
     GraphFormatError,
     IllegalStepError,
     ImproperColoringError,
     InputError,
-    InsufficientSubdivisionError,
     RaagBraidError,
     SizeExceededError,
     UnknownVertexError,
@@ -55,7 +53,6 @@ from .configspace import (
     Configuration,
     Step,
     artin_basepoint,
-    artin_loop_path,
     cell_counts,
     edge_path,
 )

@@ -9,22 +9,19 @@ are never needed here: words in the image of the edge-forgetting map are
 evaluated algebraically.
 
 A path is a base configuration and its steps, each one token crossing one
-edge. ``edge_path`` alone moves tokens, checking each step against the
-graph and the occupied vertices. A generator's loop closes at the
-basepoints, so loops compose by concatenating their steps.
+edge. ``edge_path`` is the validator: it moves tokens, checking each step
+against the graph and the occupied vertices. A generator's loop is read
+off a halo that meets the axioms (``EmbeddingContext.loop_path``): it
+closes at the basepoints and touches no other token, so loops compose by
+concatenating their steps and are not replayed.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from math import comb
 
-from .errors import (
-    BaseMismatchError,
-    GraphFormatError,
-    IllegalStepError,
-    InsufficientSubdivisionError,
-)
-from .graphs import SimpleGraph, is_sufficiently_subdivided, normalize_edge
+from .errors import GraphFormatError, IllegalStepError
+from .graphs import SimpleGraph, normalize_edge
 from .halo import Halo
 
 
@@ -63,8 +60,7 @@ class Step(namedtuple("Step", "edge source")):
 
     A named tuple, like the package's other plain records: value equality
     and hashing come from the tuple, so a Step also equals the plain tuple
-    ``(edge, source)``. ``edge_path`` builds one per step with
-    ``tuple.__new__``, skipping the named tuple's Python-level ``__new__``."""
+    ``(edge, source)``."""
 
     __slots__ = ()
 
@@ -80,14 +76,15 @@ class ConfigEdgePath(namedtuple("ConfigEdgePath", "base steps")):
 
 def edge_path(gamma: SimpleGraph, base: Configuration, moves) -> ConfigEdgePath:
     """Validated path: each move is (edge, source_vertex); every step must be
-    a legal one-cell, i.e. the resting tokens avoid the moving edge."""
+    a legal one-cell, i.e. the resting tokens avoid the moving edge. The
+    pipeline's loops are legal by the halo axioms and never pass here: this
+    checks moves that a caller supplies."""
     for cell in base.cells:
         if not isinstance(cell, str):
             raise GraphFormatError("path base must be an all-vertex configuration")
     adjacency = gamma.adjacency
     steps = []
     occupied = set(base.cells)
-    new_step = tuple.__new__  # Step(edge, source) without its Python-level __new__
     for edge, source in moves:
         edge = u, v = normalize_edge(*edge)
         if v not in adjacency.get(u, ()):
@@ -106,39 +103,10 @@ def edge_path(gamma: SimpleGraph, base: Configuration, moves) -> ConfigEdgePath:
             )
         occupied.remove(source)
         occupied.add(target)
-        steps.append(new_step(Step, (edge, source)))
+        steps.append(Step(edge, source))
     return ConfigEdgePath(base=base, steps=tuple(steps))
 
 
 def artin_basepoint(h: Halo) -> Configuration:
     return Configuration.make(h.basepoint_of.values())
 
-
-def artin_loop_path(h: Halo, n: int, delta_vertex: str, power: int) -> ConfigEdgePath:
-    """The closed path at the basepoint configuration in which the token of
-    the vertex's color traverses its loop |power| times (reversed direction
-    for negative power) while all other tokens rest.
-
-    Checks first that the halo graph is sufficiently subdivided for n
-    strands (the check is memoised per graph), and raises
-    ``BaseMismatchError`` unless the loop ends where it starts: the other
-    tokens rest, so the path closes exactly then. Every step is then
-    validated by ``edge_path``."""
-    if not is_sufficiently_subdivided(h.gamma, n).ok:
-        raise InsufficientSubdivisionError(
-            f"halo graph is not sufficiently subdivided for {n} strands"
-        )
-    base = artin_basepoint(h)
-    if base.n != n:
-        raise GraphFormatError(
-            f"{n} strands but {base.n} basepoints; strand count must match colors"
-        )
-    if power == 0:
-        return ConfigEdgePath(base=base, steps=())
-    loop = h.loop_of(delta_vertex)
-    if loop[0] != loop[-1]:
-        raise BaseMismatchError(f"loop of {delta_vertex!r} is not closed at the basepoint")
-    walk = loop if power > 0 else loop[::-1]
-    # edge_path normalises each edge as it checks it
-    moves = list(zip(zip(walk, walk[1:]), walk)) * abs(power)
-    return edge_path(h.gamma, base, moves)

@@ -10,14 +10,15 @@ of its endpoints. The edge-forgetting map sends a configuration path to the
 word of crossed edges, one letter per step, signed by the orientation;
 generators of the source group map to their loop traversed twice (squaring
 is what makes the composite injective, and the counterexample report
-exhibits why once it is dropped). Every letter's image is derived from the
-single loop of its generator, built and validated once: run backwards it
-is the image reversed with its signs negated, run twice it is the image
-twice. The injectivity check carries only the words' source exponent
-sums. When each generator's image has an edge of its own with a nonzero
-sum, as on every halo that meets the axioms, an image's sums vanish exactly
-when the word's do, and only those words are piled: an image with a
-nonzero exponent sum is nontrivial. The walk over the elements reads zero
+exhibits why once it is dropped). A generator's loop is read off the halo,
+which meets the axioms, so its steps are legal and it closes at the
+basepoints without a replay. Every letter's image is derived from that
+single loop, mapped once: run backwards it is the image reversed with its
+signs negated, run twice it is the image twice. The injectivity check
+carries only the words' source exponent sums. When each generator's image
+has an edge of its own with a nonzero sum, as on every halo that meets the
+axioms, an image's sums vanish exactly when the word's do, and only those
+words are piled: an image with a nonzero exponent sum is nontrivial. The walk over the elements reads zero
 sums off the L1 norm of the sums it carries, and skips the subtrees that
 cannot reach them. Over any other halo every image is piled. Rotations of
 a word and of its inverse have conjugate or inverse images, so one word per
@@ -40,7 +41,7 @@ from collections import namedtuple
 from functools import cached_property
 
 from . import errors
-from .configspace import ConfigEdgePath, artin_basepoint, artin_loop_path
+from .configspace import ConfigEdgePath, Step, artin_basepoint
 from .errors import (
     GraphFormatError,
     InputError,
@@ -49,7 +50,14 @@ from .errors import (
     VerificationError,
     WordFormatError,
 )
-from .graphs import Coloring, SimpleGraph, is_planar, is_sufficiently_subdivided, json_value
+from .graphs import (
+    Coloring,
+    SimpleGraph,
+    is_planar,
+    is_sufficiently_subdivided,
+    json_value,
+    normalize_edge,
+)
 from .halo import Halo, build_halo, subdivided_halo, verify_halo
 from .raag import (
     GroupWord,
@@ -68,10 +76,14 @@ def edge_generator_name(edge: tuple[str, str]) -> str:
 class EmbeddingContext:
     """Everything needed to evaluate the composite map over one halo.
 
-    ``self.halo`` is the halo given, subdivided if it must be by
-    ``subdivided_halo``; its axioms are not checked here. ``source_group``
-    is A(Δ) when the caller has built it already; one of another graph than
-    ``halo.delta`` is not used, and without one A(Δ) is built on first use."""
+    The halo must meet the axioms: ``context_from_halo`` checks them, and
+    so does ``verify_suite``'s ``halo-axioms`` check before it builds a
+    context. They are not checked here, and the loops read off the halo
+    are not replayed, so over a halo that fails them the loops may be
+    illegal or open. ``self.halo`` is the halo given, subdivided if it must
+    be by ``subdivided_halo``. ``source_group`` is A(Δ) when the caller has
+    built it already; one of another graph than ``halo.delta`` is not used,
+    and without one A(Δ) is built on first use."""
 
     def __init__(
         self,
@@ -87,7 +99,6 @@ class EmbeddingContext:
         if source_group is not None and source_group.graph == self.delta:
             self.source_group = source_group
         self.base = artin_basepoint(halo)
-        self._loop_paths: dict[tuple[str, int], ConfigEdgePath] = {}
         self._letter_images: dict[tuple[str, int, bool], tuple[Letter, ...]] = {}
 
     @cached_property
@@ -135,31 +146,29 @@ class EmbeddingContext:
             raise UnknownVertexError(f"{edge} is not an edge of the halo graph") from None
 
     def loop_path(self, delta_vertex: str, power: int) -> ConfigEdgePath:
-        """The generator's loop at ``self.base``, built and validated once.
+        """The closed path at ``self.base`` in which the token of the
+        generator's colour walks its loop ``|power|`` times, backwards for a
+        negative power, while every other token rests.
 
-        ``artin_loop_path`` checks the subdivision at the "paper" threshold
-        (a memo hit after ``__init__`` at "paper"; at "alt", one full check
-        per context, which passes), validates every step and raises
-        ``BaseMismatchError`` unless the loop closes at the basepoint, which
-        is ``self.base``."""
-        key = (delta_vertex, power)
-        path = self._loop_paths.get(key)
-        if path is None:
-            if not self.delta.has_vertex(delta_vertex):
-                raise UnknownVertexError(f"unknown source generator {delta_vertex!r}")
-            path = self._loop_paths[key] = artin_loop_path(
-                self.halo, self.n, delta_vertex, power
-            )
-        return path
+        One step per edge of ``self.halo.loop_of(delta_vertex)``, read off
+        as it stands: by the axioms the loop is simple, starts and ends at
+        its colour's basepoint and avoids every other basepoint, so each
+        step is legal and the path closes. Nothing is cached."""
+        if not self.delta.has_vertex(delta_vertex):
+            raise UnknownVertexError(f"unknown source generator {delta_vertex!r}")
+        loop = self.halo.loop_of(delta_vertex)
+        walk = loop if power > 0 else loop[::-1]
+        steps = tuple(Step(normalize_edge(s, t), s) for s, t in zip(walk, walk[1:]))
+        return ConfigEdgePath(base=self.base, steps=steps * abs(power))
 
     def letter_image(self, delta_vertex: str, sign: int, squared: bool) -> tuple[Letter, ...]:
         """Image in the edge group of one signed source letter.
 
-        Only the loop ``loop_path(delta_vertex, 1)`` is built, validated and
-        mapped by ``phi``, once: the loop run backwards crosses the same
-        edges in reverse order and the other way, so its image is the
-        reversed image with every sign negated, and the loop run twice has
-        the image twice. Both are legal closed loops because the loop is."""
+        Only the loop ``loop_path(delta_vertex, 1)`` is built and mapped by
+        ``phi``, once: the loop run backwards crosses the same edges in
+        reverse order and the other way, so its image is the reversed image
+        with every sign negated, and the loop run twice has the image twice.
+        Both are legal closed loops because the loop is."""
         key = (delta_vertex, sign, squared)
         image = self._letter_images.get(key)
         if image is None:
@@ -210,9 +219,9 @@ def psi(w: GroupWord, ctx: EmbeddingContext, squared: bool = True) -> ConfigEdge
     """Realize a source word as a based loop: each letter contributes a
     single or doubled traversal of its generator's loop.
 
-    The letters' loops come from ``ctx.loop_path``, which validates each one
-    once (legal steps, closed at ``ctx.base``), so their concatenation is a
-    legal loop at ``ctx.base`` and is not replayed here."""
+    The letters' loops come from ``ctx.loop_path``, each legal and closed at
+    ``ctx.base`` because the halo meets the axioms, so their concatenation
+    is a legal loop at ``ctx.base`` and is not replayed here."""
     factor = 2 if squared else 1
     steps = []
     for gen, sign in w.letters:
@@ -225,8 +234,7 @@ def phi_psi(w: GroupWord, ctx: EmbeddingContext, squared: bool = True) -> GroupW
     ``phi(psi(w, ctx, squared), ctx)``.
 
     Concatenates the cached letter images (``ctx.letter_image``), so the
-    cost is linear in the image length. Each image is validated once, when
-    ``ctx.loop_path`` first builds its loop."""
+    cost is linear in the image length."""
     img: list[Letter] = []
     for gen, sign in w.letters:
         img.extend(ctx.letter_image(gen, sign, squared))
@@ -272,7 +280,7 @@ def check_homomorphism(ctx: EmbeddingContext) -> HomomorphismReport:
     # per generator in a relator: the edges its loop crosses and their
     # endpoints, built once however many relators hold it
     held = sorted({v for e in ctx.delta.edges for v in e})
-    edges_of = {a: {step.edge for step in ctx.loop_path(a, 1).steps} for a in held}
+    edges_of = {a: set(ctx.halo.loop_edges(a)) for a in held}
     ends_of = {a: {v for e in edges for v in e} for a, edges in edges_of.items()}
     relators = []
     for a, b in ctx.delta.edges:

@@ -29,14 +29,6 @@ class EmptyGraphError(InputError):
     """An operation that needs at least one vertex got an empty graph."""
 
 
-class BaseMismatchError(InputError):
-    """A loop that does not close at its basepoint."""
-
-
-class InsufficientSubdivisionError(InputError):
-    """A configuration-space operation needs a sufficiently subdivided graph."""
-
-
 class SizeExceededError(RaagBraidError):
     """A predicted count (colour placements, elements or samples) passed
     ``DEFAULT_BUDGET``."""
@@ -57,8 +49,10 @@ class ImproperColoringError(VerificationError):
 
 
 class IllegalStepError(VerificationError):
-    """A configuration-space step would collide two tokens.
+    """A configuration-space step is not a legal one-cell: its source is off
+    its edge or holds no token, or its target is occupied.
 
-    Unreachable for loops of a verified halo; reaching it signals a halo
-    axiom violation.
+    Raised by ``edge_path``, the validator of caller-supplied moves. The
+    pipeline's loops are read off a halo that meets the axioms, which makes
+    every step legal, so they never reach it.
     """

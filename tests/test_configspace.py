@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from raagbraid import (
@@ -5,16 +7,12 @@ from raagbraid import (
     Configuration,
     GraphFormatError,
     IllegalStepError,
-    InsufficientSubdivisionError,
-    SimpleGraph,
     Step,
     artin_basepoint,
-    artin_loop_path,
-    build_halo,
+    build_context,
     cell_counts,
     chromatic_number,
     edge_path,
-    subdivided_halo,
 )
 
 from oracles import (
@@ -85,96 +83,76 @@ def moves(p):
     return [(step.edge, step.source) for step in p.steps]
 
 
-def figure_halo():
-    delta = SimpleGraph.make(["a", "b", "c"], [("a", "c")])
-    from raagbraid import Coloring
-
-    coloring = Coloring.make(delta, {"a": 1, "b": 2, "c": 3})
-    return subdivided_halo(build_halo(delta, coloring), 3)
-
-
 class TestArtinLoopPath:
-    def test_power_zero_empty(self):
-        h = figure_halo()
-        p = artin_loop_path(h, 3, "a", 0)
-        assert len(p) == 0
-        assert p.base == artin_basepoint(h)
+    """The generators' loops, read off the halo by ``EmbeddingContext.loop_path``."""
 
-    def test_single_traversal(self):
-        h = figure_halo()
-        p = artin_loop_path(h, 3, "a", 1)
-        assert len(p) == len(h.loop_of("a")) - 1 == 4
+    def test_power_zero_empty(self, figure_context):
+        ctx = figure_context
+        p = ctx.loop_path("a", 0)
+        assert len(p) == 0
+        assert p.base == ctx.base == artin_basepoint(ctx.halo)
+
+    def test_single_traversal(self, figure_context):
+        ctx = figure_context
+        p = ctx.loop_path("a", 1)
+        assert len(p) == len(ctx.halo.loop_of("a")) - 1 == 4
         # the oracle's walk is legal and closes at the basepoints
-        assert moves(p) == replay_psi(h, [("a", 1)], squared=False)[0]
+        assert moves(p) == replay_psi(ctx.halo, [("a", 1)], squared=False)[0]
         # only the strand of color 1 moves: no step touches another token
         resting = set(p.base.cells) - {"x_1"}
         assert not resting & {v for step in p.steps for v in step.edge}
 
-    def test_negative_power_is_reverse(self):
-        h = figure_halo()
-        fwd = artin_loop_path(h, 3, "a", 1)
-        bwd = artin_loop_path(h, 3, "a", -1)
+    def test_negative_power_is_reverse(self, figure_context):
+        fwd = figure_context.loop_path("a", 1)
+        bwd = figure_context.loop_path("a", -1)
         # the same edges in the opposite order, each crossed from its other end
         assert moves(bwd) == [
             (edge, edge[1] if source == edge[0] else edge[0])
             for edge, source in reversed(moves(fwd))
         ]
 
-    def test_power_k_is_concatenation(self):
-        h = figure_halo()
-        single = artin_loop_path(h, 3, "a", 1)
-        triple = artin_loop_path(h, 3, "a", 3)
+    def test_power_k_is_concatenation(self, figure_context):
+        single = figure_context.loop_path("a", 1)
+        triple = figure_context.loop_path("a", 3)
         assert triple.steps == single.steps * 3
 
-    def test_insufficient_subdivision_rejected(self):
-        delta = SimpleGraph.make(["a", "b", "c"], [("a", "c")])
-        from raagbraid import Coloring
-
-        coloring = Coloring.make(delta, {"a": 1, "b": 2, "c": 3})
-        raw = build_halo(delta, coloring)
-        # the raw halo has girth 4 > n + 1 for n = 3, so force a failure by
-        # asking for more strands than the subdivision supports
-        report_ok = True
-        try:
-            artin_loop_path(raw, 4, "a", 1)
-            report_ok = False
-        except InsufficientSubdivisionError:
-            pass
-        assert report_ok
-
     def test_never_illegal_over_corpus(self):
-        for g in atlas_connected(6):
-            coloring = chromatic_number(g)
-            h = subdivided_halo(build_halo(g, coloring), coloring.color_count)
+        """Every loop, at every power ψ uses, is legal step by step and is
+        the oracle's walk, over every connected graph of up to 6 vertices at
+        both thresholds: the loops are read off the halo and replayed only
+        here."""
+        for g, path_threshold in product(atlas_connected(6), ("paper", "alt")):
+            ctx = build_context(g, chromatic_number(g), path_threshold)
             for v in g.vertices:
-                for power in (1, -1):
-                    p = artin_loop_path(h, coloring.color_count, v, power)
-                    assert moves(p) == replay_psi(h, [(v, power)], squared=False)[0]
-                    assert len(p) == len(h.loop_of(v)) - 1
+                for power in (1, -1, 2, -2):
+                    p = ctx.loop_path(v, power)
+                    assert edge_path(ctx.halo.gamma, ctx.base, moves(p)) == p
+                    assert moves(p) == replay_psi(ctx.halo, [(v, power)], squared=False)[0]
+                    assert len(p) == abs(power) * (len(ctx.halo.loop_of(v)) - 1)
 
 
 class TestPathsAndConcat:
-    def test_identity_concat(self):
-        h = figure_halo()
-        p = artin_loop_path(h, 3, "a", 1)
-        empty = artin_loop_path(h, 3, "a", 0)
+    def test_identity_concat(self, figure_context):
+        p = figure_context.loop_path("a", 1)
+        empty = figure_context.loop_path("a", 0)
         assert empty.base == p.base
         assert ConfigEdgePath(empty.base, empty.steps + p.steps) == p
 
-    def test_path_times_reverse_doubles_length(self):
-        h = figure_halo()
-        p = artin_loop_path(h, 3, "a", 1)
-        double = ConfigEdgePath(p.base, p.steps + artin_loop_path(h, 3, "a", -1).steps)
+    def test_path_times_reverse_doubles_length(self, figure_context):
+        ctx = figure_context
+        p = ctx.loop_path("a", 1)
+        double = ConfigEdgePath(p.base, p.steps + ctx.loop_path("a", -1).steps)
         assert len(double) == 2 * len(p)
-        assert moves(double) == replay_psi(h, [("a", 1), ("a", -1)], squared=False)[0]
+        assert moves(double) == replay_psi(ctx.halo, [("a", 1), ("a", -1)], squared=False)[0]
 
-    def test_loop_composition_length_adds(self):
-        h = figure_halo()
-        pa = artin_loop_path(h, 3, "a", 1)
-        pb = artin_loop_path(h, 3, "b", 1)
+    def test_loop_composition_length_adds(self, figure_context):
+        ctx = figure_context
+        pa = ctx.loop_path("a", 1)
+        pb = ctx.loop_path("b", 1)
         combined = ConfigEdgePath(pa.base, pa.steps + pb.steps)
-        assert moves(combined) == replay_psi(h, [("a", 1), ("b", 1)], squared=False)[0]
+        assert moves(combined) == replay_psi(ctx.halo, [("a", 1), ("b", 1)], squared=False)[0]
         assert len(combined) == len(pa) + len(pb)
+        h = ctx.halo
         assert len(combined) == (len(h.loop_of("a")) - 1) + (len(h.loop_of("b")) - 1)
 
     def test_illegal_step_collision(self):

@@ -7,7 +7,6 @@ from itertools import accumulate, islice, product
 import pytest
 
 from raagbraid import (
-    BaseMismatchError,
     Coloring,
     ConfigEdgePath,
     EmbeddingContext,
@@ -42,7 +41,7 @@ from raagbraid import (
     subdivided_halo,
     verify_suite,
 )
-from raagbraid import embedding, errors, graphs
+from raagbraid import configspace, embedding, errors, graphs
 from raagbraid import halo as halo_mod
 from raagbraid.cli import main
 from raagbraid.embedding import InjectivityReport, edge_generator_name
@@ -300,7 +299,13 @@ class TestPsi:
         assert [(step.edge, step.source) for step in p.steps] == moves
         assert p.base.cells == ("x_1", "x_2", "x_3")
 
-    def test_loop_that_does_not_close_rejected(self, figure_delta, figure_coloring):
+    def test_loop_that_does_not_close_rejected(
+        self, tmp_path, capsys, figure_delta, figure_coloring
+    ):
+        """A loop is read off the halo without a replay, so a halo whose
+        loop does not close is turned away where its axioms are checked:
+        by ``context_from_halo``, by the suite's first check and so by the
+        CLI."""
         # a's loop stops one vertex short of its basepoint
         h = build_halo(figure_delta, figure_coloring)
         corrupted = Halo(
@@ -310,12 +315,37 @@ class TestPsi:
             coloring=h.coloring,
             delta=h.delta,
         )
-        ctx = EmbeddingContext(subdivided_halo(corrupted, 3))
-        with pytest.raises(BaseMismatchError, match="loop of 'a' is not closed at the basepoint"):
-            psi(W("a"), ctx)
-        with pytest.raises(BaseMismatchError):
-            check_homomorphism(ctx)
-        assert len(psi(W("b c"), ctx)) > 0
+        with pytest.raises(VerificationError, match="simple-loop"):
+            context_from_halo(corrupted)
+        report = verify_suite(figure_delta, figure_coloring, halo=corrupted)
+        assert not report.passed
+        assert [(c.name, c.passed) for c in report.checks] == [("halo-axioms", False)]
+        assert "simple-loop" in report.checks[0].details["axioms_violated"]
+        path = tmp_path / "halo.json"
+        path.write_text(json.dumps(halo_to_json_dict(corrupted)))
+        assert main(["verify", "--input", str(path)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_no_path_replays_the_loops(self, tmp_path, monkeypatch, figure_delta, figure_coloring):
+        """The loops are read off the halo, so nothing on the way to a
+        context, a check or an image moves tokens through ``edge_path``."""
+
+        def replayed(*args):
+            raise AssertionError("a loop was replayed through edge_path")
+
+        monkeypatch.setattr(configspace, "edge_path", replayed)
+        monkeypatch.setattr(embedding, "edge_path", replayed, raising=False)
+        path = tmp_path / "figure.json"
+        path.write_text(dumps_canonical(graph_to_json_dict(figure_delta)))
+        for path_threshold in ("paper", "alt"):
+            ctx = build_context(figure_delta, figure_coloring, path_threshold)
+            assert check_homomorphism(ctx).ok
+            assert context_from_halo(ctx.halo, path_threshold).halo == ctx.halo
+            assert verify_suite(
+                figure_delta, figure_coloring, max_len=2, path_threshold=path_threshold
+            ).passed
+            argv = ["embed", "--input", str(path), "a b", "--path-threshold", path_threshold]
+            assert main(argv) == 0
 
 
 class TestPhiPsi:
@@ -452,8 +482,9 @@ class TestContextMemory:
 
 
 class TestAltThreshold:
-    """A context at the stricter "alt" threshold builds each loop through
-    ``artin_loop_path``, whose "paper" check its halo graph meets too."""
+    """A context at the stricter "alt" threshold reads each loop off its
+    further subdivided halo, which meets the axioms, as at "paper"; the
+    loops match the oracle's walk, which checks every step."""
 
     @pytest.mark.parametrize("name", ["figure", "C6", "K4"])
     def test_loops_and_homomorphism(self, figure_delta, figure_coloring, name):
@@ -479,9 +510,9 @@ class TestAltThreshold:
 class TestSubdivisionChecks:
     def test_check_count_independent_of_vertex_count(self, monkeypatch):
         """The subdivision check is computed while the halo is subdivided,
-        and for an "alt" context once more, at the "paper" threshold the
-        loops are built at; not once per generator loop: each loop's check,
-        and the context's, reads the graph's memo."""
+        at most twice at either threshold: once on the base halo and once on
+        its subdivision. The loops are read off the halo and check nothing,
+        so the count does not grow with the generators."""
         computed = []
         original = graphs._subdivision_report
 
@@ -490,7 +521,7 @@ class TestSubdivisionChecks:
             return original(*args)
 
         monkeypatch.setattr(graphs, "_subdivision_report", counted)
-        for path_threshold, most in (("paper", 2), ("alt", 3)):
+        for path_threshold, most in (("paper", 2), ("alt", 2)):
             counts = []
             for size in (4, 6, 8, 10, 12):
                 g = cycle_graph(size)
