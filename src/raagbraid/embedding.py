@@ -277,17 +277,17 @@ def check_homomorphism(ctx: EmbeddingContext) -> HomomorphismReport:
     b's, and the commutator of the images is 1. That holds over any halo,
     not only one that meets the axioms. Only a relator whose loops meet is
     piled, so it reports its own verdict."""
-    # per generator in a relator: the edges its loop crosses and their
-    # endpoints, built once however many relators hold it
-    held = sorted({v for e in ctx.delta.edges for v in e})
-    edges_of = {a: set(ctx.halo.loop_edges(a)) for a in held}
-    ends_of = {a: {v for e in edges for v in e} for a, edges in edges_of.items()}
+    # per generator in a relator: its loop's vertices, the endpoints of the
+    # edges it crosses, built once however many relators hold it
+    halo = ctx.halo
+    vertices_of = {a: set(halo.loop_of(a)) for a in {v for e in ctx.delta.edges for v in e}}
     relators = []
     for a, b in ctx.delta.edges:
-        disjoint = edges_of[a].isdisjoint(edges_of[b])
         # every cross pair commutes exactly when no endpoint is shared; a
-        # shared edge shares its endpoints, so this also fails then
-        cross = ends_of[a].isdisjoint(ends_of[b])
+        # shared edge shares its endpoints, so loops that share no vertex
+        # share no edge, and only loops that meet need their edge sets
+        cross = vertices_of[a].isdisjoint(vertices_of[b])
+        disjoint = cross or set(halo.loop_edges(a)).isdisjoint(halo.loop_edges(b))
         trivial = cross or is_trivial(
             phi_psi(GroupWord.from_pairs([(a, 1), (b, 1), (a, -1), (b, -1)]), ctx, squared=True),
             ctx.a_gamma,

@@ -94,8 +94,11 @@ class SimpleGraph(_Value):
         vset = set(vs)
         es = set()
         for pair in edges:
-            u, v = pair
-            e = normalize_edge(u, v)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2 or not (
+                isinstance(pair[0], str) and isinstance(pair[1], str)
+            ):
+                raise GraphFormatError(f"an edge must be a pair of vertex names, got {pair!r}")
+            e = normalize_edge(*pair)
             if e[0] not in vset or e[1] not in vset:
                 raise GraphFormatError(f"edge {e} has an undeclared endpoint")
             es.add(e)
@@ -103,11 +106,29 @@ class SimpleGraph(_Value):
 
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:
+        """Neighbours by name, built on request: the algorithms read ``_adj``."""
         adj: dict[str, set[str]] = {v: set() for v in self.vertices}
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
         return {v: frozenset(ns) for v, ns in adj.items()}
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        # each name's position in vertices, so integer order is name order
+        return dict(zip(self.vertices, range(len(self.vertices))))
+
+    @cached_property
+    def _adj(self) -> tuple[tuple[int, ...], ...]:
+        # per vertex, its neighbours' positions; ascending, as the edges are
+        # sorted: a vertex's smaller neighbours come first, in their order
+        index = self._index
+        adj: list[list[int]] = [[] for _ in self.vertices]
+        for u, v in self.edges:
+            i, j = index[u], index[v]
+            adj[i].append(j)
+            adj[j].append(i)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def _subdivision_reports(self) -> dict[tuple[int, str], "SubdivisionReport"]:
@@ -123,7 +144,7 @@ class SimpleGraph(_Value):
         return len(self.edges)
 
     def has_vertex(self, v: str) -> bool:
-        return v in self.adjacency
+        return v in self._index
 
     def neighbors(self, v: str) -> frozenset[str]:
         try:
@@ -137,22 +158,22 @@ class SimpleGraph(_Value):
     @cached_property
     def _components(self) -> tuple[tuple[str, ...], ...]:
         # components' memo: one traversal per graph instance
-        adjacency = self.adjacency
-        seen: set[str] = set()
+        adj, names = self._adj, self.vertices
+        seen = [False] * len(names)
         comps = []
-        for start in self.vertices:
-            if start in seen:
+        for start in range(len(names)):
+            if seen[start]:
                 continue
-            seen.add(start)
+            seen[start] = True
             comp = [start]
             stack = [start]
             while stack:
-                for y in adjacency[stack.pop()]:
-                    if y not in seen:
-                        seen.add(y)
+                for y in adj[stack.pop()]:
+                    if not seen[y]:
+                        seen[y] = True
                         comp.append(y)
                         stack.append(y)
-            comps.append(tuple(sorted(comp)))
+            comps.append(tuple(map(names.__getitem__, sorted(comp))))
         return tuple(comps)
 
     def components(self) -> tuple[tuple[str, ...], ...]:
@@ -295,7 +316,7 @@ def chromatic_number(g: SimpleGraph) -> Coloring:
 
 def essential_vertices(g: SimpleGraph) -> frozenset[str]:
     """Vertices of degree at least 3."""
-    return frozenset(v for v, ns in g.adjacency.items() if len(ns) >= 3)
+    return frozenset([v for v, ns in zip(g.vertices, g._adj) if len(ns) >= 3])
 
 
 # --- subdivision -----------------------------------------------------------
@@ -335,8 +356,8 @@ def _path_required(n: int, path_threshold: str) -> int:
 
 def _arcs(g: SimpleGraph):
     """Maximal paths between distinct essential vertices whose interior
-    vertices are all non-essential. Yields (u, w, interior) once per arc,
-    u < w, in the order of (u, the arc's first vertex after u).
+    vertices are all non-essential. Yields vertex ids (u, w, interior) once
+    per arc, u < w, in the order of (u, the arc's first vertex after u).
 
     Every interior vertex has exactly two neighbours, so a walk can enter
     its chain only from one of the chain's two ends, and leaves each vertex
@@ -349,30 +370,32 @@ def _arcs(g: SimpleGraph):
     A direct edge between two essential vertices is taken from its smaller
     end. Walks that loop back to their start or stop at a vertex of degree
     1 are not arcs."""
-    adjacency = g.adjacency
-    ess = essential_vertices(g)
-    walked: set[str] = set()
-    for u in sorted(ess):
-        for z in sorted(adjacency[u]):
-            if z in ess:
+    adj = g._adj
+    ess = [len(ns) >= 3 for ns in adj]
+    walked = [False] * len(adj)
+    for u, ns in enumerate(adj):
+        if not ess[u]:
+            continue
+        for z in ns:
+            if ess[z]:
                 if u < z:
                     yield (u, z, ())
                 continue
-            if z in walked:
+            if walked[z]:
                 continue
             prev, cur = u, z
-            interior: list[str] = []
-            while cur not in ess and len(adjacency[cur]) == 2:
-                walked.add(cur)
+            interior: list[int] = []
+            while len(adj[cur]) == 2:
+                walked[cur] = True
                 interior.append(cur)
-                a, b = adjacency[cur]
+                a, b = adj[cur]
                 prev, cur = cur, (b if a == prev else a)
-            if cur not in ess or cur == u:
+            if not ess[cur] or cur == u:
                 continue
             yield (u, cur, tuple(interior))
 
 
-def _tree_path(parent: dict[str, str], v: str) -> list[str]:
+def _tree_path(parent: dict[int, int], v: int) -> list[int]:
     """v, its parent, and so on up to the root of the search."""
     path = [v]
     while parent[v] != v:
@@ -381,7 +404,7 @@ def _tree_path(parent: dict[str, str], v: str) -> list[str]:
     return path
 
 
-def _keep(found: set[tuple[str, ...]], bound: int, walk: list[str]) -> int:
+def _keep(found: set[tuple[int, ...]], bound: int, walk: list[int]) -> int:
     """Add a closed walk of at most bound edges to found, from its least vertex
     and second vertex before last, clearing found if it is shorter; return
     its length, the new bound."""
@@ -406,13 +429,13 @@ def _shortest_cycles(g: SimpleGraph, max_edges: int) -> list[tuple[str, ...]]:
     an edge x-y at one distance, or to any two parents x, p of a vertex y,
     not only to y's own. A kept walk of least length is simple: tree paths
     sharing a vertex besides the root would close a shorter cycle."""
-    adjacency = g.adjacency
-    roots = [v for v in g.vertices if len(adjacency[v]) >= 3]
+    adj, index = g._adj, g._index
+    roots = [i for i, ns in enumerate(adj) if len(ns) >= 3]
     for comp in g.components():
-        if len(comp) <= max_edges and all(len(adjacency[v]) == 2 for v in comp):
-            roots.append(comp[0])
+        if len(comp) <= max_edges and all(len(adj[index[v]]) == 2 for v in comp):
+            roots.append(index[comp[0]])
     bound, radius = max_edges, max_edges // 2
-    found: set[tuple[str, ...]] = set()
+    found: set[tuple[int, ...]] = set()
     for root in roots:
         dist = {root: 0}
         parent = {root: root}
@@ -420,7 +443,7 @@ def _shortest_cycles(g: SimpleGraph, max_edges: int) -> list[tuple[str, ...]]:
         while queue:
             x = queue.popleft()
             dx = dist[x]
-            for y in adjacency[x]:
+            for y in adj[x]:
                 dy = dist.get(y)
                 if dy is None:
                     if dx < radius:
@@ -433,11 +456,12 @@ def _shortest_cycles(g: SimpleGraph, max_edges: int) -> list[tuple[str, ...]]:
                     radius = bound // 2
                 elif dy > dx and parent[y] != x and 2 * dx + 2 <= bound:
                     up = _tree_path(parent, x)
-                    for p in adjacency[y]:
+                    for p in adj[y]:
                         if p != x and dist.get(p) == dx:
                             bound = _keep(found, bound, up + _tree_path(parent, p)[-2::-1] + [y])
                     radius = bound // 2
-    return sorted(found)
+    names = g.vertices
+    return [tuple(map(names.__getitem__, cycle)) for cycle in sorted(found)]
 
 
 def is_sufficiently_subdivided(
@@ -465,12 +489,12 @@ def _subdivision_report(g: SimpleGraph, n: int, path_threshold: str) -> Subdivis
     path_required = _path_required(n, path_threshold)
     loop_required = n + 1
     violations: list[SubdivisionViolation] = []
+    names = g.vertices
     for u, w, interior in _arcs(g):
         length = len(interior) + 1
         if length < path_required:
-            violations.append(
-                SubdivisionViolation("path", (u, *interior, w), length, path_required)
-            )
+            path = tuple(map(names.__getitem__, (u, *interior, w)))
+            violations.append(SubdivisionViolation("path", path, length, path_required))
     for cycle in _shortest_cycles(g, loop_required - 1):
         violations.append(SubdivisionViolation("loop", cycle, len(cycle), loop_required))
     return SubdivisionReport(
@@ -539,15 +563,10 @@ def is_planar(g: SimpleGraph) -> bool:
     so that test sees O(|V|) edges."""
     if g.n_vertices >= 3 and g.n_edges > 3 * g.n_vertices - 6:
         return False
-    index = {v: i for i, v in enumerate(g.vertices)}
-    adj: list[list[int]] = [[] for _ in g.vertices]
-    for u, v in g.edges:
-        adj[index[u]].append(index[v])
-        adj[index[v]].append(index[u])
-    return _left_right_planar(adj)
+    return _left_right_planar(g._adj)
 
 
-def _left_right_planar(adj: list[list[int]]) -> bool:
+def _left_right_planar(adj: tuple[tuple[int, ...], ...]) -> bool:
     """The left-right planarity test (de Fraysseix & Rosenstiehl, in the
     form of Brandes, *The Left-Right Planarity Test*, 2009) on vertex
     indices, without building an embedding.
@@ -727,14 +746,7 @@ def graph_from_json_dict(data) -> SimpleGraph:
     edges = data.get("edges", [])
     if not isinstance(vertices, list) or not isinstance(edges, list):
         raise GraphFormatError("graph JSON needs 'vertices' and 'edges' arrays")
-    parsed_edges = []
-    for e in edges:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise GraphFormatError(f"edge entries must be pairs, got {e!r}")
-        if not all(isinstance(x, str) for x in e):
-            raise GraphFormatError(f"edge endpoints must be strings, got {e!r}")
-        parsed_edges.append((e[0], e[1]))
-    return SimpleGraph.make(vertices, parsed_edges)
+    return SimpleGraph.make(vertices, edges)
 
 
 def json_value(value):

@@ -19,7 +19,7 @@ and the caller that reads its report runs it, once per halo.
 """
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from functools import cached_property
 from itertools import combinations
 
@@ -131,8 +131,7 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
     basepoint = {c: f"x_{c}" for c in range(1, coloring.color_count + 1)}
 
     def junction(a: str, b: str) -> str:
-        a, b = sorted((a, b))
-        return f"j~{a}~{b}"
+        return f"j~{a}~{b}" if a < b else f"j~{b}~{a}"
 
     vertices: set[str] = set(basepoint.values())
     edges: list[tuple[str, str]] = []
@@ -189,7 +188,9 @@ def verify_halo(h: Halo) -> HaloReport:
     the loops through each halo vertex: a vertex on m loops is shared by
     m(m-1)/2 pairs, so no two loops' vertex sets are intersected. Every
     pair of sources is still visited in sorted order, since non-adjacent
-    ones that share nothing fail too."""
+    ones that share nothing fail too. The loops are read as vertex ids of
+    Γ's integer view, so no name-keyed adjacency is built; names are looked
+    up only for what the report says."""
     violations: list[HaloViolation] = []
     gamma, delta, coloring = h.gamma, h.delta, h.coloring
     loops = h.loops
@@ -231,7 +232,13 @@ def verify_halo(h: Halo) -> HaloReport:
                 )
             )
 
-    adjacency = gamma.adjacency
+    # each loop as vertex ids: Γ's, then the next free one for any loop
+    # vertex outside Γ, which has no neighbours but is counted below
+    index = defaultdict(lambda: len(index), gamma._index)
+    ids_of = {a: list(map(index.__getitem__, loop)) for a, loop in loops.items()}
+    names = list(index)
+    adj = gamma._adj + ((),) * (len(names) - gamma.n_vertices)
+
     for a, loop in sorted(loops.items()):
         if len(loop) < 4 or loop[0] != loop[-1]:
             violations.append(
@@ -248,8 +255,10 @@ def verify_halo(h: Halo) -> HaloReport:
                     AXIOM_SIMPLE_LOOP, f"loop of {a!r} repeats a vertex", (a,)
                 )
             )
-        for s, t in zip(loop, loop[1:]):
-            if t not in adjacency.get(s, ()):
+        ids = ids_of[a]
+        for i, j in zip(ids, ids[1:]):
+            if j not in adj[i]:
+                s, t = names[i], names[j]
                 violations.append(
                     HaloViolation(
                         AXIOM_SIMPLE_LOOP,
@@ -269,13 +278,14 @@ def verify_halo(h: Halo) -> HaloReport:
                 )
             )
 
-    loop_sets = {a: set(loop) for a, loop in loops.items()}
+    loop_sets = {a: set(ids) for a, ids in ids_of.items()}
     for c in colors:
         if c not in basepoint:
             continue
         x = basepoint[c]
+        x_id = index.get(x)
         for a in sorted(loop_keys & delta_vertices):
-            on_loop = x in loop_sets[a]
+            on_loop = x_id in loop_sets[a]
             should = coloring.color_of(a) == c
             if on_loop != should:
                 detail = "missing from" if should else "present on"
@@ -288,14 +298,14 @@ def verify_halo(h: Halo) -> HaloReport:
                 )
 
     pairs = sorted(loop_keys & delta_vertices)
-    # per halo vertex: the loops through it, in pairs order
-    loops_at: dict[str, list[str]] = {}
+    # per vertex id: the loops through it, in pairs order
+    loops_at: list[list[str]] = [[] for _ in names]
     for d in pairs:
         for v in loop_sets[d]:
-            loops_at.setdefault(v, []).append(d)
-    # per pair of loops that meet: the vertices they share
-    shared: dict[tuple[str, str], list[str]] = {}
-    for v, through in loops_at.items():
+            loops_at[v].append(d)
+    # per pair of loops that meet: the vertex ids they share
+    shared: dict[tuple[str, str], list[int]] = {}
+    for v, through in enumerate(loops_at):
         if len(through) > 1:  # most vertices are private to one loop
             for pair in combinations(through, 2):
                 shared.setdefault(pair, []).append(v)
@@ -306,25 +316,28 @@ def verify_halo(h: Halo) -> HaloReport:
             inter = shared.get((a, b), ())
             if b in near:
                 if inter:
+                    inter = sorted(map(names.__getitem__, inter))
                     violations.append(
                         HaloViolation(
                             AXIOM_EDGE_DISJOINT,
-                            f"loops of adjacent {a!r}, {b!r} share {sorted(inter)}",
-                            (a, b, *sorted(inter)),
+                            f"loops of adjacent {a!r}, {b!r} share {inter}",
+                            (a, b, *inter),
                         )
                     )
                 continue
             if len(inter) != 1:
+                inter = sorted(map(names.__getitem__, inter))
                 violations.append(
                     HaloViolation(
                         AXIOM_NON_EDGE,
                         f"loops of non-adjacent {a!r}, {b!r} share {len(inter)} vertices "
-                        f"({sorted(inter)}), expected exactly 1",
-                        (a, b, *sorted(inter)),
+                        f"({inter}), expected exactly 1",
+                        (a, b, *inter),
                     )
                 )
                 continue
-            v = inter[0]
+            w = inter[0]
+            v = names[w]
             if ca == color[b]:
                 if basepoint.get(ca) != v:
                     violations.append(
@@ -335,8 +348,8 @@ def verify_halo(h: Halo) -> HaloReport:
                             (a, b, v),
                         )
                     )
-            elif len(loops_at[v]) > 2:
-                third = [d for d in loops_at[v] if d not in (a, b)]
+            elif len(loops_at[w]) > 2:
+                third = [d for d in loops_at[w] if d not in (a, b)]
                 violations.append(
                     HaloViolation(
                         AXIOM_NON_EDGE,

@@ -119,6 +119,18 @@ def edges_commute(e, f) -> bool:
     return not set(e) & set(f)
 
 
+def relator_supports(halo, a: str, b: str) -> tuple[bool, bool]:
+    """(supports_disjoint, cross_pairs_commute) of the relator [a, b], read
+    off the full edge sets of the two loops: they share no edge, and every
+    edge of one commutes with every edge of the other."""
+    loops = dict(halo.artin_loops)
+    edges = [{frozenset(step) for step in zip(loops[d], loops[d][1:])} for d in (a, b)]
+    return (
+        edges[0].isdisjoint(edges[1]),
+        all(edges_commute(e, f) for e in edges[0] for f in edges[1]),
+    )
+
+
 # --- halo axioms ---------------------------------------------------------------
 
 

@@ -59,8 +59,10 @@ from oracles import (
     random_multipartite,
     reference_sample_stream,
     reference_samples,
+    relator_supports,
     replay_psi,
 )
+from test_golden import SCALE30, SCALE30_PARTS
 
 W = GroupWord.parse
 
@@ -681,7 +683,7 @@ class TestCheckHomomorphism:
             delta=h.delta,
         )
         ctx = EmbeddingContext(subdivided_halo(corrupted, 3))
-        report = check_homomorphism(ctx)
+        report = self.commutators_as_piled(ctx)
         assert not report.ok
         bad = [r for r in report.relators if r.edge == ("a", "c")]
         assert bad and not bad[0].supports_disjoint
@@ -690,8 +692,8 @@ class TestCheckHomomorphism:
     def commutators_as_piled(ctx: EmbeddingContext):
         """The context's homomorphism report, after checking that each
         relator's verdict is what piling its commutator's squared image
-        gives, and that the letters of two images that meet in no halo
-        vertex commute pairwise under the oracle's relation. (The
+        gives, and that its support verdicts are the oracle's, read off the
+        full edge sets of the two loops. (The
         breadth-first oracle cannot stand in for piling here: on the
         squared commutator image of K2, 24 letters, it passes 500,000
         words before it ends.)"""
@@ -700,9 +702,9 @@ class TestCheckHomomorphism:
             a, b = r.edge
             image = phi_psi(GroupWord.from_pairs([(a, 1), (b, 1), (a, -1), (b, -1)]), ctx)
             assert r.commutator_trivial == is_trivial(image, ctx.a_gamma), r
-            if r.cross_pairs_commute:
-                edges_of = {g: ctx.halo.loop_edges(g) for g in (a, b)}
-                assert all(edges_commute(e, f) for e in edges_of[a] for f in edges_of[b]), r
+            assert (r.supports_disjoint, r.cross_pairs_commute) == relator_supports(
+                ctx.halo, a, b
+            ), r
         return report
 
     @pytest.mark.parametrize("shared", ["edge", "vertex"])
@@ -732,6 +734,17 @@ class TestCheckHomomorphism:
         # the loops meet, so the commutator is piled, and its image is
         # nontrivial
         assert not bad.commutator_trivial
+
+    def test_the_halo_graph_never_gets_the_name_keyed_adjacency(self):
+        """The subdivision, planarity, halo and homomorphism checks read
+        Γ's integer view: a name-keyed pass over Γ fails here."""
+        coloring = Coloring.make(SCALE30, SCALE30_PARTS)
+        ctx = build_context(SCALE30, coloring)
+        assert check_homomorphism(ctx).ok
+        assert "adjacency" not in ctx.halo.gamma.__dict__
+        halo = build_halo(SCALE30, coloring)
+        assert verify_suite(SCALE30, coloring, max_len=2, sample_count=20, halo=halo).passed
+        assert "adjacency" not in halo.gamma.__dict__
 
     def test_corpus_homomorphism(self):
         contexts = [

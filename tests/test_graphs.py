@@ -17,6 +17,7 @@ from raagbraid import (
     SizeExceededError,
     UnknownVertexError,
     VerificationError,
+    build_halo,
     chromatic_number,
     essential_vertices,
     graph_from_json_dict,
@@ -25,6 +26,7 @@ from raagbraid import (
     is_planar,
     is_sufficiently_subdivided,
     minimal_subdivision,
+    subdivided_halo,
     to_dot,
 )
 from raagbraid import errors, graphs
@@ -54,6 +56,7 @@ from oracles import (
     random_triangulation,
     smallest_passing_factor,
 )
+from test_golden import GRAPHS, RAND40, SCALE30, SCALE30_PARTS
 
 
 def simple_graph_strategy(max_vertices=7):
@@ -82,6 +85,15 @@ class TestSimpleGraph:
         with pytest.raises(GraphFormatError):
             SimpleGraph.make(["a"], [("a", "b")])
 
+    @pytest.mark.parametrize(
+        "edge",
+        [("a",), ("a", "b", "c"), (1, "a"), ("a", None), "ab"],
+        ids=["one-name", "three-names", "int-endpoint", "none-endpoint", "string"],
+    )
+    def test_rejects_an_edge_that_is_not_a_pair_of_names(self, edge):
+        with pytest.raises(GraphFormatError, match="pair of vertex names"):
+            SimpleGraph.make(["a", "b", "c"], [edge])
+
     def test_rejects_empty_name(self):
         with pytest.raises(GraphFormatError):
             SimpleGraph.make([""])
@@ -95,6 +107,36 @@ class TestSimpleGraph:
         g = SimpleGraph.make(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
         assert g.components() == (("a", "b"), ("c", "d"))
         assert not g.is_connected()
+
+
+def assert_int_view_matches_name_view(g: SimpleGraph) -> None:
+    """``_index`` inverts ``vertices``, and each ``_adj[i]`` is ascending
+    and names the neighbours of ``vertices[i]``, read off the edges."""
+    assert g._index == {v: i for i, v in enumerate(g.vertices)}
+    named: dict[str, set[str]] = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        named[u].add(v)
+        named[v].add(u)
+    assert len(g._adj) == g.n_vertices
+    for i, ns in enumerate(g._adj):
+        assert list(ns) == sorted(set(ns))
+        assert {g.vertices[j] for j in ns} == named[g.vertices[i]] == g.adjacency[g.vertices[i]]
+
+
+class TestIntView:
+    def test_atlas(self):
+        for g in atlas_graphs():
+            assert_int_view_matches_name_view(g)
+
+    def test_golden_halos(self):
+        colored = [(g, greedy_color(g)) for g in (*GRAPHS.values(), RAND40)]
+        colored.append((SCALE30, Coloring.make(SCALE30, SCALE30_PARTS)))
+        for delta, coloring in colored:
+            halo = build_halo(delta, coloring)
+            assert_int_view_matches_name_view(halo.gamma)
+            assert_int_view_matches_name_view(
+                subdivided_halo(halo, coloring.color_count).gamma
+            )
 
 
 class TestColoring:
@@ -455,9 +497,9 @@ class TestSubdivisionFactor:
                 assert _shortest_cycles(g, m) == expected, (g, m)
 
     def test_reports_do_not_hang_on_the_hash_seed(self):
-        """The search walks frozensets, whose order follows the hash seed;
-        failing reports, whose shortest cycles share edges, read the same
-        under two seeds."""
+        """The search walks each vertex's neighbours in id order, which no
+        hash seed moves; failing reports, whose shortest cycles share
+        edges, read the same under two seeds."""
         script = (
             "import networkx as nx\n"
             "from oracles import complete_bipartite, networkx_graph, petersen_graph\n"
@@ -491,7 +533,11 @@ class TestSubdivisionFactor:
         corpus = _factor_corpus() + _component_corpus() + _arc_shapes()
         corpus += [subdivide_uniform(g, 3)[0] for g in _arc_shapes()]
         for g in corpus:
-            arcs = list(_arcs(g))
+            names = g.vertices
+            arcs = [
+                (names[u], names[w], tuple(names[i] for i in interior))
+                for u, w, interior in _arcs(g)
+            ]
             assert arcs == arcs_by_deletion(g), g
             assert len(set(arcs)) == len(arcs)
 

@@ -270,7 +270,8 @@ def _single_vertex():
 
 def _graph():
     g = _figure()[0]
-    g.adjacency  # cached in the instance dict, which pickling leaves behind
+    # cached in the instance dict, which pickling leaves behind
+    g.adjacency, g._index, g._adj
     return g
 
 
@@ -348,6 +349,7 @@ def test_value_repr_names_the_fields(cls):
 def test_cached_properties_are_computed_once():
     g = _figure()[0]
     assert g.adjacency is g.adjacency
+    assert g._index is g._index and g._adj is g._adj
     coloring = _figure()[1]
     assert coloring.as_dict is coloring.as_dict
     h = build_halo(*_figure())
@@ -364,6 +366,8 @@ def test_copy_and_pickle_give_an_equal_value(cls, round_trip):
     value = VALUES[cls][0]()
     again = round_trip(value)
     assert type(again) is cls and again == value
+    # cached properties stay behind: the copy rebuilds them on use
+    assert not getattr(again, "__dict__", None)
     assert hash(again) == hash(value)
 
 
