@@ -7,7 +7,7 @@ given input always produces byte-identical output.
 from __future__ import annotations
 
 import json
-from collections import deque, namedtuple
+from collections import namedtuple
 from functools import cached_property
 
 from . import errors
@@ -156,33 +156,35 @@ class SimpleGraph(_Value):
         return len(self.neighbors(v))
 
     @cached_property
-    def _components(self) -> tuple[tuple[str, ...], ...]:
-        # components' memo: one traversal per graph instance
-        adj, names = self._adj, self.vertices
-        seen = [False] * len(names)
+    def _component_ids(self) -> tuple[list[int], ...]:
+        # the components' vertex ids, in the order of their least ids, each
+        # in breadth-first order: one traversal per graph instance, which
+        # names no vertex
+        adj = self._adj
+        seen = [False] * len(adj)
         comps = []
-        for start in range(len(names)):
+        for start in range(len(adj)):
             if seen[start]:
                 continue
             seen[start] = True
             comp = [start]
-            stack = [start]
-            while stack:
-                for y in adj[stack.pop()]:
+            for x in comp:  # a breadth-first search: the loop reads what it appends
+                for y in adj[x]:
                     if not seen[y]:
                         seen[y] = True
                         comp.append(y)
-                        stack.append(y)
-            comps.append(tuple(map(names.__getitem__, sorted(comp))))
+            comps.append(comp)
         return tuple(comps)
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """The vertex sets of the connected components, each sorted, in the
-        order of their smallest vertices. Computed once per instance."""
-        return self._components
+        order of their smallest vertices. The traversal runs once per
+        instance; the names are read off it on each call."""
+        names = self.vertices
+        return tuple(tuple(map(names.__getitem__, sorted(comp))) for comp in self._component_ids)
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return len(self._component_ids) <= 1
 
 
 class Coloring(_Value):
@@ -355,9 +357,17 @@ def _path_required(n: int, path_threshold: str) -> int:
 
 
 def _arcs(g: SimpleGraph):
-    """Maximal paths between distinct essential vertices whose interior
-    vertices are all non-essential. Yields vertex ids (u, w, interior) once
-    per arc, u < w, in the order of (u, the arc's first vertex after u).
+    """The chains of non-essential vertices that join essential vertices or
+    close a cycle. Yields vertex ids (u, w, interior), a walk of
+    len(interior) + 1 edges, once for each of these:
+    - an arc: a maximal path between distinct essential vertices u < w
+      whose interior vertices are all non-essential;
+    - a cycle through exactly one essential vertex u, as (u, u, interior);
+    - a component whose vertices all have degree 2, a cycle through no
+      essential vertex, as (u, u, interior) from its least vertex u.
+    The first two come in the order of (u, the walk's first vertex after
+    u), then the third in the order of u. Walks that stop at a vertex of
+    degree 1 are not yielded.
 
     Every interior vertex has exactly two neighbours, so a walk can enter
     its chain only from one of the chain's two ends, and leaves each vertex
@@ -368,8 +378,10 @@ def _arcs(g: SimpleGraph):
     loops back to. The other end skips a first step into a walked vertex,
     so every arc is yielded from its smaller end.
     A direct edge between two essential vertices is taken from its smaller
-    end. Walks that loop back to their start or stop at a vertex of degree
-    1 are not arcs."""
+    end. A degree-2 vertex that no such walk reached lies in a component
+    without essential vertices: a cycle, or a path. The walk from the least
+    unwalked one stops at a walked vertex, its start if the component is a
+    cycle."""
     adj = g._adj
     ess = [len(ns) >= 3 for ns in adj]
     walked = [False] * len(adj)
@@ -390,12 +402,25 @@ def _arcs(g: SimpleGraph):
                 interior.append(cur)
                 a, b = adj[cur]
                 prev, cur = cur, (b if a == prev else a)
-            if not ess[cur] or cur == u:
-                continue
-            yield (u, cur, tuple(interior))
+            if ess[cur]:
+                yield (u, cur, tuple(interior))
+    # what is left of degree 2 lies in components without essential vertices
+    for u, ns in enumerate(adj):
+        if len(ns) != 2 or walked[u]:
+            continue
+        walked[u] = True
+        prev, cur = u, ns[0]
+        interior = []
+        while len(adj[cur]) == 2 and not walked[cur]:
+            walked[cur] = True
+            interior.append(cur)
+            a, b = adj[cur]
+            prev, cur = cur, (b if a == prev else a)
+        if cur == u:
+            yield (u, u, tuple(interior))
 
 
-def _tree_path(parent: dict[int, int], v: int) -> list[int]:
+def _tree_path(parent: list[int], v: int) -> list[int]:
     """v, its parent, and so on up to the root of the search."""
     path = [v]
     while parent[v] != v:
@@ -428,38 +453,52 @@ def _shortest_cycles(g: SimpleGraph, max_edges: int) -> list[tuple[str, ...]]:
     between its ends, so a shortest cycle is the tree paths to the ends of
     an edge x-y at one distance, or to any two parents x, p of a vertex y,
     not only to y's own. A kept walk of least length is simple: tree paths
-    sharing a vertex besides the root would close a shorter cycle."""
-    adj, index = g._adj, g._index
+    sharing a vertex besides the root would close a shorter cycle.
+
+    The searches share one ``dist`` and one ``parent`` list, each search
+    resetting only the distances it wrote, and grow the tree level by level.
+    ``_subdivision_report`` calls this only where its arcs leave room for
+    a cycle of at most max_edges edges."""
+    if max_edges < 3:
+        return []
+    adj = g._adj
     roots = [i for i, ns in enumerate(adj) if len(ns) >= 3]
-    for comp in g.components():
-        if len(comp) <= max_edges and all(len(adj[index[v]]) == 2 for v in comp):
-            roots.append(index[comp[0]])
+    for comp in g._component_ids:
+        if len(comp) <= max_edges and all(len(adj[v]) == 2 for v in comp):
+            roots.append(min(comp))
     bound, radius = max_edges, max_edges // 2
     found: set[tuple[int, ...]] = set()
+    dist = [-1] * len(adj)
+    parent = [0] * len(adj)
     for root in roots:
-        dist = {root: 0}
-        parent = {root: root}
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            dx = dist[x]
-            for y in adj[x]:
-                dy = dist.get(y)
-                if dy is None:
-                    if dx < radius:
-                        dist[y] = dx + 1
-                        parent[y] = x
-                        queue.append(y)
-                elif dy == dx and 2 * dx < bound:
-                    walk = _tree_path(parent, x) + _tree_path(parent, y)[-2::-1]
-                    bound = _keep(found, bound, walk)
-                    radius = bound // 2
-                elif dy > dx and parent[y] != x and 2 * dx + 2 <= bound:
-                    up = _tree_path(parent, x)
-                    for p in adj[y]:
-                        if p != x and dist.get(p) == dx:
-                            bound = _keep(found, bound, up + _tree_path(parent, p)[-2::-1] + [y])
-                    radius = bound // 2
+        dist[root] = 0
+        parent[root] = root
+        reached = [root]
+        level, d = [root], 0
+        while level:
+            nxt: list[int] = []
+            for x in level:
+                for y in adj[x]:
+                    dy = dist[y]
+                    if dy < 0:
+                        if d < radius:
+                            dist[y] = d + 1
+                            parent[y] = x
+                            nxt.append(y)
+                    elif dy == d and 2 * d < bound:
+                        walk = _tree_path(parent, x) + _tree_path(parent, y)[-2::-1]
+                        bound = _keep(found, bound, walk)
+                        radius = bound // 2
+                    elif dy > d and parent[y] != x and 2 * d + 2 <= bound:
+                        up = _tree_path(parent, x)
+                        for p in adj[y]:
+                            if p != x and dist[p] == d:
+                                bound = _keep(found, bound, up + _tree_path(parent, p)[-2::-1] + [y])
+                        radius = bound // 2
+            reached += nxt
+            level, d = nxt, d + 1
+        for v in reached:
+            dist[v] = -1
     names = g.vertices
     return [tuple(map(names.__getitem__, cycle)) for cycle in sorted(found)]
 
@@ -472,8 +511,10 @@ def is_sufficiently_subdivided(
     Requires every arc between two distinct essential vertices (interior
     free of essential vertices) to have at least ``path_required`` edges and
     every simple cycle to have at least ``n + 1`` edges. The report lists
-    every short arc, and every shortest cycle if it is short. It is computed
-    once per graph instance and (n, path_threshold), and reused later.
+    every short arc, and every shortest cycle if it is short. The arcs
+    bound the girth from below, and the cycles are searched for only where
+    that bound is at most n. The report is computed once per graph
+    instance and (n, path_threshold), and reused later.
     """
     key = (n, path_threshold)
     report = g._subdivision_reports.get(key)
@@ -483,20 +524,33 @@ def is_sufficiently_subdivided(
 
 
 def _subdivision_report(g: SimpleGraph, n: int, path_threshold: str) -> SubdivisionReport:
-    """The unmemoised check: the short arcs, then the shortest cycles."""
+    """The unmemoised check: the short arcs, then the shortest cycles.
+
+    The walks of ``_arcs`` bound the girth from below: a cycle through at
+    most one essential vertex is one of its closed walks, and a cycle
+    through two or more is made of two or more arcs. The search runs only
+    when that bound is at most n; otherwise no cycle is short."""
     if n < 1:
         raise GraphFormatError(f"strand count must be >= 1, got {n}")
     path_required = _path_required(n, path_threshold)
     loop_required = n + 1
     violations: list[SubdivisionViolation] = []
     names = g.vertices
+    # the shortest closed walk and the shortest arc, capped at n + 1
+    closed = arc = loop_required
     for u, w, interior in _arcs(g):
         length = len(interior) + 1
+        if u == w:
+            closed = min(closed, length)
+            continue
+        if length < arc:
+            arc = length
         if length < path_required:
             path = tuple(map(names.__getitem__, (u, *interior, w)))
             violations.append(SubdivisionViolation("path", path, length, path_required))
-    for cycle in _shortest_cycles(g, loop_required - 1):
-        violations.append(SubdivisionViolation("loop", cycle, len(cycle), loop_required))
+    if min(closed, max(3, 2 * arc)) <= n:
+        for cycle in _shortest_cycles(g, n):
+            violations.append(SubdivisionViolation("loop", cycle, len(cycle), loop_required))
     return SubdivisionReport(
         ok=not violations,
         n=n,
@@ -545,8 +599,11 @@ def minimal_subdivision(
     Subdividing by k multiplies every arc and cycle length by k and keeps
     the essential vertices, so the factor is read off the violations of
     ``g`` itself: the largest ceil(required / length). A graph that passes
-    is returned as it is. The returned graph is the instance that was
-    checked, so its report is memoised."""
+    is returned as it is. The subdivided graph is checked again, as a safety
+    net; where it passes, its arcs of at least n - 1 edges and its closed
+    walks of at least n + 1 prove its girth over n, so that check walks its
+    arcs and searches for no cycle. The returned graph is the instance that
+    was checked, so its report is memoised."""
     report = is_sufficiently_subdivided(g, n, path_threshold)
     if report.ok:
         return 1, g, {e: e for e in g.edges}

@@ -358,8 +358,8 @@ def verify_halo(h: Halo) -> HaloReport:
                     )
                 )
 
-    comps = gamma.components()
-    if len(comps) > 1:
+    if not gamma.is_connected():
+        comps = gamma.components()
         violations.append(
             HaloViolation(
                 AXIOM_CONNECTED,

@@ -17,6 +17,7 @@ from raagbraid import (
     SizeExceededError,
     UnknownVertexError,
     VerificationError,
+    build_context,
     build_halo,
     chromatic_number,
     essential_vertices,
@@ -537,9 +538,30 @@ class TestSubdivisionFactor:
             arcs = [
                 (names[u], names[w], tuple(names[i] for i in interior))
                 for u, w, interior in _arcs(g)
+                if u != w
             ]
             assert arcs == arcs_by_deletion(g), g
             assert len(set(arcs)) == len(arcs)
+
+    def test_closed_walks_are_the_cycles_through_one_essential_vertex_or_none(self):
+        """``_arcs``' closed walks (u, u, interior) are the simple cycles
+        through at most one essential vertex, each once: from that vertex,
+        in the order of (u, the first vertex after u) among the arcs, or
+        from the least vertex of a cycle through none, after every walk from
+        an essential vertex and in the order of u."""
+        corpus = _component_corpus() + _arc_shapes() + atlas_graphs()
+        corpus += [subdivide_uniform(g, 2)[0] for g in _component_corpus() + _arc_shapes()]
+        for g in corpus:
+            names, ess = g.vertices, essential_vertices(g)
+            walks = list(_arcs(g))
+            cycles = [(names[u], *map(names.__getitem__, interior)) for u, w, interior in walks if u == w]
+            expected = {c for c in cycles_by_paths(g, g.n_vertices) if len(ess.intersection(c)) <= 1}
+            written = [min(r[i:] + r[:i] for r in (c, c[::-1]) for i in range(len(c))) for c in cycles]
+            assert sorted(written) == sorted(expected), g
+            order = [(names[u] not in ess, u, (*interior, w)[0]) for u, w, interior in walks]
+            assert order == sorted(order), g
+            for cycle in cycles:
+                assert cycle[0] in ess or cycle[0] == min(cycle), g
 
     def test_passing_graph_is_returned_as_is(self):
         for g in (cycle_graph(3), cycle_graph(6), petersen_graph()):
@@ -576,6 +598,69 @@ class TestSubdivisionFactor:
         monkeypatch.setattr(graphs, "subdivide_uniform", lambda g, k: (g, {}))
         with pytest.raises(VerificationError):
             minimal_subdivision(cycle_graph(3), 3)
+
+
+def _girth_corpus() -> list[SimpleGraph]:
+    """The short-cycle corpora, the atlas through 6 vertices and the golden
+    halos, each also subdivided by 2 and by 3."""
+    corpus = _cycle_corpus() + _arc_shapes()
+    corpus += [g for g in atlas_graphs() if g.n_vertices <= 6]
+    colored = [(g, greedy_color(g)) for g in (*GRAPHS.values(), RAND40)]
+    colored.append((SCALE30, Coloring.make(SCALE30, SCALE30_PARTS)))
+    corpus += [build_halo(delta, coloring).gamma for delta, coloring in colored]
+    return corpus + [subdivide_uniform(g, k)[0] for k in (2, 3) for g in corpus]
+
+
+class TestGirthBound:
+    """The report searches for short cycles only where its arcs leave room
+    for one, and lists the same cycles as the search run on every graph."""
+
+    def test_loops_match_the_unconditional_search(self):
+        for g in _girth_corpus():
+            for n in range(1, 8):
+                expected = _shortest_cycles(g, n)
+                for path_threshold in graphs.PATH_THRESHOLDS:
+                    report = graphs._subdivision_report(g, n, path_threshold)
+                    loops = [v.vertices for v in report.violations if v.kind == "loop"]
+                    assert loops == expected, (g, n, path_threshold)
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The graphs the cycle search runs on."""
+        searched = []
+        original = graphs._shortest_cycles
+
+        def counted(g, max_edges):
+            searched.append(g)
+            return original(g, max_edges)
+
+        monkeypatch.setattr(graphs, "_shortest_cycles", counted)
+        return searched
+
+    def test_three_colour_halo_is_not_searched(self, searches):
+        # its arcs have 2 edges, so a cycle through two junctions has 4 > 3
+        build_context(SCALE30, Coloring.make(SCALE30, SCALE30_PARTS))
+        assert searches == []
+
+    def test_only_the_base_halo_of_k4_is_searched(self, searches):
+        # its private triangles are cycles through one essential vertex; the
+        # subdivided halo's arcs prove its girth
+        k4 = complete_graph(4)
+        ctx = build_context(k4, chromatic_number(k4))
+        assert searches == [build_halo(k4, chromatic_number(k4)).gamma]
+        assert ctx.halo.gamma != searches[0]
+
+    def test_a_lone_triangle_is_searched(self, searches):
+        # arcs of 3 edges leave no room for a cycle of 3, but the component
+        # of degree-2 vertices is one
+        long_arcs = subdivide_uniform(complete_graph(4), 3)[0]
+        triangle = cycle_graph(3, prefix="c")
+        g = SimpleGraph.make(
+            long_arcs.vertices + triangle.vertices, long_arcs.edges + triangle.edges
+        )
+        report = is_sufficiently_subdivided(g, 3)
+        assert searches == [g]
+        assert [v.vertices for v in report.violations] == [("c1", "c2", "c3")]
 
 
 class TestPlanarity:
