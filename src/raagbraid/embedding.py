@@ -276,11 +276,20 @@ def check_homomorphism(ctx: EmbeddingContext) -> HomomorphismReport:
     endpoint, so every letter of a's image commutes with every letter of
     b's, and the commutator of the images is 1. That holds over any halo,
     not only one that meets the axioms. Only a relator whose loops meet is
-    piled, so it reports its own verdict."""
-    # per generator in a relator: its loop's vertices, the endpoints of the
-    # edges it crosses, built once however many relators hold it
+    piled, so it reports its own verdict.
+
+    Each loop's vertices, the endpoints of the edges it crosses, are read
+    off the halo's one loop reading as vertex ids (``Halo._loop_ids``),
+    which ``verify_halo`` read too, or which ``build_halo`` filled in; a
+    source vertex without a loop raises ``UnknownVertexError``."""
     halo = ctx.halo
-    vertices_of = {a: set(halo.loop_of(a)) for a in {v for e in ctx.delta.edges for v in e}}
+    loop_ids = halo._loop_ids.ids
+    generators = {v for e in ctx.delta.edges for v in e}
+    if not generators <= loop_ids.keys():
+        halo.loop_of(min(generators - loop_ids.keys()))  # raises
+    # per generator in a relator: its loop's vertex ids, built once however
+    # many relators hold it
+    vertices_of = {a: set(loop_ids[a]) for a in generators}
     relators = []
     for a, b in ctx.delta.edges:
         # every cross pair commutes exactly when no endpoint is shared; a

@@ -16,10 +16,16 @@ so no axiom is disturbed.
 
 The builder does not check what it builds: ``verify_halo`` is the check,
 and the caller that reads its report runs it, once per halo.
+
+The checks read each loop as vertex ids of Γ's integer view, made once per
+halo (``Halo._loop_ids``). ``build_halo`` makes Γ's view and the loops'
+ids as it builds and fills both in; any other halo, loaded, subdivided or
+hand-built, gets them from its names on first use. ``verify_halo`` and
+``check_homomorphism`` read that one reading.
 """
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
 
@@ -33,6 +39,7 @@ from .graphs import (
     coloring_from_json_dict,
     graph_from_json_dict,
     graph_to_json_dict,
+    is_sufficiently_subdivided,
     json_value,
     minimal_subdivision,
     normalize_edge,
@@ -74,6 +81,14 @@ class Halo(_Value):
     def basepoint_of(self) -> dict[int, str]:
         return dict(self.basepoints)
 
+    @cached_property
+    def _loop_ids(self) -> "LoopIds":
+        # made once per instance; copies and pickles rebuild from the fields
+        # and make it again. The readers make each loop's id set as they
+        # need it: kept here, the sets would hold several times the ids'
+        # memory for as long as the halo lives
+        return _read_loops(self)
+
     def loop_of(self, delta_vertex: str) -> tuple[str, ...]:
         try:
             return self.loops[delta_vertex]
@@ -83,6 +98,33 @@ class Halo(_Value):
     def loop_edges(self, delta_vertex: str) -> tuple[tuple[str, str], ...]:
         loop = self.loop_of(delta_vertex)
         return tuple(normalize_edge(a, b) for a, b in zip(loop, loop[1:]))
+
+
+class LoopIds(namedtuple("LoopIds", "outside ids")):
+    """Each loop read as vertex ids of Γ's integer view (``_index``):
+    ``ids`` maps a source vertex to its loop's ids. A loop vertex outside Γ
+    gets the next free id, in order of first appearance, and ``outside``
+    maps its name to that id."""
+
+    __slots__ = ()
+
+
+def _read_loops(h: Halo) -> LoopIds:
+    """The loops of ``h`` read from their names: the one definition of the
+    reading, which ``build_halo`` fills in with equal values."""
+    index = h.gamma._index
+    outside: dict[str, int] = {}
+    ids: dict[str, tuple[int, ...]] = {}
+    for a, loop in h.loops.items():
+        try:
+            ids[a] = tuple(map(index.__getitem__, loop))
+        except KeyError:
+            n = len(index)
+            ids[a] = tuple(
+                index[v] if v in index else outside.setdefault(v, n + len(outside))
+                for v in loop
+            )
+    return LoopIds(outside, ids)
 
 
 class HaloViolation(namedtuple("HaloViolation", "axiom message witnesses")):
@@ -107,16 +149,23 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
     by construction and is not checked here: ``verify_halo`` checks it
     where its report is read.
 
-    Γ is built with the plain ``SimpleGraph`` constructor from sorted
-    tuples of what the builder generated, not through ``SimpleGraph.make``,
-    which would validate, normalise and de-duplicate them again. That is
-    sound because every name is a nonempty string and no two coincide by
-    accident (Δ's names hold no ``~``, so ``p~a~i``, ``j~a~b`` and
-    ``g~k~1`` each name one loop step, junction or graft, and the
-    basepoints ``x_c`` hold no ``~``), every edge is normalised as it is
-    made, and every edge holds a vertex private to one loop or graft, so no
-    edge repeats. A test compares the result with ``make``'s on every halo
-    it builds."""
+    The loops are generated as names, which are sorted once; every loop
+    is then read as vertex ids, positions in that order. Γ's edges are
+    sorted as integer codes of their ids and named from them, and the same
+    ids fill in Γ's integer view (``_index``, ``_adj``) and the halo's loop
+    reading (``_loop_ids``), which ``verify_halo`` and
+    ``check_homomorphism`` read. Any other halo makes both from its names
+    on first use; a test checks that the values filled in here are equal.
+
+    Γ is built with the plain ``SimpleGraph`` constructor, not through
+    ``SimpleGraph.make``, which would validate, normalise and de-duplicate
+    its vertices and edges again. That is sound because every name is a
+    nonempty string and no two coincide by accident (Δ's names hold no
+    ``~``, so ``p~a~i``, ``j~a~b`` and ``g~k~1`` each name one loop step,
+    junction or graft, and the basepoints ``x_c`` hold no ``~``), every
+    edge is stored from its smaller id, so its smaller name, and every edge
+    holds a vertex private to one loop or graft, so no edge repeats. A test
+    compares the result with ``make``'s on every halo it builds."""
     if delta.n_vertices == 0:
         raise EmptyGraphError("cannot build a halo for an empty graph")
     # raises unless the coloring is proper for delta itself
@@ -134,7 +183,6 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
         return f"j~{a}~{b}" if a < b else f"j~{b}~{a}"
 
     vertices: set[str] = set(basepoint.values())
-    edges: list[tuple[str, str]] = []
     loops: dict[str, tuple[str, ...]] = {}
 
     adjacency = delta.adjacency
@@ -152,32 +200,55 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
             for idx, (s, t) in enumerate(zip(ring, ring[1:]), start=1):
                 loop.extend((f"p~{a}~{idx}", t))
         vertices.update(loop)
-        edges.extend(normalize_edge(s, t) for s, t in zip(loop, loop[1:]))
         loops[a] = tuple(loop)
 
-    gamma = SimpleGraph(vertices=tuple(sorted(vertices)), edges=tuple(sorted(edges)))
+    def assemble(grafts: list[tuple[str, str, str]]) -> tuple[SimpleGraph, dict]:
+        # Γ over the sorted names, its integer view and the loops' ids; an
+        # edge is coded i*|V|+j from its ids i < j, so the codes sort as the
+        # edges do. Every id held is one of the objects in ``ints``, not the
+        # fresh int a code decodes to, so Γ's view holds one object per id.
+        names = sorted(vertices)
+        n = len(names)
+        ints = list(range(n))
+        index = dict(zip(names, ints))
+        ids = {a: tuple(map(index.__getitem__, loop)) for a, loop in loops.items()}
+        paths = [*ids.values(), *(tuple(map(index.__getitem__, g)) for g in grafts)]
+        codes = [
+            i * n + j if i < j else j * n + i for path in paths for i, j in zip(path, path[1:])
+        ]
+        codes.sort()
+        adj: list[list[int]] = [[] for _ in names]
+        edges = []
+        for code in codes:
+            i, j = divmod(code, n)
+            adj[i].append(ints[j])
+            adj[j].append(ints[i])
+            edges.append((names[i], names[j]))
+        gamma = SimpleGraph(vertices=tuple(names), edges=tuple(edges))
+        vars(gamma).update(_index=index, _adj=tuple(map(tuple, adj)))
+        return gamma, ids
+
+    gamma, ids = assemble([])
     if not gamma.is_connected():
-        comps = gamma.components()
-        anchors = []
         bp_values = set(basepoint.values())
-        for comp in comps:
-            anchors.append(min(v for v in comp if v in bp_values))
-        anchors.sort()
+        anchors = sorted(min(v for v in comp if v in bp_values) for comp in gamma.components())
         root = anchors[0]
+        grafts = []
         for k, other in enumerate(anchors[1:], start=1):
             mid = f"g~{k}~1"
             vertices.add(mid)
-            edges.append(normalize_edge(root, mid))
-            edges.append(normalize_edge(mid, other))
-        gamma = SimpleGraph(vertices=tuple(sorted(vertices)), edges=tuple(sorted(edges)))
+            grafts.append((root, mid, other))
+        gamma, ids = assemble(grafts)
 
-    return Halo(
+    h = Halo(
         gamma=gamma,
         artin_loops=tuple(sorted(loops.items())),
         basepoints=tuple(sorted(basepoint.items())),
         coloring=coloring,
         delta=delta,
     )
+    vars(h)["_loop_ids"] = LoopIds({}, ids)
+    return h
 
 
 def verify_halo(h: Halo) -> HaloReport:
@@ -188,9 +259,11 @@ def verify_halo(h: Halo) -> HaloReport:
     the loops through each halo vertex: a vertex on m loops is shared by
     m(m-1)/2 pairs, so no two loops' vertex sets are intersected. Every
     pair of sources is still visited in sorted order, since non-adjacent
-    ones that share nothing fail too. The loops are read as vertex ids of
-    Γ's integer view, so no name-keyed adjacency is built; names are looked
-    up only for what the report says."""
+    ones that share nothing fail too. The loops are read off the halo's
+    one reading as vertex ids of Γ's integer view (``Halo._loop_ids``):
+    one id list and one id set per loop serve every per-loop check, in one
+    pass, and no name-keyed adjacency is built; names are looked up only
+    for what the report says."""
     violations: list[HaloViolation] = []
     gamma, delta, coloring = h.gamma, h.delta, h.coloring
     loops = h.loops
@@ -232,15 +305,29 @@ def verify_halo(h: Halo) -> HaloReport:
                 )
             )
 
-    # each loop as vertex ids: Γ's, then the next free one for any loop
-    # vertex outside Γ, which has no neighbours but is counted below
-    index = defaultdict(lambda: len(index), gamma._index)
-    ids_of = {a: list(map(index.__getitem__, loop)) for a, loop in loops.items()}
-    names = list(index)
-    adj = gamma._adj + ((),) * (len(names) - gamma.n_vertices)
+    # each loop as vertex ids (Halo._loop_ids): Γ's, then a fresh one for
+    # any loop vertex outside Γ, which has no neighbours
+    reading = h._loop_ids
+    outside = reading.outside
+    names = gamma.vertices + tuple(outside)
+    adj = gamma._adj + ((),) * len(outside)
+    index = gamma._index
+    placed = [
+        (c, x, index.get(x, outside.get(x))) for c, x in sorted(basepoint.items()) if c in colors
+    ]
 
-    for a, loop in sorted(loops.items()):
-        if len(loop) < 4 or loop[0] != loop[-1]:
+    # one pass over the loops: their simple-loop checks, and for each
+    # source vertex its loop's start, the basepoints on it and its vertices'
+    # entries in loops_at, kept apart so that the report lists them by axiom
+    starts: list[HaloViolation] = []
+    misplaced: dict[int, list[HaloViolation]] = {c: [] for c, _, _ in placed}
+    pairs: list[str] = []  # the source vertices with a loop, sorted
+    # per vertex id: the loops through it, in pairs order
+    loops_at: list[list[str]] = [[] for _ in names]
+    for a in sorted(loops):
+        loop, ids = loops[a], reading.ids[a]
+        id_set = set(ids)
+        if len(ids) < 4 or ids[0] != ids[-1]:
             violations.append(
                 HaloViolation(
                     AXIOM_SIMPLE_LOOP,
@@ -248,14 +335,15 @@ def verify_halo(h: Halo) -> HaloReport:
                     (a,),
                 )
             )
-        interior = loop[:-1]
-        if len(set(interior)) != len(interior):
+            distinct = len(set(ids[:-1]))
+        else:
+            distinct = len(id_set)
+        if distinct != max(len(ids) - 1, 0):  # the vertices before the last repeat one
             violations.append(
                 HaloViolation(
                     AXIOM_SIMPLE_LOOP, f"loop of {a!r} repeats a vertex", (a,)
                 )
             )
-        ids = ids_of[a]
         for i, j in zip(ids, ids[1:]):
             if j not in adj[i]:
                 s, t = names[i], names[j]
@@ -266,43 +354,35 @@ def verify_halo(h: Halo) -> HaloReport:
                         (a, s, t),
                     )
                 )
-
-    for a in sorted(loop_keys & delta_vertices):
-        c = coloring.color_of(a)
-        if c in basepoint and loops[a] and loops[a][0] != basepoint[c]:
-            violations.append(
+        if a not in delta_vertices:
+            continue
+        pairs.append(a)
+        ca = coloring.color_of(a)
+        if ca in basepoint and loop and loop[0] != basepoint[ca]:
+            starts.append(
                 HaloViolation(
                     AXIOM_LOOP_START,
-                    f"loop of {a!r} must start at basepoint {basepoint[c]!r}",
-                    (a, loops[a][0]),
+                    f"loop of {a!r} must start at basepoint {basepoint[ca]!r}",
+                    (a, loop[0]),
                 )
             )
-
-    loop_sets = {a: set(ids) for a, ids in ids_of.items()}
-    for c in colors:
-        if c not in basepoint:
-            continue
-        x = basepoint[c]
-        x_id = index.get(x)
-        for a in sorted(loop_keys & delta_vertices):
-            on_loop = x_id in loop_sets[a]
-            should = coloring.color_of(a) == c
-            if on_loop != should:
+        for c, x, x_id in placed:
+            should = ca == c
+            if (x_id in id_set) != should:
                 detail = "missing from" if should else "present on"
-                violations.append(
+                misplaced[c].append(
                     HaloViolation(
                         AXIOM_BASEPOINT,
                         f"basepoint {x!r} of color {c} is {detail} the loop of {a!r}",
                         (x, a),
                     )
                 )
+        for v in id_set:
+            loops_at[v].append(a)
+    violations += starts
+    for found in misplaced.values():
+        violations += found
 
-    pairs = sorted(loop_keys & delta_vertices)
-    # per vertex id: the loops through it, in pairs order
-    loops_at: list[list[str]] = [[] for _ in names]
-    for d in pairs:
-        for v in loop_sets[d]:
-            loops_at[v].append(d)
     # per pair of loops that meet: the vertex ids they share
     shared: dict[tuple[str, str], list[int]] = {}
     for v, through in enumerate(loops_at):
@@ -376,15 +456,16 @@ def subdivided_halo(h: Halo, n: int, path_threshold: str = "paper") -> Halo:
     re-threading every loop through the fresh vertices. Basepoints and
     original vertices keep their names. The new halo's graph is the one the
     subdivision check accepted, so that check is not run again on it; a
-    halo that suffices already is returned as it is. A loop that is empty
-    or steps along no edge raises ``GraphFormatError`` when threaded."""
+    halo that suffices already is returned as it is, before any chain is
+    made. A loop that is empty or steps along no edge raises
+    ``GraphFormatError`` when threaded."""
     if n != h.coloring.color_count:
         raise GraphFormatError(
             f"strand count {n} must equal the color count {h.coloring.color_count}"
         )
-    k, gamma2, chains = minimal_subdivision(h.gamma, n, path_threshold)
-    if k == 1:
+    if is_sufficiently_subdivided(h.gamma, n, path_threshold).ok:
         return h
+    _, gamma2, chains = minimal_subdivision(h.gamma, n, path_threshold)
     new_loops = []
     for a, loop in h.artin_loops:
         if not loop:

@@ -62,7 +62,7 @@ from oracles import (
     relator_supports,
     replay_psi,
 )
-from test_golden import SCALE30, SCALE30_PARTS
+from test_golden import GRAPHS, SCALE30, SCALE30_PARTS, context
 
 W = GroupWord.parse
 
@@ -594,6 +594,36 @@ class TestSubdivisionMemo:
         assert sum(g == accepted for g in checked) == 1
 
 
+class TestLoopReading:
+    """Each halo reads its loops as vertex ids once (``halo._read_loops``),
+    or not at all when ``build_halo`` filled the reading in."""
+
+    @pytest.fixture
+    def read(self, monkeypatch):
+        halos = []
+        original = halo_mod._read_loops
+
+        def counted(h):
+            halos.append(h)
+            return original(h)
+
+        monkeypatch.setattr(halo_mod, "_read_loops", counted)
+        return halos
+
+    def test_built_halo_is_not_read_again(self, read):
+        ctx = build_context(SCALE30, Coloring.make(SCALE30, SCALE30_PARTS))
+        assert check_homomorphism(ctx).ok
+        assert read == []
+
+    def test_loaded_halo_is_read_once(self, read):
+        h = build_halo(SCALE30, Coloring.make(SCALE30, SCALE30_PARTS))
+        loaded = halo_from_json_dict(halo_to_json_dict(h))
+        ctx = context_from_halo(loaded)
+        assert check_homomorphism(ctx).ok
+        assert ctx.halo is loaded
+        assert len(read) == 1 and read[0] is loaded
+
+
 class TestAxiomChecks:
     """Every path that embeds or reports a halo checks its axioms once:
     ``build_halo`` only builds, and the caller that reads the report runs
@@ -745,6 +775,18 @@ class TestCheckHomomorphism:
         halo = build_halo(SCALE30, coloring)
         assert verify_suite(SCALE30, coloring, max_len=2, sample_count=20, halo=halo).passed
         assert "adjacency" not in halo.gamma.__dict__
+
+    @pytest.mark.parametrize("graph_id", sorted(GRAPHS))
+    def test_loaded_halo_gives_the_same_report(self, graph_id):
+        """A halo loaded from its JSON reads its loops from their names;
+        the built one has them filled in. The reports are equal."""
+        built = context(graph_id)
+        h = build_halo(built.delta, built.coloring)
+        loaded = context_from_halo(halo_from_json_dict(halo_to_json_dict(h)))
+        assert (
+            check_homomorphism(loaded).to_json_dict()
+            == check_homomorphism(built).to_json_dict()
+        )
 
     def test_corpus_homomorphism(self):
         contexts = [

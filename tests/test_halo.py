@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -46,6 +48,17 @@ def halo_for(delta, mapping=None):
         Coloring.make(delta, mapping) if mapping else chromatic_number(delta)
     )
     return build_halo(delta, coloring)
+
+
+def verify_built_and_loaded(h):
+    """``verify_halo(h)``, after checking that ``h`` loaded from its JSON,
+    which carries no loop reading filled in and reads its loops from their
+    names, gets the same report."""
+    report = verify_halo(h)
+    loaded = halo_from_json_dict(halo_to_json_dict(h))
+    assert loaded == h and "_loop_ids" not in vars(loaded)
+    assert verify_halo(loaded) == report
+    return report
 
 
 class TestBuildHalo:
@@ -165,14 +178,14 @@ class TestVerifyHalo:
     def test_canonical_halos_pass_both_colorings(self):
         for g in atlas_connected(5):
             for coloring in (greedy_color(g), chromatic_number(g)):
-                assert verify_halo(build_halo(g, coloring)).ok
+                assert verify_built_and_loaded(build_halo(g, coloring)).ok
 
     def test_random_colorings_pass(self):
         rng = random.Random(11)
         for g in rng.sample(atlas_connected(7), 40):
             coloring = Coloring.make(g, random_proper_coloring(g, rng))
             h = build_halo(g, coloring)
-            assert verify_halo(h).ok
+            assert verify_built_and_loaded(h).ok
 
     def test_deleted_loop_edge_names_simple_loop(self, c6):
         h = halo_for(c6)
@@ -186,7 +199,7 @@ class TestVerifyHalo:
             coloring=h.coloring,
             delta=h.delta,
         )
-        report = verify_halo(broken)
+        report = verify_built_and_loaded(broken)
         assert not report.ok
         assert AXIOM_SIMPLE_LOOP in report.axioms_violated()
 
@@ -212,7 +225,7 @@ class TestVerifyHalo:
             coloring=h.coloring,
             delta=h.delta,
         )
-        report = verify_halo(broken)
+        report = verify_built_and_loaded(broken)
         assert not report.ok
         assert AXIOM_EDGE_DISJOINT in report.axioms_violated()
 
@@ -228,7 +241,7 @@ class TestVerifyHalo:
             coloring=h.coloring,
             delta=h.delta,
         )
-        report = verify_halo(broken)
+        report = verify_built_and_loaded(broken)
         assert not report.ok
         assert AXIOM_BASEPOINT in report.axioms_violated()
 
@@ -248,7 +261,7 @@ class TestVerifyHalo:
             coloring=h.coloring,
             delta=h.delta,
         )
-        report = verify_halo(broken)
+        report = verify_built_and_loaded(broken)
         assert report.violations == (
             HaloViolation(
                 AXIOM_BASEPOINT,
@@ -261,7 +274,7 @@ class TestVerifyHalo:
         # two same-colored loops must meet exactly at their basepoint
         g = SimpleGraph.make(["a", "b"])
         h = halo_for(g, {"a": 1, "b": 1})
-        assert verify_halo(h).ok
+        assert verify_built_and_loaded(h).ok
         # pull b's loop off the basepoint onto a private triangle elsewhere
         loop_b = ("p~b~9", "p~b~1", "p~b~2", "p~b~9")
         gamma = SimpleGraph.make(
@@ -276,7 +289,7 @@ class TestVerifyHalo:
             coloring=h.coloring,
             delta=h.delta,
         )
-        report = verify_halo(broken)
+        report = verify_built_and_loaded(broken)
         assert not report.ok
         violated = report.axioms_violated()
         assert AXIOM_BASEPOINT in violated or AXIOM_NON_EDGE in violated
@@ -297,7 +310,7 @@ class TestVerifyHalo:
             coloring=h.coloring,
             delta=h.delta,
         )
-        report = verify_halo(broken)
+        report = verify_built_and_loaded(broken)
         assert not report.ok
         assert AXIOM_CONNECTED in report.axioms_violated()
 
@@ -322,7 +335,7 @@ class TestVerifyHalo:
             coloring=coloring,
             delta=delta,
         )
-        report = verify_halo(h)
+        report = verify_built_and_loaded(h)
         assert not report.ok
         assert [(v.axiom, v.message, v.witnesses) for v in report.violations] == [
             (
@@ -338,6 +351,29 @@ class TestVerifyHalo:
                 ("b", "d", ["a", "c"]),
                 ("c", "d", ["a", "b"]),
             ]
+        ]
+
+    def test_loop_vertex_outside_gamma(self, figure_delta, figure_coloring):
+        """Each loop vertex that Γ lacks gets its own fresh id: its steps
+        are missing edges, and two loops through it meet there."""
+        h = build_halo(figure_delta, figure_coloring)
+        outside = {"a": "z~0", "b": "z~1", "c": "z~0"}
+        loops = {a: (h.loop_of(a)[0], z) + h.loop_of(a)[1:] for a, z in outside.items()}
+        broken = Halo(
+            gamma=h.gamma,
+            artin_loops=tuple(sorted({**h.loops, **loops}.items())),
+            basepoints=h.basepoints,
+            coloring=h.coloring,
+            delta=h.delta,
+        )
+        report = verify_built_and_loaded(broken)
+        missing = [
+            (AXIOM_SIMPLE_LOOP, f"loop of {a!r} uses a missing edge {s!r}-{t!r}", (a, s, t))
+            for a in outside
+            for s, t in zip(loops[a][:3], loops[a][1:3])
+        ]
+        assert [(v.axiom, v.message, v.witnesses) for v in report.violations] == missing + [
+            (AXIOM_EDGE_DISJOINT, "loops of adjacent 'a', 'c' share ['z~0']", ("a", "c", "z~0"))
         ]
 
 
@@ -432,7 +468,9 @@ def _trusted_cases():
 class TestTrustedConstruction:
     """``build_halo`` and ``subdivide_uniform`` build their graphs with the
     plain constructor; ``SimpleGraph.make`` would validate, normalise,
-    de-duplicate and sort what they emit, so its result must be equal."""
+    de-duplicate and sort what they emit, so its result must be equal.
+    ``build_halo`` also fills in the readings that other halos make from
+    their names, so those must be equal too."""
 
     @pytest.fixture(scope="class")
     def halos(self):
@@ -459,6 +497,31 @@ class TestTrustedConstruction:
         # complete Δs, K2 among them, are the ones whose loops never meet
         assert "k2" in grafted and "disconnected" not in grafted
 
+    def test_filled_in_reading_is_the_one_read_from_names(self, halos):
+        """Γ's integer view and the loops' ids that ``build_halo`` fills in
+        equal those a fresh graph and halo read from the names."""
+        for name, h in halos:
+            gamma = SimpleGraph(h.gamma.vertices, h.gamma.edges)
+            fresh = Halo(gamma, h.artin_loops, h.basepoints, h.coloring, h.delta)
+            assert vars(h.gamma)["_index"] == gamma._index, name
+            assert vars(h.gamma)["_adj"] == gamma._adj, name
+            assert vars(h)["_loop_ids"] == fresh._loop_ids, name
+            assert not fresh._loop_ids.outside, name
+            # one int object per id: Γ's view holds those of ``_index``
+            held = {id(i) for i in h.gamma._index.values()}
+            assert all(id(j) in held for row in h.gamma._adj for j in row), name
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda h: pickle.loads(pickle.dumps(h))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_read_the_loops_again(self, halos, clone):
+        for name, h in halos[::11] + halos[-3:]:
+            twin = clone(h)
+            assert twin == h and "_loop_ids" not in vars(twin), name
+            assert verify_halo(twin).ok, name
+            assert twin._loop_ids == h._loop_ids, name
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_subdivision_is_what_make_returns(self, halos, k):
         # "a~ab~1" sorts after "ab": the chain's last edge is stored flipped
@@ -473,7 +536,8 @@ class TestTrustedConstruction:
 class TestPairOracle:
     """``verify_halo``'s pair violations, in order and with their
     witnesses, against ``oracles.halo_pair_violations``, which intersects
-    every two loops' vertex sets."""
+    every two loops' vertex sets; each halo is also checked as loaded from
+    its JSON."""
 
     PAIR_AXIOMS = (AXIOM_EDGE_DISJOINT, AXIOM_NON_EDGE)
 
@@ -481,7 +545,7 @@ class TestPairOracle:
     def pair_violations(h):
         return [
             (v.axiom, v.message, v.witnesses)
-            for v in verify_halo(h).violations
+            for v in verify_built_and_loaded(h).violations
             if v.axiom in TestPairOracle.PAIR_AXIOMS
         ]
 
