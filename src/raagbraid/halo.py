@@ -12,7 +12,9 @@ private two-edge arcs threading each loop through its junctions in vertex
 order. Vertices with nothing to intersect get a private triangle through
 their basepoint. If the union of loops is disconnected, private paths are
 grafted between basepoints; these touch the loops only at their endpoints,
-so no axiom is disturbed.
+so no axiom is disturbed. The components are known from the colouring
+before Γ exists: loops of one colour share its basepoint, and loops of
+non-adjacent vertices meet, so Γ is assembled once, grafts included.
 
 The builder does not check what it builds: ``verify_halo`` is the check,
 and the caller that reads its report runs it, once per halo.
@@ -149,13 +151,17 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
     by construction and is not checked here: ``verify_halo`` checks it
     where its report is read.
 
-    The loops are generated as names, which are sorted once; every loop
-    is then read as vertex ids, positions in that order. Γ's edges are
-    sorted as integer codes of their ids and named from them, and the same
-    ids fill in Γ's integer view (``_index``, ``_adj``) and the halo's loop
-    reading (``_loop_ids``), which ``verify_halo`` and
-    ``check_homomorphism`` read. Any other halo makes both from its names
-    on first use; a test checks that the values filled in here are equal.
+    The loops are generated as names. The colours of a vertex's partners
+    (whose loops its loop meets) join its colour's group as they are
+    listed, so Γ's components, one per group, and the grafts between their
+    least basepoints are known before Γ is assembled. The names are sorted
+    once, every loop and graft is read as vertex ids, positions in that
+    order, and each step of those walks adds its two ends to each other's
+    neighbour list; sorted, the lists are Γ's ``_adj``, off which its
+    edges are read. The loops' ids are the halo's loop reading
+    (``_loop_ids``), which ``verify_halo`` and ``check_homomorphism`` read.
+    Any other halo makes both from its names on first use; a test checks
+    that the values filled in here are equal.
 
     Γ is built with the plain ``SimpleGraph`` constructor, not through
     ``SimpleGraph.make``, which would validate, normalise and de-duplicate
@@ -184,6 +190,10 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
 
     vertices: set[str] = set(basepoint.values())
     loops: dict[str, tuple[str, ...]] = {}
+    # the colours whose loops lie in one component of Γ: loops of one
+    # colour meet at its basepoint, and the loops of non-adjacent a and b
+    # meet at their junction, so each partner's colour joins a's
+    group = {c: {c} for c in basepoint}
 
     adjacency = delta.adjacency
     for a in delta.vertices:
@@ -199,46 +209,37 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
             loop = [ring[0]]
             for idx, (s, t) in enumerate(zip(ring, ring[1:]), start=1):
                 loop.extend((f"p~{a}~{idx}", t))
+            for c in set(map(color.__getitem__, partners)) - group[ca]:
+                merged = group[ca] | group[c]
+                group.update(dict.fromkeys(merged, merged))
         vertices.update(loop)
         loops[a] = tuple(loop)
 
-    def assemble(grafts: list[tuple[str, str, str]]) -> tuple[SimpleGraph, dict]:
-        # Γ over the sorted names, its integer view and the loops' ids; an
-        # edge is coded i*|V|+j from its ids i < j, so the codes sort as the
-        # edges do. Every id held is one of the objects in ``ints``, not the
-        # fresh int a code decodes to, so Γ's view holds one object per id.
-        names = sorted(vertices)
-        n = len(names)
-        ints = list(range(n))
-        index = dict(zip(names, ints))
-        ids = {a: tuple(map(index.__getitem__, loop)) for a, loop in loops.items()}
-        paths = [*ids.values(), *(tuple(map(index.__getitem__, g)) for g in grafts)]
-        codes = [
-            i * n + j if i < j else j * n + i for path in paths for i, j in zip(path, path[1:])
-        ]
-        codes.sort()
-        adj: list[list[int]] = [[] for _ in names]
-        edges = []
-        for code in codes:
-            i, j = divmod(code, n)
-            adj[i].append(ints[j])
-            adj[j].append(ints[i])
-            edges.append((names[i], names[j]))
-        gamma = SimpleGraph(vertices=tuple(names), edges=tuple(edges))
-        vars(gamma).update(_index=index, _adj=tuple(map(tuple, adj)))
-        return gamma, ids
+    # each component's anchor is its least basepoint name, and a two-edge
+    # graft joins the least anchor to each other one
+    anchors = sorted({min(map(basepoint.__getitem__, g)) for g in group.values()})
+    grafts = [(anchors[0], f"g~{k}~1", other) for k, other in enumerate(anchors[1:], start=1)]
+    vertices.update(mid for _, mid, _ in grafts)
 
-    gamma, ids = assemble([])
-    if not gamma.is_connected():
-        bp_values = set(basepoint.values())
-        anchors = sorted(min(v for v in comp if v in bp_values) for comp in gamma.components())
-        root = anchors[0]
-        grafts = []
-        for k, other in enumerate(anchors[1:], start=1):
-            mid = f"g~{k}~1"
-            vertices.add(mid)
-            grafts.append((root, mid, other))
-        gamma, ids = assemble(grafts)
+    # Γ over the sorted names, its integer view and the loops' ids. Every
+    # step of a loop or graft is an edge, listed from both ends; each list
+    # is then sorted, so its ids ascend as the edges' names do
+    names = sorted(vertices)
+    index = dict(zip(names, range(len(names))))
+    ids = {a: tuple(map(index.__getitem__, loop)) for a, loop in loops.items()}
+    adj: list[list[int]] = [[] for _ in names]
+    for walk in (*ids.values(), *(tuple(map(index.__getitem__, g)) for g in grafts)):
+        for i, j in zip(walk, walk[1:]):
+            adj[i].append(j)
+            adj[j].append(i)
+    for row in adj:
+        row.sort()
+    adj = tuple(map(tuple, adj))
+    gamma = SimpleGraph(
+        vertices=tuple(names),
+        edges=tuple((names[i], names[j]) for i, row in enumerate(adj) for j in row if j > i),
+    )
+    vars(gamma).update(_index=index, _adj=adj)
 
     h = Halo(
         gamma=gamma,

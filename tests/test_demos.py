@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo runs to completion from a cold interpreter: on the package
+sources and the standard library alone (``-S``), every warning an error."""
 import os
 import subprocess
 import sys
@@ -16,13 +17,10 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(demo):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-S", "-W", "error", str(demo)],
         cwd=ROOT,
-        env=env,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=120,

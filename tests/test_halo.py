@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+from itertools import product
 
 import pytest
 
@@ -36,8 +37,10 @@ from raagbraid.graphs import subdivide_uniform
 
 from oracles import (
     atlas_connected,
+    complete_graph,
     cycle_graph,
     halo_pair_violations,
+    path_graph,
     random_proper_coloring,
     random_regular_multipartite,
 )
@@ -450,14 +453,24 @@ class TestHaloSerialization:
 
 def _trusted_cases():
     """(id, Δ, colouring): every connected Δ of up to 6 vertices under
-    greedy and exact colourings, K2 (grafted), a disconnected Δ and a
-    30-vertex regular 3-partite Δ coloured by its parts."""
+    greedy and exact colourings, K2, K4 and K11 (grafted; K11 pins the
+    string order of 11 anchors), a cone (its apex's triangle a component of
+    its own), the join of two three-edge paths (two components of two
+    colours each), a disconnected Δ and a 30-vertex regular 3-partite Δ
+    coloured by its parts."""
     cases = []
     for i, g in enumerate(atlas_connected(6)):
         cases.append((f"atlas{i}-greedy", g, greedy_color(g)))
         cases.append((f"atlas{i}-exact", g, chromatic_number(g)))
     k2 = SimpleGraph.make(["a", "b"], [("a", "b")])
     cases.append(("k2", k2, greedy_color(k2)))
+    p, q = path_graph(4), path_graph(4, prefix="q")
+    cone = SimpleGraph.make([*p.vertices, "o"], [*p.edges, *product(p.vertices, ["o"])])
+    join = SimpleGraph.make(
+        p.vertices + q.vertices, [*p.edges, *q.edges, *product(p.vertices, q.vertices)]
+    )
+    named = {"k4": complete_graph(4), "k11": complete_graph(11), "cone": cone, "join": join}
+    cases += [(name, g, chromatic_number(g)) for name, g in named.items()]
     two = SimpleGraph.make(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     cases.append(("disconnected", two, greedy_color(two)))
     g, parts = random_regular_multipartite(random.Random(30), 3, 10, 2)
@@ -488,10 +501,19 @@ class TestTrustedConstruction:
             graft_edges = {e for e in h.gamma.edges if any(v.startswith("g~") for v in e)}
             assert not loop_edges & graft_edges, name
             assert set(h.gamma.edges) == loop_edges | graft_edges, name
+            loop_vertices = {v for _, loop in h.artin_loops for v in loop}
             assert set(h.gamma.vertices) == (
-                {v for _, loop in h.artin_loops for v in loop}
-                | {v for e in graft_edges for v in e}
+                loop_vertices | {v for e in graft_edges for v in e}
             ), name
+            # the grafts as read off the loops' union: the least basepoint
+            # name of each component, the first joined to each other one
+            loops_only = SimpleGraph.make(sorted(loop_vertices), loop_edges)
+            bases = set(h.basepoint_of.values())
+            anchors = sorted(min(bases.intersection(c)) for c in loops_only.components())
+            assert graft_edges == {
+                tuple(sorted(e)) for k, other in enumerate(anchors[1:], start=1)
+                for e in ((anchors[0], f"g~{k}~1"), (f"g~{k}~1", other))
+            }, name
             if graft_edges:
                 grafted.add(name)
         # complete Δs, K2 among them, are the ones whose loops never meet
