@@ -58,7 +58,7 @@ from .graphs import (
     json_value,
     normalize_edge,
 )
-from .halo import Halo, build_halo, subdivided_halo, verify_halo
+from .halo import Halo, _check_halo_input, build_halo, subdivided_halo, verify_halo
 from .raag import (
     GroupWord,
     RaagPresentation,
@@ -936,12 +936,15 @@ def verify_suite(
     spot check, and, for the matching shape, the squaring counterexample.
 
     The injectivity check's arguments, a supplied halo's Δ and coloring,
-    and the budgets are checked first, so they raise before any halo is
-    built or verified; the element count is predicted on the presentation
-    of A(Δ) that the injectivity check then uses. The subdivision check
-    builds the context, which subdivides the halo."""
+    the halo's size and the budgets are checked first, so they raise before
+    any halo is built or verified, and the halo's size before A(Δ)'s
+    presentation lists Δ's non-adjacent pairs; the element count is
+    predicted on the presentation that the injectivity check then uses.
+    The subdivision check builds the context, which subdivides the halo."""
     check_spot_check_args(max_len, sample_count, seed)
-    if halo is not None and (halo.delta != delta or halo.coloring != coloring):
+    if halo is None:
+        _check_halo_input(delta, coloring)
+    elif halo.delta != delta or halo.coloring != coloring:
         raise GraphFormatError("the supplied halo is of another graph or coloring")
     source = RaagPresentation(delta)
     _check_element_budget(source, max_len)

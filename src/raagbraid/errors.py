@@ -30,13 +30,14 @@ class EmptyGraphError(InputError):
 
 
 class SizeExceededError(RaagBraidError):
-    """A predicted count (colour placements, elements or samples) passed
-    ``DEFAULT_BUDGET``."""
+    """A predicted count (colour placements, halo vertices or edges,
+    elements or samples) passed ``DEFAULT_BUDGET``."""
 
 
-#: the one budget: most colour placements of the exact colouring, and most
-#: elements and samples of the injectivity check. Every bounded step reads
-#: it at call time, so that setting ``errors.DEFAULT_BUDGET`` bounds them all.
+#: the one budget: most colour placements of the exact colouring, most
+#: vertices and edges of a halo and of its subdivision, and most elements
+#: and samples of the injectivity check. Every bounded step reads it at
+#: call time, so that setting ``errors.DEFAULT_BUDGET`` bounds them all.
 DEFAULT_BUDGET = 1_000_000
 
 

@@ -603,11 +603,22 @@ def minimal_subdivision(
     net; where it passes, its arcs of at least n - 1 edges and its closed
     walks of at least n + 1 prove its girth over n, so that check walks its
     arcs and searches for no cycle. The returned graph is the instance that
-    was checked, so its report is memoised."""
+    was checked, so its report is memoised.
+
+    The subdivision has |V| + (k - 1)|E| vertices and k|E| edges; over
+    ``errors.DEFAULT_BUDGET``, read when it is called, ``SizeExceededError``
+    is raised before any of them is made."""
     report = is_sufficiently_subdivided(g, n, path_threshold)
     if report.ok:
         return 1, g, {e: e for e in g.edges}
     k = max(-(-v.required // v.length) for v in report.violations)
+    vertices, edges = g.n_vertices + (k - 1) * g.n_edges, k * g.n_edges
+    budget = errors.DEFAULT_BUDGET
+    if vertices > budget or edges > budget:
+        raise SizeExceededError(
+            f"subdividing by {k} makes {vertices} vertices and {edges} edges, "
+            f"over the budget of {budget}"
+        )
     subdivided, chains = subdivide_uniform(g, k)
     if not is_sufficiently_subdivided(subdivided, n, path_threshold).ok:
         raise VerificationError(f"subdivision by {k} still fails the check")

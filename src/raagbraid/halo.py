@@ -12,9 +12,11 @@ private two-edge arcs threading each loop through its junctions in vertex
 order. Vertices with nothing to intersect get a private triangle through
 their basepoint. If the union of loops is disconnected, private paths are
 grafted between basepoints; these touch the loops only at their endpoints,
-so no axiom is disturbed. The components are known from the colouring
-before Γ exists: loops of one colour share its basepoint, and loops of
-non-adjacent vertices meet, so Γ is assembled once, grafts included.
+so no axiom is disturbed. One pass over the pairs of Δ's vertices names
+each junction once. The components are known from the colouring before Γ
+exists: loops of one colour share its basepoint, and loops of non-adjacent
+vertices meet, so Γ is assembled once, grafts included. Γ's size is
+predicted and budgeted before any name is made.
 
 The builder does not check what it builds: ``verify_halo`` is the check,
 and the caller that reads its report runs it, once per halo.
@@ -27,11 +29,17 @@ hand-built, gets them from its names on first use. ``verify_halo`` and
 """
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import combinations
 
-from .errors import EmptyGraphError, GraphFormatError, UnknownVertexError
+from . import errors
+from .errors import (
+    EmptyGraphError,
+    GraphFormatError,
+    SizeExceededError,
+    UnknownVertexError,
+)
 from .graphs import (
     Coloring,
     SimpleGraph,
@@ -146,19 +154,63 @@ class HaloReport(namedtuple("HaloReport", "ok violations")):
         return json_value(self)
 
 
+def _halo_size(delta: SimpleGraph, coloring: Coloring) -> tuple[int, int]:
+    """Γ's vertex and edge counts as ``build_halo`` makes them, grafts left
+    out, read off Δ's degrees and colour-class sizes in O(|V| + |E|). A
+    vertex a has p(a) = |V| - |class(a)| - deg(a) partners. Its loop has
+    1 + p(a) steps, each a private vertex between two edges, or is a
+    private triangle (one vertex and edge more) when p(a) = 0; each
+    junction lies on two loops."""
+    color, adjacency = coloring.as_dict, delta.adjacency
+    size = Counter(color.values())
+    total = delta.n_vertices
+    p = [total - size[color[a]] - len(adjacency[a]) for a in delta.vertices]
+    partners, triangles = sum(p), p.count(0)
+    vertices = coloring.color_count + total + partners + triangles + partners // 2
+    return vertices, 2 * (total + partners) + triangles
+
+
+def _check_halo_input(delta: SimpleGraph, coloring: Coloring) -> None:
+    """Raise unless ``build_halo`` can build the halo: Δ is nonempty, the
+    colouring is proper for it, no name holds the reserved ``~``, and Γ,
+    its grafts counted at their most (one fewer than the colours), is
+    within ``errors.DEFAULT_BUDGET`` vertices and edges, read at call time."""
+    if delta.n_vertices == 0:
+        raise EmptyGraphError("cannot build a halo for an empty graph")
+    # raises unless the coloring is proper for delta itself
+    Coloring.make(delta, coloring.as_dict)
+    for v in delta.vertices:
+        if "~" in v:
+            raise GraphFormatError(
+                f"vertex name {v!r} contains '~', reserved for generated names"
+            )
+    vertices, edges = _halo_size(delta, coloring)
+    grafts = coloring.color_count - 1
+    vertices, edges = vertices + grafts, edges + 2 * grafts
+    budget = errors.DEFAULT_BUDGET
+    if vertices > budget or edges > budget:
+        raise SizeExceededError(
+            f"a halo of up to {vertices} vertices and {edges} edges, "
+            f"over the budget of {budget}"
+        )
+
+
 def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
     """Canonical halo for a properly colored graph. It meets every axiom
     by construction and is not checked here: ``verify_halo`` checks it
-    where its report is read.
+    where its report is read. Over the budget, ``SizeExceededError`` is
+    raised before any name is made (``_check_halo_input``).
 
-    The loops are generated as names. The colours of a vertex's partners
-    (whose loops its loop meets) join its colour's group as they are
-    listed, so Γ's components, one per group, and the grafts between their
-    least basepoints are known before Γ is assembled. The names are sorted
-    once, every loop and graft is read as vertex ids, positions in that
-    order, and each step of those walks adds its two ends to each other's
-    neighbour list; sorted, the lists are Γ's ``_adj``, off which its
-    edges are read. The loops' ids are the halo's loop reading
+    One pass over the pairs a < b of Δ's sorted vertices names the junction
+    ``j~a~b`` of each non-adjacent, differently coloured pair once, and
+    appends it to both loops' anchors, so each loop meets its partners in
+    vertex order; the pair's colours join one group, as their loops meet.
+    Γ has one component per group, and the grafts between their least
+    basepoints are known before Γ is assembled. The names, listed once
+    each, are sorted, every loop and graft is read as vertex ids, positions
+    in that order, and each step of those walks adds its two ends to each
+    other's neighbour list; sorted, the lists are Γ's ``_adj``, off which
+    its edges are read. The loops' ids are the halo's loop reading
     (``_loop_ids``), which ``verify_halo`` and ``check_homomorphism`` read.
     Any other halo makes both from its names on first use; a test checks
     that the values filled in here are equal.
@@ -172,59 +224,60 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
     edge is stored from its smaller id, so its smaller name, and every edge
     holds a vertex private to one loop or graft, so no edge repeats. A test
     compares the result with ``make``'s on every halo it builds."""
-    if delta.n_vertices == 0:
-        raise EmptyGraphError("cannot build a halo for an empty graph")
-    # raises unless the coloring is proper for delta itself
-    Coloring.make(delta, coloring.as_dict)
-    for v in delta.vertices:
-        if "~" in v:
-            raise GraphFormatError(
-                f"vertex name {v!r} contains '~', reserved for generated names"
-            )
+    _check_halo_input(delta, coloring)
 
     color = coloring.as_dict
     basepoint = {c: f"x_{c}" for c in range(1, coloring.color_count + 1)}
-
-    def junction(a: str, b: str) -> str:
-        return f"j~{a}~{b}" if a < b else f"j~{b}~{a}"
-
-    vertices: set[str] = set(basepoint.values())
-    loops: dict[str, tuple[str, ...]] = {}
+    names = list(basepoint.values())
     # the colours whose loops lie in one component of Γ: loops of one
-    # colour meet at its basepoint, and the loops of non-adjacent a and b
-    # meet at their junction, so each partner's colour joins a's
+    # colour meet at its basepoint, and the loops of a partner pair meet at
+    # their junction
     group = {c: {c} for c in basepoint}
 
+    vs = delta.vertices
+    colors = [color[a] for a in vs]
+    # per vertex, the anchors its loop threads: its basepoint, then the
+    # junctions with its partners
+    rings = [[basepoint[ca]] for ca in colors]
     adjacency = delta.adjacency
-    for a in delta.vertices:
-        ca, near = color[a], adjacency[a]
-        partners = [b for b in delta.vertices if color[b] != ca and b not in near]
-        anchors = [basepoint[ca]] + [junction(a, b) for b in partners]
-        loop: list[str] = []
-        if len(anchors) == 1:
+    for i, a in enumerate(vs):
+        ca, near, own = colors[i], adjacency[a], rings[i]
+        joined = group[ca]
+        for b, cb, ring in zip(vs[i + 1 :], colors[i + 1 :], rings[i + 1 :]):
+            if cb != ca and b not in near:
+                j = f"j~{a}~{b}"
+                names.append(j)
+                own.append(j)
+                ring.append(j)
+                if cb not in joined:
+                    joined = joined | group[cb]
+                    group.update(dict.fromkeys(joined, joined))
+
+    loops: dict[str, list[str]] = {}
+    for a, ring in zip(vs, rings):
+        prefix = f"p~{a}~"
+        if len(ring) == 1:
             # nothing to meet: a private triangle through the basepoint
-            loop = [anchors[0], f"p~{a}~1", f"p~{a}~2", anchors[0]]
+            steps = [f"{prefix}1", f"{prefix}2"]
+            loop = [ring[0], *steps, ring[0]]
         else:
-            ring = anchors + [anchors[0]]
-            loop = [ring[0]]
-            for idx, (s, t) in enumerate(zip(ring, ring[1:]), start=1):
-                loop.extend((f"p~{a}~{idx}", t))
-            for c in set(map(color.__getitem__, partners)) - group[ca]:
-                merged = group[ca] | group[c]
-                group.update(dict.fromkeys(merged, merged))
-        vertices.update(loop)
-        loops[a] = tuple(loop)
+            steps = [f"{prefix}{idx}" for idx in range(1, len(ring) + 1)]
+            loop = [None] * (2 * len(ring) + 1)
+            loop[0::2] = ring + ring[:1]
+            loop[1::2] = steps
+        names += steps
+        loops[a] = loop
 
     # each component's anchor is its least basepoint name, and a two-edge
     # graft joins the least anchor to each other one
-    anchors = sorted({min(map(basepoint.__getitem__, g)) for g in group.values()})
-    grafts = [(anchors[0], f"g~{k}~1", other) for k, other in enumerate(anchors[1:], start=1)]
-    vertices.update(mid for _, mid, _ in grafts)
+    least = sorted({min(map(basepoint.__getitem__, g)) for g in group.values()})
+    grafts = [(least[0], f"g~{k}~1", other) for k, other in enumerate(least[1:], start=1)]
+    names += [mid for _, mid, _ in grafts]
 
     # Γ over the sorted names, its integer view and the loops' ids. Every
     # step of a loop or graft is an edge, listed from both ends; each list
     # is then sorted, so its ids ascend as the edges' names do
-    names = sorted(vertices)
+    names.sort()
     index = dict(zip(names, range(len(names))))
     ids = {a: tuple(map(index.__getitem__, loop)) for a, loop in loops.items()}
     adj: list[list[int]] = [[] for _ in names]
@@ -243,7 +296,8 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
 
     h = Halo(
         gamma=gamma,
-        artin_loops=tuple(sorted(loops.items())),
+        # in Δ's vertex order, which is sorted
+        artin_loops=tuple((a, tuple(loop)) for a, loop in loops.items()),
         basepoints=tuple(sorted(basepoint.items())),
         coloring=coloring,
         delta=delta,
@@ -458,8 +512,10 @@ def subdivided_halo(h: Halo, n: int, path_threshold: str = "paper") -> Halo:
     original vertices keep their names. The new halo's graph is the one the
     subdivision check accepted, so that check is not run again on it; a
     halo that suffices already is returned as it is, before any chain is
-    made. A loop that is empty or steps along no edge raises
-    ``GraphFormatError`` when threaded."""
+    made. A subdivision over ``errors.DEFAULT_BUDGET`` vertices or edges
+    raises ``SizeExceededError`` before it is made (``minimal_subdivision``).
+    A loop that is empty or steps along no edge raises ``GraphFormatError``
+    when threaded."""
     if n != h.coloring.color_count:
         raise GraphFormatError(
             f"strand count {n} must equal the color count {h.coloring.color_count}"

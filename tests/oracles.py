@@ -8,8 +8,9 @@ exhaustive assignment, the exact coloring from one recursive search per
 color count, seeded sample words from ``random``'s own ``randint`` and
 ``choice``, planarity from networkx's ``check_planarity``, graph corpora
 from the networkx atlas, the arcs between essential vertices from the
-components networkx finds once those vertices are deleted, and the short
-cycles from every simple path. The one exception is
+components networkx finds once those vertices are deleted, the short
+cycles from every simple path, and the canonical halo's loops from a scan
+of all of Δ per vertex. The one exception is
 ``smallest_passing_factor``: it tries every candidate factor against the
 library's subdivision check, as a reference for the closed form that
 reads the factor off that check's violations.
@@ -178,6 +179,32 @@ def halo_pair_violations(halo) -> list[tuple[str, str, tuple[str, ...]]]:
                      (a, b, v, *third))
                 )
     return out
+
+
+def canonical_loops(delta, coloring) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """The canonical halo's loops, transcribed vertex by vertex: the loop of
+    v starts at its colour's basepoint ``x_c`` and threads, in vertex
+    order, the junction of every differently coloured w it is not adjacent
+    to, found by scanning all of Δ and named ``j~a~b`` from the pair's
+    smaller name a; a private step ``p~v~i`` precedes each anchor and the
+    return, and a vertex with no such w gets a private triangle."""
+    color = coloring.as_dict
+    edges = set(delta.edges)
+    loops = []
+    for v in sorted(delta.vertices):
+        anchors = [f"x_{color[v]}"]
+        for w in sorted(delta.vertices):
+            a, b = sorted((v, w))
+            if color[w] != color[v] and (a, b) not in edges:
+                anchors.append(f"j~{a}~{b}")
+        if len(anchors) == 1:
+            loop = [anchors[0], f"p~{v}~1", f"p~{v}~2", anchors[0]]
+        else:
+            loop = [anchors[0]]
+            for i, t in enumerate(anchors[1:] + anchors[:1], start=1):
+                loop += [f"p~{v}~{i}", t]
+        loops.append((v, tuple(loop)))
+    return tuple(loops)
 
 
 # --- word problem ------------------------------------------------------------

@@ -14,8 +14,9 @@ import pytest
 
 from raagbraid import SimpleGraph, build_halo, chromatic_number, greedy_color
 from raagbraid import graph_to_json_dict, halo_to_json_dict, subdivided_halo
+from raagbraid.halo import _halo_size
 
-from oracles import complete_graph, cycle_graph, random_regular_multipartite
+from oracles import complete_graph, cycle_graph, path_graph, random_regular_multipartite
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,6 +40,21 @@ def printed_halo(g: SimpleGraph) -> dict:
     return halo_to_json_dict(subdivided_halo(build_halo(g, coloring), coloring.color_count))
 
 
+#: 3,000 vertices, about 84 KB of JSON, whose halo (greedily 3-coloured)
+#: would have 6,748,503 vertices: over the budget, and said so before the
+#: halo or A(Δ)'s presentation is built
+PATH3000 = path_graph(3000)
+
+
+def predicted_size(g: SimpleGraph) -> str:
+    """The size that the over-budget error states for ``g``'s halo,
+    greedily coloured: its grafts counted at their most."""
+    coloring = greedy_color(g)
+    vertices, edges = _halo_size(g, coloring)
+    grafts = coloring.color_count - 1
+    return f"{vertices + grafts} vertices and {edges + 2 * grafts} edges"
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory, figure_delta):
     out = tmp_path_factory.mktemp("cli-contract")
@@ -59,6 +75,7 @@ def inputs(tmp_path_factory, figure_delta):
         "scale30": graph_to_json_dict(scale30),
         "k17": graph_to_json_dict(complete_graph(17)),
         "c2001": graph_to_json_dict(cycle_graph(2001, prefix="c")),
+        "path3000": graph_to_json_dict(PATH3000),
         "k11-gadget": gadget,
         "k4-halo": halo_to_json_dict(build_halo(k4, chromatic_number(k4))),
         "list": [],
@@ -76,15 +93,21 @@ def cli(*argv):
 
 
 def has(*texts):
-    """A test of stdout: it holds each of ``texts``; ``has()`` takes any."""
-    return lambda out: all(t in out for t in texts)
+    """A test of the run: its stdout holds each of ``texts``; ``has()``
+    takes any."""
+    return lambda proc: all(t in proc.stdout for t in texts)
 
 
-def empty(out):
-    return out == ""
+def empty(proc):
+    return proc.stdout == ""
 
 
-#: (id, interpreter arguments, exit code, test of stdout)
+def refuses(text):
+    """A test of the run: nothing on stdout, and ``text`` on stderr."""
+    return lambda proc: proc.stdout == "" and text in proc.stderr
+
+
+#: (id, interpreter arguments, exit code, test of the finished run)
 ROWS = [
     # every sub-command once
     *(
@@ -117,6 +140,12 @@ ROWS = [
     # the figure graph has 3,524,576 nontrivial elements of length at most
     # 10, over the budget
     ("max-len-over-budget", cli("verify", "--input", "figure.json", "--max-len", "10"), 3, empty),
+    # the halo's size is predicted before any of it is built
+    *(
+        (f"{cmd}-path3000", cli(cmd, "--input", "path3000.json", *more), 3,
+         refuses(predicted_size(PATH3000)))
+        for cmd, *more in (["halo"], ["verify", "--max-len", "1", "--samples", "0"])
+    ),
     # no vertex cap and no recursion: K17 takes 17 colours with no search,
     # and C_2001's search runs 2,001 levels deep to find that 2 do not do
     ("exact-k17", cli("color", "--exact", "--input", "k17.json"), 0, has('"colors": 17')),
@@ -135,9 +164,9 @@ ROWS = [
 ]
 
 
-@pytest.mark.parametrize("args, code, stdout_ok", [row[1:] for row in ROWS],
+@pytest.mark.parametrize("args, code, run_ok", [row[1:] for row in ROWS],
                          ids=[row[0] for row in ROWS])
-def test_cli_contract(inputs, args, code, stdout_ok):
+def test_cli_contract(inputs, args, code, run_ok):
     proc = subprocess.run(
         [sys.executable, "-S", "-W", "error", *args],
         cwd=inputs,
@@ -148,7 +177,7 @@ def test_cli_contract(inputs, args, code, stdout_ok):
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
-    assert stdout_ok(proc.stdout), proc.stdout
+    assert run_ok(proc), (proc.stdout, proc.stderr)
 
 
 def test_workflow_leaves_the_cli_to_this_table():

@@ -53,6 +53,7 @@ from oracles import (
     cycle_graph,
     edges_commute,
     free_word_spellings,
+    path_graph,
     per_element_failures,
     petersen_graph,
     random_connected_graph,
@@ -1317,13 +1318,22 @@ class TestElementBudget:
         with pytest.raises(SizeExceededError, match="11 samples"):
             injectivity_spot_check(figure_context, max_len=1, sample_count=11)
 
-    def test_one_budget_bounds_every_step(self, figure_context, monkeypatch):
+    def test_one_budget_bounds_every_step(
+        self, figure_delta, figure_coloring, figure_context, monkeypatch
+    ):
         """One setting of ``errors.DEFAULT_BUDGET``, made after import,
-        bounds the exact coloring's placements and the injectivity check's
+        bounds the exact coloring's placements, the halo's and its
+        subdivision's vertices and edges, and the injectivity check's
         elements and samples alike."""
+        k4 = complete_graph(4)
+        k4_halo = build_halo(k4, chromatic_number(k4))  # needs subdividing
         monkeypatch.setattr(errors, "DEFAULT_BUDGET", 5)
         with pytest.raises(SizeExceededError, match="over 5 color placements"):
             chromatic_number(petersen_graph())
+        with pytest.raises(SizeExceededError, match="18 edges, over the budget of 5"):
+            build_halo(figure_delta, figure_coloring)
+        with pytest.raises(SizeExceededError, match="edges, over the budget of 5"):
+            subdivided_halo(k4_halo, 4)
         with pytest.raises(SizeExceededError, match="over the budget of 5"):
             injectivity_spot_check(figure_context, max_len=1)
         with pytest.raises(SizeExceededError, match="6 samples to draw, over the budget of 5"):
@@ -1350,6 +1360,18 @@ class TestElementBudget:
         monkeypatch.setattr(embedding, "verify_halo", never)
         with pytest.raises(error, match=message):
             verify_suite(figure_delta, figure_coloring, **kwargs)
+
+    def test_suite_checks_the_halo_before_the_presentation(self, monkeypatch):
+        """A 3,000-vertex path's halo is over the budget: the suite says so
+        before A(Δ)'s presentation lists the path's 4.5 million non-adjacent
+        pairs."""
+        def never(*args, **kwargs):
+            raise AssertionError("presentation built before the halo's size was checked")
+
+        monkeypatch.setattr(embedding, "RaagPresentation", never)
+        g = path_graph(3000)
+        with pytest.raises(SizeExceededError, match="over the budget of 1000000"):
+            verify_suite(g, greedy_color(g), max_len=1, sample_count=0)
 
     def test_suite_predicts_once(self, figure_delta, figure_coloring, monkeypatch):
         """The suite checks the budget before it builds the halo, and the

@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from raagbraid import (
     Halo,
     ImproperColoringError,
     SimpleGraph,
+    SizeExceededError,
     UnknownVertexError,
     build_halo,
     chromatic_number,
@@ -31,16 +33,21 @@ from raagbraid.halo import (
     AXIOM_NON_EDGE,
     AXIOM_SIMPLE_LOOP,
     HaloViolation,
+    _halo_size,
 )
 
-from raagbraid.graphs import subdivide_uniform
+from raagbraid import errors
+from raagbraid.graphs import minimal_subdivision, subdivide_uniform
 
 from oracles import (
     atlas_connected,
+    canonical_loops,
     complete_graph,
     cycle_graph,
     halo_pair_violations,
     path_graph,
+    petersen_graph,
+    random_connected_graph,
     random_proper_coloring,
     random_regular_multipartite,
 )
@@ -451,6 +458,16 @@ class TestHaloSerialization:
         assert "color=" in dot
 
 
+def _atlas_cases():
+    """(id, Δ, colouring): every connected Δ of up to 6 vertices under
+    greedy and exact colourings."""
+    cases = []
+    for i, g in enumerate(atlas_connected(6)):
+        cases.append((f"atlas{i}-greedy", g, greedy_color(g)))
+        cases.append((f"atlas{i}-exact", g, chromatic_number(g)))
+    return cases
+
+
 def _trusted_cases():
     """(id, Δ, colouring): every connected Δ of up to 6 vertices under
     greedy and exact colourings, K2, K4 and K11 (grafted; K11 pins the
@@ -458,10 +475,7 @@ def _trusted_cases():
     its own), the join of two three-edge paths (two components of two
     colours each), a disconnected Δ and a 30-vertex regular 3-partite Δ
     coloured by its parts."""
-    cases = []
-    for i, g in enumerate(atlas_connected(6)):
-        cases.append((f"atlas{i}-greedy", g, greedy_color(g)))
-        cases.append((f"atlas{i}-exact", g, chromatic_number(g)))
+    cases = _atlas_cases()
     k2 = SimpleGraph.make(["a", "b"], [("a", "b")])
     cases.append(("k2", k2, greedy_color(k2)))
     p, q = path_graph(4), path_graph(4, prefix="q")
@@ -656,3 +670,130 @@ class TestPairOracle:
             "vertex-on-two-loops", "junction-dropped", "junction-on-a-third-loop",
             "adjacent-loops-meet", "same-colour-off-basepoint",
         }
+
+
+def _budget_cases():
+    """(id, Δ, colouring): the connected atlas to 6 vertices, greedy and
+    exact, and the golden graphs under their colourings."""
+    cases = _atlas_cases()
+    figure = SimpleGraph.make(["a", "b", "c"], [("a", "c")])
+    cases.append(("figure", figure, Coloring.make(figure, {"a": 1, "b": 2, "c": 3})))
+    for name, g in {"c6": cycle_graph(6), "k4": complete_graph(4),
+                    "petersen": petersen_graph(), "c12": cycle_graph(12)}.items():
+        cases.append((name, g, greedy_color(g)))
+    rand40 = random_connected_graph(random.Random(40), 40, 20)
+    cases.append(("rand40", rand40, greedy_color(rand40)))
+    scale30, parts = random_regular_multipartite(random.Random(30), 3, 10, 2)
+    cases.append(("scale30", scale30, Coloring.make(scale30, parts)))
+    return cases
+
+
+def _graft_count(h) -> int:
+    return sum(v.startswith("g~") for v in h.gamma.vertices)
+
+
+class TestHaloSize:
+    """``build_halo`` predicts Γ's size from Δ's degrees and colour classes
+    before it makes a name, and ``minimal_subdivision`` the subdivision's
+    before it makes a chain; each raises over ``errors.DEFAULT_BUDGET``."""
+
+    @pytest.fixture(scope="class")
+    def halos(self):
+        return [(name, g, c, build_halo(g, c)) for name, g, c in _budget_cases()]
+
+    def test_prediction_is_the_built_size(self, halos):
+        grafted = 0
+        for name, g, c, h in halos:
+            vertices, edges = _halo_size(g, c)
+            grafts = _graft_count(h)
+            assert h.gamma.n_vertices - vertices == grafts, name
+            assert h.gamma.n_edges - edges == 2 * grafts, name
+            assert grafts <= c.color_count - 1, name
+            grafted += grafts > 0
+        assert grafted
+
+    def test_subdivided_size(self, halos):
+        subdivided = 0
+        for name, _, c, h in halos:
+            k, sub, _ = minimal_subdivision(h.gamma, c.color_count)
+            gamma = h.gamma
+            assert sub.n_vertices == gamma.n_vertices + (k - 1) * gamma.n_edges, name
+            assert sub.n_edges == k * gamma.n_edges, name
+            subdivided += k > 1
+        assert subdivided
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        g = cycle_graph(6)
+        c = greedy_color(g)
+        vertices, edges = _halo_size(g, c)
+        grafts = c.color_count - 1
+        most = (vertices + grafts, edges + 2 * grafts)
+        monkeypatch.setattr(errors, "DEFAULT_BUDGET", max(most))
+        build_halo(g, c)
+        monkeypatch.setattr(errors, "DEFAULT_BUDGET", max(most) - 1)
+        with pytest.raises(SizeExceededError, match=f"{most[0]} vertices and {most[1]} edges"):
+            build_halo(g, c)
+
+    def test_subdivision_budget_is_inclusive(self, monkeypatch):
+        g = complete_graph(4)
+        c = chromatic_number(g)
+        h = build_halo(g, c)
+        k, sub, _ = minimal_subdivision(h.gamma, c.color_count)
+        assert k > 1
+        monkeypatch.setattr(errors, "DEFAULT_BUDGET", sub.n_edges)
+        assert subdivided_halo(h, c.color_count).gamma == sub
+        monkeypatch.setattr(errors, "DEFAULT_BUDGET", sub.n_edges - 1)
+        with pytest.raises(
+            SizeExceededError, match=f"{sub.n_vertices} vertices and {sub.n_edges} edges"
+        ):
+            subdivided_halo(h, c.color_count)
+
+    def test_over_budget_raises_before_any_name(self):
+        """A 3,000-vertex path's halo would have millions of vertices: the
+        prediction raises first, having allocated next to nothing."""
+        g = path_graph(3000)
+        c = greedy_color(g)
+        vertices, edges = _halo_size(g, c)
+        assert vertices > 6_000_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeExceededError, match=f"{edges + 2 * (c.color_count - 1)} edges"):
+                build_halo(g, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def _one_pass_cases():
+    """(id, Δ, colouring): the connected atlas to 6 vertices, greedy and
+    exact; graphs of the benchmark's ``scale`` shape, coloured by their
+    parts and greedily; and a Δ whose names are prefixes of one another or
+    sort against numeric order."""
+    cases = _atlas_cases()
+    for size in (7, 8, 9, 10):
+        g, parts = random_regular_multipartite(random.Random(size), 3, size, 2)
+        cases.append((f"scale{3 * size}-parts", g, Coloring.make(g, parts)))
+        cases.append((f"scale{3 * size}-greedy", g, greedy_color(g)))
+    names = ["v1", "v10", "v2", "a", "a b", "ab", "é"]
+    tricky = SimpleGraph.make(names, [("v1", "v10"), ("a", "ab"), ("a b", "é"), ("v2", "ab")])
+    cases.append(("names-greedy", tricky, greedy_color(tricky)))
+    cases.append(("names-exact", tricky, chromatic_number(tricky)))
+    for seed in range(5):
+        mapping = random_proper_coloring(tricky, random.Random(seed))
+        cases.append((f"names-random{seed}", tricky, Coloring.make(tricky, mapping)))
+    return cases
+
+
+class TestOnePassConstruction:
+    """``build_halo``'s one pass over the pairs a < b against
+    ``oracles.canonical_loops``, which scans all of Δ for each vertex."""
+
+    def test_loops_and_vertices(self):
+        for name, delta, coloring in _one_pass_cases():
+            h = build_halo(delta, coloring)
+            expected = canonical_loops(delta, coloring)
+            assert h.artin_loops == expected, name
+            on_loops = {v for _, loop in expected for v in loop}
+            grafts = {v for v in h.gamma.vertices if v.startswith("g~")}
+            assert set(h.gamma.vertices) == on_loops | grafts, name
