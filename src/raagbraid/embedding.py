@@ -58,7 +58,14 @@ from .graphs import (
     json_value,
     normalize_edge,
 )
-from .halo import Halo, _check_halo_input, build_halo, subdivided_halo, verify_halo
+from .halo import (
+    Halo,
+    _assemble_halo,
+    _check_halo_input,
+    build_halo,
+    subdivided_halo,
+    verify_halo,
+)
 from .raag import (
     GroupWord,
     RaagPresentation,
@@ -971,7 +978,8 @@ def verify_suite(
     def check_axioms():
         nonlocal base_halo
         if base_halo is None:
-            base_halo = build_halo(delta, coloring)
+            # its input was checked before the presentation was built
+            base_halo = _assemble_halo(delta, coloring)
         report = verify_halo(base_halo)
         details = {
             "axioms_violated": list(report.axioms_violated()),

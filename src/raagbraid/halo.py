@@ -199,7 +199,14 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
     """Canonical halo for a properly colored graph. It meets every axiom
     by construction and is not checked here: ``verify_halo`` checks it
     where its report is read. Over the budget, ``SizeExceededError`` is
-    raised before any name is made (``_check_halo_input``).
+    raised before any name is made (``_check_halo_input``)."""
+    _check_halo_input(delta, coloring)
+    return _assemble_halo(delta, coloring)
+
+
+def _assemble_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
+    """``build_halo`` after its input checks, for a caller that has made
+    them.
 
     One pass over the pairs a < b of Δ's sorted vertices names the junction
     ``j~a~b`` of each non-adjacent, differently coloured pair once, and
@@ -224,8 +231,6 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
     edge is stored from its smaller id, so its smaller name, and every edge
     holds a vertex private to one loop or graft, so no edge repeats. A test
     compares the result with ``make``'s on every halo it builds."""
-    _check_halo_input(delta, coloring)
-
     color = coloring.as_dict
     basepoint = {c: f"x_{c}" for c in range(1, coloring.color_count + 1)}
     names = list(basepoint.values())

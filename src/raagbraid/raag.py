@@ -18,9 +18,12 @@ element: the least geodesic in generator order (Hermiller & Meier,
 
 Piling costs O(input x cliques per generator), and a pile exists only for
 a clique the word touches, so a short word over a large group allocates
-little. Reading back keeps a min-heap of the ready generators, so each
-output letter costs O(cliques per generator + log generators) rather than a
-scan of every pile.
+little. A generator in exactly two cliques, as every edge of a halo is
+(the stars at its two ends), is set up with its two piles side by side,
+and each of its letters cancels or is pushed after one test of the two
+tops, with no loop over its piles. Reading back keeps a min-heap of the
+ready generators, so each output letter costs O(cliques per generator +
+log generators) rather than a scan of every pile.
 """
 from __future__ import annotations
 
@@ -197,48 +200,76 @@ class RaagPresentation:
 
     def _pile(self, letters):
         """Pile the letters: return the piles of the cliques they touch,
-        keyed by clique, each generator met's code and piles, keyed by its
-        name, and the number of letters left on the piles.
+        keyed by clique, an entry ``(code, a, b)`` per generator met, keyed
+        by its name, and the number of letters left on the piles.
 
         A pile holds letter codes: 2i for generator i, 2i + 1 for its
         inverse. A letter cancels when every pile of its generator's
         cliques has its inverse on top, and is pushed onto each of them
-        otherwise."""
+        otherwise. A generator in exactly two cliques, as every edge of a
+        halo is, has its two piles as ``a`` and ``b``, and one test decides
+        its letter: the two are always pushed and popped together, so an
+        inverse on top of ``a`` is on ``b`` too, on top unless a letter of
+        ``b``'s clique alone came after it. Any other generator has its
+        list of piles as ``a`` and None as ``b``."""
         piles: dict[int, list[int]] = {}
-        new_pile = piles.setdefault
-        own_piles: dict[str, tuple[int, list[list[int]]]] = {}
+        entries: dict[str, tuple] = {}
         index = self._index
         cliques = self._cliques
         count = 0
         for gen, sign in letters:
-            entry = own_piles.get(gen)
+            entry = entries.get(gen)
             if entry is None:
                 try:
                     i = index[gen]
                 except KeyError:
                     raise UnknownVertexError(f"unknown generator {gen!r}") from None
-                own = []
-                for c in cliques[i]:
-                    own.append(new_pile(c, []))
-                entry = own_piles[gen] = (2 * i, own)
-            code, own = entry
+                own = cliques[i]
+                if len(own) == 2:
+                    c, d = own
+                    a = piles.get(c)
+                    if a is None:
+                        a = piles[c] = []
+                    b = piles.get(d)
+                    if b is None:
+                        b = piles[d] = []
+                    entry = entries[gen] = (2 * i, a, b)
+                else:
+                    a = []
+                    for c in own:
+                        pile = piles.get(c)
+                        if pile is None:
+                            pile = piles[c] = []
+                        a.append(pile)
+                    entry = entries[gen] = (2 * i, a, None)
+            code, a, b = entry
             if sign < 0:
                 code += 1
             inverse = code ^ 1
-            for pile in own:
+            if b is not None:
+                if a and a[-1] == inverse and b[-1] == inverse:
+                    a.pop()
+                    b.pop()
+                    count -= 1
+                else:
+                    a.append(code)
+                    b.append(code)
+                    count += 1
+                continue
+            for pile in a:
                 if not pile or pile[-1] != inverse:
                     break
             else:
-                for pile in own:
+                for pile in a:
                     pile.pop()
                 count -= 1
                 continue
-            for pile in own:
+            for pile in a:
                 pile.append(code)
             count += 1
-        return piles, own_piles, count
+        return piles, entries, count
 
-    def _depile(self, piles, own_piles, count: int) -> tuple[Letter, ...]:
+    def _depile(self, piles, entries, count: int) -> tuple[Letter, ...]:
         """Read ``_pile``'s piles back bottom-up, always taking the smallest
         generator that heads all of its piles.
 
@@ -252,7 +283,7 @@ class RaagPresentation:
         """
         out: list[Letter] = []
         generators = self.generators
-        piles_of = {code >> 1: own for code, own in own_piles.values()}
+        piles_of = {code >> 1: a if b is None else (a, b) for code, a, b in entries.values()}
         need = {i: len(own) for i, own in piles_of.items()}
         for pile in piles.values():
             if pile:
@@ -277,10 +308,10 @@ class RaagPresentation:
         return tuple(out)
 
     def reduce_letters(self, letters) -> tuple[Letter, ...]:
-        piles, own_piles, count = self._pile(letters)
+        piles, entries, count = self._pile(letters)
         if count == 0:
             return ()
-        return self._depile(piles, own_piles, count)
+        return self._depile(piles, entries, count)
 
     def is_trivial_letters(self, letters) -> bool:
         return self._pile(letters)[2] == 0

@@ -297,8 +297,9 @@ def least_spelling(word, commuting_pairs, state_cap: int = 500_000):
     return min(seen, key=lambda w: [g for g, _ in w])
 
 
-def minimal_equivalent_length(word, commuting_pairs, state_cap: int = 500_000) -> int:
-    """Shortest length reachable by free cancellation and commuting swaps."""
+def shortest_spellings(word, commuting_pairs, state_cap: int = 500_000) -> set:
+    """The shortest words reachable from ``word`` by free cancellation and
+    commuting swaps: every geodesic spelling of its element."""
     commuting = set()
     for a, b in commuting_pairs:
         commuting.add((a, b))
@@ -322,7 +323,12 @@ def minimal_equivalent_length(word, commuting_pairs, state_cap: int = 500_000) -
                 queue.append(nxt)
                 if len(seen) > state_cap:
                     raise RuntimeError("state cap exceeded")
-    return best
+    return {w for w in seen if len(w) == best}
+
+
+def minimal_equivalent_length(word, commuting_pairs, state_cap: int = 500_000) -> int:
+    """Shortest length reachable by free cancellation and commuting swaps."""
+    return len(next(iter(shortest_spellings(word, commuting_pairs, state_cap))))
 
 
 def free_word_spellings(generators, reduce, max_len: int) -> set:

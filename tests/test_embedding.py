@@ -1356,7 +1356,7 @@ class TestElementBudget:
         def never(*args, **kwargs):
             raise AssertionError("halo built before the budgets were checked")
 
-        monkeypatch.setattr(embedding, "build_halo", never)
+        monkeypatch.setattr(embedding, "_assemble_halo", never)
         monkeypatch.setattr(embedding, "verify_halo", never)
         with pytest.raises(error, match=message):
             verify_suite(figure_delta, figure_coloring, **kwargs)
@@ -1372,6 +1372,20 @@ class TestElementBudget:
         g = path_graph(3000)
         with pytest.raises(SizeExceededError, match="over the budget of 1000000"):
             verify_suite(g, greedy_color(g), max_len=1, sample_count=0)
+
+    def test_suite_checks_the_halo_input_once(self, figure_delta, figure_coloring, monkeypatch):
+        """The suite predicts the halo's size in its up-front check, and
+        not again when the halo-axioms check builds the halo."""
+        calls = []
+        original = halo_mod._halo_size
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(halo_mod, "_halo_size", counted)
+        assert verify_suite(figure_delta, figure_coloring, max_len=1, sample_count=0).passed
+        assert len(calls) == 1
 
     def test_suite_predicts_once(self, figure_delta, figure_coloring, monkeypatch):
         """The suite checks the budget before it builds the halo, and the
@@ -1558,7 +1572,7 @@ class TestVerifySuite:
         def never(*args, **kwargs):
             raise AssertionError("halo work before the halo was matched")
 
-        for name in ("build_halo", "verify_halo", "subdivided_halo"):
+        for name in ("_assemble_halo", "verify_halo", "subdivided_halo"):
             monkeypatch.setattr(embedding, name, never)
         for delta, coloring, halo in cases:
             with pytest.raises(GraphFormatError, match="another graph or coloring"):
@@ -1580,7 +1594,7 @@ class TestVerifySuite:
 
         coloring = chromatic_number(c6)
         built = build_halo(c6, coloring)
-        monkeypatch.setattr(embedding, "build_halo", slowed(embedding.build_halo))
+        monkeypatch.setattr(embedding, "_assemble_halo", slowed(embedding._assemble_halo))
         monkeypatch.setattr(embedding, "subdivided_halo", slowed(embedding.subdivided_halo))
         report = verify_suite(figure_delta, figure_coloring, max_len=1, sample_count=5)
         assert report.check("halo-axioms").seconds >= 0.05
@@ -1589,7 +1603,7 @@ class TestVerifySuite:
         def never(*args, **kwargs):
             raise AssertionError("a supplied halo was built again")
 
-        monkeypatch.setattr(embedding, "build_halo", never)
+        monkeypatch.setattr(embedding, "_assemble_halo", never)
         assert verify_suite(c6, coloring, max_len=1, sample_count=5, halo=built)
 
     def test_json_excludes_timings_by_default(self, figure_delta, figure_coloring):

@@ -34,6 +34,7 @@ from oracles import (
     least_spelling,
     minimal_equivalent_length,
     petersen_graph,
+    shortest_spellings,
     trivial_closure,
 )
 
@@ -98,6 +99,103 @@ class TestFromCliques:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**10, f"peak {peak} bytes"
+
+
+class TestTwoCliqueGenerators:
+    """A generator in exactly two cliques is piled by one test of its two
+    piles' tops. Checked against the oracles in words that mix it with
+    generators in one clique and in three or more."""
+
+    # a in 3 cliques and g in 4; b, e, x and y in 2, e and x in the same
+    # two; c, d, and f and h (in none, so each in its own) in 1
+    CLIQUES = ["abcdg", "aexg", "bexyg", "agy"]
+    GENS = "abcdefghxy"
+
+    @pytest.fixture(scope="class")
+    def group(self):
+        p = RaagPresentation.from_cliques(self.GENS, self.CLIQUES)
+        pairs = [
+            (g, h)
+            for g, h in itertools.combinations(self.GENS, 2)
+            if not any(g in c and h in c for c in self.CLIQUES)
+        ]
+        kinds = {}
+        for g in self.GENS:
+            kinds.setdefault(min(len(p._cliques[p.index_of(g)]), 3), []).append(g)
+        assert sorted(kinds) == [1, 2, 3]
+        return p, pairs, kinds
+
+    @staticmethod
+    def mixed_word(rng, kinds, length):
+        """A word of ``length`` letters, with one of each kind of generator."""
+        gens = [rng.choice(kinds[k]) for k in (1, 2, 3)]
+        gens += rng.choices([g for ks in kinds.values() for g in ks], k=length - 3)
+        rng.shuffle(gens)
+        return [(g, rng.choice((1, -1))) for g in gens]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reduction_is_the_least_geodesic(self, group, seed):
+        """The reduction is a geodesic of the word's element, and the least
+        spelling of that geodesic; the word is trivial exactly when it is
+        empty."""
+        p, pairs, kinds = group
+        rng = random.Random(seed)
+        for _ in range(40):
+            w = self.mixed_word(rng, kinds, rng.randint(3, 8))
+            r = p.reduce_letters(w)
+            assert r in shortest_spellings(w, pairs), w
+            assert r == least_spelling(r, pairs), w
+            assert p.is_trivial_letters(w) == (r == ()), w
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_trivial_words_and_one_letter_off(self, group, seed):
+        """u then u^-1 shuffled by legal swaps is trivial; with one letter
+        of its second half inverted it is not, and reduces to a least
+        geodesic."""
+        p, pairs, kinds = group
+        commuting = {frozenset(pair) for pair in pairs}
+        rng = random.Random(seed)
+        for _ in range(40):
+            u = self.mixed_word(rng, kinds, rng.randint(3, 5))
+            back = [(g, -s) for g, s in reversed(u)]
+            for _ in range(10):
+                t = rng.randrange(len(back) - 1)
+                if frozenset((back[t][0], back[t + 1][0])) in commuting:
+                    back[t], back[t + 1] = back[t + 1], back[t]
+            w = u + back
+            assert p.is_trivial_letters(w) and p.reduce_letters(w) == ()
+            t = rng.randrange(len(back))
+            back[t] = (back[t][0], -back[t][1])
+            w = u + back
+            assert not p.is_trivial_letters(w) and not bfs_is_trivial(w, pairs)
+            r = p.reduce_letters(w)
+            assert r in shortest_spellings(w, pairs)
+            assert r == least_spelling(r, pairs)
+
+    def test_halo_edges_sharing_an_end(self):
+        """Over halo edges e = (u, v) and f = (v, w): in e f e^-1, e tops
+        e's pile at u, but f tops the one at v, so nothing cancels; e f
+        f^-1 e^-1 is trivial. Every such pair of C6's halo is tried, in
+        both orders, so the blocked pile is e's first and its second."""
+        c6 = cycle_graph(6)
+        ctx = build_context(c6, greedy_color(c6))
+        p = ctx.a_gamma
+        at = {}
+        for edge in ctx.halo.gamma.edges:
+            for end in edge:
+                at.setdefault(end, []).append(ctx.edge_generator(edge))
+        blocked = set()
+        for gens in at.values():
+            for e, f in itertools.permutations(gens, 2):
+                own = p._cliques[p.index_of(e)]
+                assert len(own) == 2
+                shared = set(own) & set(p._cliques[p.index_of(f)])
+                blocked.add(own.index(shared.pop()))
+                w = W(f"{e} {f} {e}^-1").letters
+                assert p.reduce_letters(w) == w
+                assert not p.is_trivial_letters(w)
+                assert p.is_trivial_letters(W(f"{e} {f} {f}^-1 {e}^-1").letters)
+        assert blocked == {0, 1}
 
 
 class TestGroupWord:
