@@ -15,16 +15,18 @@ which meets the axioms, so its steps are legal and it closes at the
 basepoints without a replay. Every letter's image is derived from that
 single loop, mapped once: run backwards it is the image reversed with its
 signs negated, run twice it is the image twice. The injectivity check
-carries only the words' source exponent sums. When each generator's image
-has an edge of its own with a nonzero sum, as on every halo that meets the
+reads those images in integer codes straight off the loops' vertex ids and
+piles them on the halo's integer view, with no edge named, and carries
+only the words' source exponent sums. When each generator's image has an
+edge of its own with a nonzero sum, as on every halo that meets the
 axioms, an image's sums vanish exactly when the word's do, and only those
-words are piled: an image with a nonzero exponent sum is nontrivial. The walk over the elements reads zero
-sums off the L1 norm of the sums it carries, and skips the subtrees that
-cannot reach them. Over any other halo every image is piled. Rotations of
-a word and of its inverse have conjugate or inverse images, so one word per
-such class is piled: its verdict is memoized under the rotations of the
-word and of its inverse that the walk reaches later, and the other words of
-the class read it there.
+words are piled: an image with a nonzero exponent sum is nontrivial. The
+walk over the elements reads zero sums off the L1 norm of the sums it
+carries, and skips the subtrees that cannot reach them. Over any other
+halo every image is piled. Rotations of a word and of its inverse have
+conjugate or inverse images, so one word per such class is piled: its
+verdict is memoized under the rotations of the word and of its inverse that
+the walk reaches later, and the other words of the class read it there.
 
 The edge group is built on first use. The homomorphism check decides a
 relator [a, b] from the supports of its loops: when they share no halo
@@ -90,7 +92,11 @@ class EmbeddingContext:
     illegal or open. ``self.halo`` is the halo given, subdivided if it must
     be by ``subdivided_halo``. ``source_group`` is A(Δ) when the caller has
     built it already; one of another graph than ``halo.delta`` is not used,
-    and without one A(Δ) is built on first use."""
+    and without one A(Δ) is built on first use. The edge group
+    (``a_gamma``) and the edges' names (``_edge_to_gen``) are built on
+    first use too, for ``phi``, ``letter_image`` and the callers that pile
+    named words: the injectivity check reads the loops in integer codes
+    and builds neither over a halo whose vertex names hold no ``|``."""
 
     def __init__(
         self,
@@ -120,7 +126,8 @@ class EmbeddingContext:
         ``phi`` and ``a_gamma`` read it, so a homomorphism check whose
         loops never meet builds none. Raises ``GraphFormatError`` when two
         edges get one name, as ``(q, r|s)`` and ``(q|r, s)`` do: the edge
-        group would merge their generators."""
+        group would merge their generators. The injectivity check builds it
+        only for that check, when some vertex name holds a ``|``."""
         names: dict[tuple[str, str], str] = {}
         named: dict[str, tuple[str, str]] = {}
         for e in self.halo.gamma.edges:
@@ -136,7 +143,8 @@ class EmbeddingContext:
     def a_gamma(self) -> RaagPresentation:
         """The right-angled Artin group on the halo's edges, built on first
         use: ``check_homomorphism`` piles only the relators whose loops
-        meet, so over a halo that meets the axioms it never builds it."""
+        meet, so over a halo that meets the axioms it never builds it, and
+        the injectivity check piles on Γ's integer view instead."""
         # two edges fail to commute exactly when they share an endpoint, so
         # the edges at each vertex form a clique and these cliques cover
         # the relation
@@ -385,37 +393,14 @@ def _pack(p: RaagPresentation, max_len: int) -> list[int]:
     return [s * base**i for i in range(len(p.generators)) for s in (1, -1)]
 
 
-def _walk_masks(p: RaagPresentation) -> tuple[list[int], list[int], list[int]]:
-    """The bit masks of letter codes the walk steps by: per generator, its
-    two codes (``by_gen``) and the codes of the larger generators commuting
-    with it (``later``); per letter code x, the codes of the generators not
-    commuting with x's, except x's inverse (``follow``). After a letter x of
-    generator i, the letters extending a least geodesic are
-    ``follow[x] | allowed & later[i]``, where ``allowed`` are those that
-    extended it before x. The non-commuting generators are read off the
-    presentation's cliques (``RaagPresentation._blockers``)."""
-    k = len(p.generators)
-    by_gen = [0b11 << 2 * i for i in range(k)]
-    everything = (1 << 2 * k) - 1
-    later = []
-    blocking = []  # per generator: codes of itself and the non-commuting ones
-    for i, blockers in enumerate(p._blockers):
-        block = by_gen[i]
-        for j in blockers:
-            block |= by_gen[j]
-        later.append((everything ^ block) >> 2 * i + 2 << 2 * i + 2)
-        blocking.append(block)
-    follow = [blocking[code >> 1] & ~(1 << (code ^ 1)) for code in range(2 * k)]
-    return by_gen, later, follow
-
-
 def _walked_rotations(later: list[int], follow: list[int], w: tuple[int, ...]) -> list:
     """The rotations of ``w`` and of its inverse that are greater than ``w``
     and that the walk of ``_nontrivial_elements`` spells: each letter is
     among those extending the letters before it, by the walk's own
-    ``follow``/``later`` recurrence (``_walk_masks``). The walk gives each of
-    them after ``w``: their exponent sums vanish when ``w``'s do, and the
-    walk gives the spellings of one length in increasing order."""
+    ``follow``/``later`` recurrence (``RaagPresentation._walk_masks``). The
+    walk gives each of them after ``w``: their exponent sums vanish when
+    ``w``'s do, and the walk gives the spellings of one length in
+    increasing order."""
     found = []
     for u in (w, tuple(code ^ 1 for code in reversed(w))):
         for i in range(len(u)):
@@ -446,7 +431,7 @@ def _nontrivial_elements(p: RaagPresentation, max_len: int, zero_sum: bool = Tru
     So after a letter x of generator g, the extending letters are those of
     generators not commuting with g, except x's inverse, and those of larger
     generators commuting with g that extended the word before x
-    (``_walk_masks``).
+    (``RaagPresentation._walk_masks``).
 
     The L1 norm of the source exponent sums is carried down the search: each
     letter moves it by exactly 1, down when the letter is ``toward`` zero on
@@ -464,7 +449,7 @@ def _nontrivial_elements(p: RaagPresentation, max_len: int, zero_sum: bool = Tru
     found: list[tuple[int, ...]] = []
     if max_len < 1:
         return found
-    by_gen, later, follow = _walk_masks(p)
+    by_gen, later, follow = p._walk_masks
     k = len(p.generators)
     word: list[int] = []
     source_sums = [0] * k
@@ -593,23 +578,110 @@ def _draw_samples(
     return accepted
 
 
-def _sums_follow_the_source(ctx: EmbeddingContext) -> bool:
-    """Whether every source generator's unsquared image has an edge
-    generator that no other generator's image uses, with a nonzero exponent
-    sum. Then a word's image exponent sums vanish exactly when its source
-    exponent sums do: on that edge generator they read the word's exponent
-    sum of its source generator times a nonzero constant. A halo that meets
-    the axioms passes, as loops of distinct generators share no edge and
-    each loop crosses each of its edges once. O(total image length)."""
-    owner: dict[str, str | None] = {}  # edge generator -> its one user, if one
-    sums: dict[str, int] = {}
+def _loop_letters(ctx: EmbeddingContext) -> list[tuple[int, ...]]:
+    """Per generator of ``ctx.source_group``, in its order, the unsquared
+    image of the generator's letter as edge letter codes: what
+    ``ctx.letter_image(g, 1, False)`` spells, read straight off the loop's
+    vertex ids (``Halo._loop_ids``), with no path, step or name made.
+
+    The halo edge between the vertices of ids i < j has code
+    e = i * |V(Γ)| + j, and its letters are 2e, crossed from i to j, and
+    2e + 1, crossed from j to i. Ids follow the names' order, so a step
+    from the smaller id is the one ``phi`` signs +1. Raises what
+    ``letter_image`` raises, in its order: ``UnknownVertexError`` for a
+    generator without a loop or a step that is no edge of Γ, and
+    ``_edge_to_gen``'s ``GraphFormatError`` for two edges of one name. A
+    name is shared only if some vertex name holds a ``|``, so the names
+    are built only when a scan of the vertex names finds one."""
+    halo = ctx.halo
+    gamma = halo.gamma
+    n = gamma.n_vertices
+    reading = halo._loop_ids
+    adj = gamma._adj + ((),) * len(reading.outside)  # a vertex outside Γ has no edge
+    collide = any("|" in v for v in gamma.vertices)
+    loops = []
     for g in ctx.source_group.generators:
-        for e, s in ctx.letter_image(g, 1, False):
-            if owner.setdefault(e, g) != g:
-                owner[e] = None
-            sums[e] = sums.get(e, 0) + s
-    certified = {g for e, g in owner.items() if g is not None and sums[e]}
-    return len(certified) == len(ctx.source_group.generators)
+        ids = reading.ids.get(g)
+        if ids is None:
+            halo.loop_of(g)  # raises
+        if collide and len(ids) > 1:
+            ctx._edge_to_gen  # raises when two edges share a name
+            collide = False
+        letters = []
+        for s, t in zip(ids, ids[1:]):
+            if t not in adj[s]:
+                names = gamma.vertices + tuple(reading.outside)
+                ctx.edge_generator(normalize_edge(names[s], names[t]))  # raises
+            letters.append(2 * (s * n + t) if s < t else 2 * (t * n + s) + 1)
+        loops.append(tuple(letters))
+    return loops
+
+
+def _letter_codes(loops: list[tuple[int, ...]], code: int, squared: bool) -> tuple[int, ...]:
+    """The image of source letter ``code`` (``_signed_letters``) as edge
+    letter codes, as ``ctx.letter_image`` spells it: its generator's loop
+    letters (``_loop_letters``), reversed with every letter inverted for an
+    inverse letter, and twice when ``squared``."""
+    image = loops[code >> 1]
+    if code & 1:
+        image = tuple(c ^ 1 for c in reversed(image))
+    return image + image if squared else image
+
+
+def _edge_word_is_trivial(letters, n: int) -> bool:
+    """Whether a word of edge letter codes (``_loop_letters``) over a halo
+    Γ of ``n`` vertices is trivial in the edge group: ``ctx.a_gamma``'s
+    piling, read on Γ's integer view. The edges at each vertex form one
+    clique, so edge i * n + j lies in exactly two, the stars of i and j, and
+    each letter is decided as in the two-clique lane of
+    ``RaagPresentation._pile``: it cancels when both piles have its inverse
+    on top, and is pushed onto both otherwise."""
+    piles: dict[int, list[int]] = {}  # per vertex id: the pile of its star
+    ends: dict[int, tuple[list[int], list[int]]] = {}  # per edge: its two piles
+    count = 0
+    for code in letters:
+        edge = code >> 1
+        pair = ends.get(edge)
+        if pair is None:
+            i, j = divmod(edge, n)
+            a = piles.get(i)
+            if a is None:
+                a = piles[i] = []
+            b = piles.get(j)
+            if b is None:
+                b = piles[j] = []
+            pair = ends[edge] = (a, b)
+        a, b = pair
+        inverse = code ^ 1
+        if a and a[-1] == inverse and b[-1] == inverse:
+            a.pop()
+            b.pop()
+            count -= 1
+        else:
+            a.append(code)
+            b.append(code)
+            count += 1
+    return not count
+
+
+def _sums_follow_the_source(loops: list[tuple[int, ...]]) -> bool:
+    """Whether every source generator's unsquared image (``_loop_letters``)
+    crosses an edge that no other generator's image crosses, with a nonzero
+    exponent sum. Then a word's image exponent sums vanish exactly when its
+    source exponent sums do: on that edge they read the word's exponent sum
+    of its source generator times a nonzero constant. A halo that meets the
+    axioms passes, as loops of distinct generators share no edge and each
+    loop crosses each of its edges once. O(total image length)."""
+    users: dict[int, int] = {}  # edge -> its one user, or -1 once two cross it
+    sums: dict[int, int] = {}
+    for g, letters in enumerate(loops):
+        for code in letters:
+            edge = code >> 1
+            if users.setdefault(edge, g) != g:
+                users[edge] = -1
+            sums[edge] = sums.get(edge, 0) + 1 - 2 * (code & 1)
+    certified = {g for edge, g in users.items() if g >= 0 and sums[edge]}
+    return len(certified) == len(loops)
 
 
 def injectivity_spot_check(
@@ -630,22 +702,29 @@ def injectivity_spot_check(
     squared mode any failure is an implementation bug; in unsquared mode
     failures witness the lost injectivity.
 
-    When the letter images certify that the image exponent sums vanish
-    exactly with the source sums (``_sums_follow_the_source``), as on every
-    halo that meets the axioms, only the words whose source sums vanish are
-    piled, as an image with a nonzero exponent sum is nontrivial, and the
-    walk enters only the subtrees that can still reach zero sums. A sample
-    with an odd letter count has an odd exponent sum, so over a certified
-    halo it is drawn but never read. Otherwise every element and every
-    sample is piled. The words that are cyclic rotations of one another or
-    of one another's inverse have conjugate or inverse images under φ∘ψ,
-    which concatenates letter images, so their images are trivial together:
-    the first word of such a class to be walked is piled, and its verdict is
-    kept under the rotations of the word and of its inverse that the walk
-    has still to reach (``_walked_rotations``), the keys by which the rest
-    of its class is found. Each key kept is read, so the memo ends empty.
+    The letter images are read once, as edge letter codes, straight off the
+    loops' vertex ids (``_loop_letters``), and an image is piled on Γ's
+    integer view (``_edge_word_is_trivial``): the check builds neither
+    ``ctx.a_gamma`` nor the edges' names, and calls neither ``loop_path``
+    nor ``phi``. When that reading certifies that the image exponent sums
+    vanish exactly with the source sums (``_sums_follow_the_source``), as
+    on every halo that meets the axioms, only the words whose source sums
+    vanish are piled, as an image with a nonzero exponent sum is
+    nontrivial, and the walk enters only the subtrees that can still reach
+    zero sums. A sample with an odd letter count has an odd exponent sum,
+    so over a certified halo it is drawn but never read. Otherwise every
+    element and every sample is piled. The words that are cyclic rotations
+    of one another or of one another's inverse have conjugate or inverse
+    images under φ∘ψ, which concatenates letter images, so their images are
+    trivial together: the first word of such a class to be walked is piled,
+    and its verdict is kept under the rotations of the word and of its
+    inverse that the walk has still to reach (``_walked_rotations``), the
+    keys by which the rest of its class is found. Each key kept is read, so
+    the memo ends empty.
     The walk and the check work in letter codes, and a word is named only
-    when it fails.
+    when it fails. The reading raises what ``ctx.letter_image`` would over a
+    halo that fails the axioms: ``UnknownVertexError`` for a loop step off
+    Γ's edges, and ``GraphFormatError`` for two edges of one name.
     ``exhaustive_elements`` is the count predicted from the growth series.
     Raises ``SizeExceededError`` when that count, or the number of samples,
     exceeds ``errors.DEFAULT_BUDGET``.
@@ -655,16 +734,21 @@ def injectivity_spot_check(
     elements = _check_element_budget(p, max_len)
     sample_max_len = 2 * max_len
     signed = _signed_letters(p)
-    certified = _sums_follow_the_source(ctx)
-    # per letter code, its image: every generator's loop is built by now
-    images = [ctx.letter_image(g, s, squared) for g, s in signed]
-    _, later, follow = _walk_masks(p)
+    loops = _loop_letters(ctx)
+    certified = _sums_follow_the_source(loops)
+    n = ctx.halo.gamma.n_vertices
+    # per letter code, its image in edge letter codes, made on first use
+    images: list[tuple[int, ...] | None] = [None] * len(signed)
+    _, later, follow = p._walk_masks
 
     def image_is_trivial(codes) -> bool:
-        image: list[Letter] = []
+        image: list[int] = []
         for c in codes:
-            image += images[c]
-        return ctx.a_gamma.is_trivial_letters(image)
+            part = images[c]
+            if part is None:
+                part = images[c] = _letter_codes(loops, c, squared)
+            image += part
+        return _edge_word_is_trivial(image, n)
 
     failures = []
 

@@ -174,6 +174,31 @@ class RaagPresentation:
             for i, own in enumerate(self._cliques)
         )
 
+    @cached_property
+    def _walk_masks(self) -> tuple[list[int], list[int], list[int]]:
+        """The bit masks of letter codes by which the injectivity check's
+        walk over the least geodesics steps, built once per presentation:
+        per generator, its two codes (``by_gen``) and the codes of the
+        larger generators commuting with it (``later``); per letter code x,
+        the codes of the generators not commuting with x's, except x's
+        inverse (``follow``). Letter code 2i is generator i and 2i + 1 its
+        inverse. After a letter x of generator i, the letters extending a
+        least geodesic are ``follow[x] | allowed & later[i]``, where
+        ``allowed`` are those that extended it before x."""
+        k = len(self.generators)
+        by_gen = [0b11 << 2 * i for i in range(k)]
+        everything = (1 << 2 * k) - 1
+        later = []
+        blocking = []  # per generator: codes of itself and the non-commuting ones
+        for i, blockers in enumerate(self._blockers):
+            block = by_gen[i]
+            for j in blockers:
+                block |= by_gen[j]
+            later.append((everything ^ block) >> 2 * i + 2 << 2 * i + 2)
+            blocking.append(block)
+        follow = [blocking[code >> 1] & ~(1 << (code ^ 1)) for code in range(2 * k)]
+        return by_gen, later, follow
+
     def __repr__(self) -> str:
         k = len(self.generators)
         noncommuting = sum(len(b) for b in self._blockers) // 2

@@ -131,6 +131,9 @@ ROWS = [
         (f"verify-{bad}", cli("verify", "--input", f"{bad}.json"), 2, has())
         for bad in ("malformed", "not-utf8", "list", "absent", "collide")
     ),
+    # the collision is caught with no word to pile
+    ("verify-collide-len0", cli("verify", "--input", "collide.json", "--max-len", "0",
+                                "--samples", "0"), 2, has()),
     ("verify-dot", cli("verify", "--input", "figure.json", "--format", "dot"), 2, has()),
     # random.Random(-1) would draw what random.Random(1) draws; --exact
     # colours only once the other arguments pass

@@ -2,6 +2,7 @@ import json
 import random
 import time
 import tracemalloc
+from functools import cached_property
 from itertools import accumulate, islice, product
 
 import pytest
@@ -841,14 +842,13 @@ class TestInjectivitySpotCheck:
             for w in words
         }
         piled = []
-        original = RaagPresentation.is_trivial_letters
+        original = embedding._edge_word_is_trivial
 
-        def counted(self, letters):
-            if self is ctx.a_gamma:
-                piled.append(letters)
-            return original(self, letters)
+        def counted(letters, n):
+            piled.append(letters)
+            return original(letters, n)
 
-        monkeypatch.setattr(RaagPresentation, "is_trivial_letters", counted)
+        monkeypatch.setattr(embedding, "_edge_word_is_trivial", counted)
         assert injectivity_spot_check(ctx, max_len=max_len, sample_count=0).ok
         return len(piled), len(classes)
 
@@ -1075,27 +1075,39 @@ class TestPrunedWalk:
             assert spelled(p, embedding._nontrivial_elements(p, max_len)) == zero_sum, max_len
 
 
+def sums_certified(ctx) -> bool:
+    """Whether the injectivity check's reading of ``ctx``'s loops certifies
+    that image exponent sums vanish with the source sums."""
+    return embedding._sums_follow_the_source(embedding._loop_letters(ctx))
+
+
+def relooped_context(delta, coloring, loops) -> EmbeddingContext:
+    """The context over the canonical halo with some loops replaced by
+    ``loops``, unchecked: the halo fails the axioms."""
+    h = build_halo(delta, coloring)
+    return EmbeddingContext(
+        Halo(
+            gamma=h.gamma,
+            artin_loops=tuple((a, loops.get(a, loop)) for a, loop in h.artin_loops),
+            basepoints=h.basepoints,
+            coloring=h.coloring,
+            delta=h.delta,
+        )
+    )
+
+
 def out_and_back_context(delta, coloring, gen) -> EmbeddingContext:
     """The context over the canonical halo in which ``gen``'s loop is run
     round and then back: the halo is subdivided but fails the axioms."""
-    h = build_halo(delta, coloring)
-    corrupted = Halo(
-        gamma=h.gamma,
-        artin_loops=tuple(
-            (a, loop + loop[-2::-1] if a == gen else loop) for a, loop in h.artin_loops
-        ),
-        basepoints=h.basepoints,
-        coloring=h.coloring,
-        delta=h.delta,
-    )
-    return EmbeddingContext(subdivided_halo(corrupted, 3))
+    loop = build_halo(delta, coloring).loop_of(gen)
+    return relooped_context(delta, coloring, {gen: loop + loop[-2::-1]})
 
 
 class TestSumCertificate:
     def test_axiom_halos_are_certified(self, figure_context):
-        assert embedding._sums_follow_the_source(figure_context)
+        assert sums_certified(figure_context)
         for g in atlas_connected(5) + [cycle_graph(6), complete_graph(4), petersen_graph()]:
-            assert embedding._sums_follow_the_source(build_context(g, greedy_color(g)))
+            assert sums_certified(build_context(g, greedy_color(g)))
 
     @pytest.mark.parametrize("gen", ["a", "b"])
     def test_out_and_back_loop_matches_piling_every_image(
@@ -1106,7 +1118,7 @@ class TestSumCertificate:
         every edge generator and walks every element, and reports what
         piling every element's image reports."""
         ctx = out_and_back_context(figure_delta, figure_coloring, gen)
-        assert not embedding._sums_follow_the_source(ctx)
+        assert not sums_certified(ctx)
         max_len = 5
         p = ctx.source_group
         elements = free_word_spellings(p.generators, p.reduce_letters, max_len)
@@ -1131,7 +1143,7 @@ class TestSumCertificate:
         its own exponent sums: the failures are the walk's and those of the
         samples ``random`` draws that are nontrivial in A(Δ)."""
         ctx = out_and_back_context(figure_delta, figure_coloring, "a")
-        assert not embedding._sums_follow_the_source(ctx)
+        assert not sums_certified(ctx)
         max_len, sample_count, seed = 2, 60, 3
         p = ctx.source_group
         signed = embedding._signed_letters(p)
@@ -1163,6 +1175,206 @@ class TestSumCertificate:
         )
 
 
+#: (id, replaced loops of the figure graph's canonical halo, and the
+#: check's failures at length 3 or the (exception class, message) it
+#: raises): what reading the images by name, through ``loop_path`` and
+#: ``phi``, gives.
+BROKEN_HALOS = [
+    ("non-edge", {"b": ("x_2", "j~a~b", "p~b~2", "j~b~c", "p~b~3", "x_2")},
+     (UnknownVertexError, "('j~a~b', 'x_2') is not an edge of the halo graph")),
+    # c's loop is a's: every edge is shared, so nothing is certified
+    ("shared-edges", {"c": ("x_1", "p~a~1", "j~a~b", "p~a~2", "x_1")},
+     ("a c^-1", "a^-1 c")),
+    ("outside-vertex", {"c": ("x_3", "zz", "j~b~c", "p~c~2", "x_3")},
+     (UnknownVertexError, "('x_3', 'zz') is not an edge of the halo graph")),
+]
+
+
+class TestBrokenHalos:
+    """Over a halo that fails the axioms the check reports, or raises, what
+    reading the letter images by name gives."""
+
+    @pytest.mark.parametrize(
+        "loops, expected", [case[1:] for case in BROKEN_HALOS], ids=[c[0] for c in BROKEN_HALOS]
+    )
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_report_or_error(self, figure_delta, figure_coloring, loops, expected, squared):
+        ctx = relooped_context(figure_delta, figure_coloring, loops)
+        for max_len, sample_count, seed in ((3, 30, 1), (0, 0, 0)):
+            if isinstance(expected[0], type):
+                with pytest.raises(expected[0]) as raised:
+                    injectivity_spot_check(ctx, max_len, sample_count, seed, squared)
+                assert str(raised.value) == expected[1]
+            else:
+                report = injectivity_spot_check(ctx, max_len, sample_count, seed, squared)
+                assert report == InjectivityReport(
+                    squared=squared,
+                    max_len=max_len,
+                    exhaustive_elements=142 if max_len else 0,
+                    sample_count=sample_count,
+                    sample_max_len=2 * max_len,
+                    seed=seed,
+                    failures=expected if max_len else (),
+                )
+
+    def test_missing_loop(self, figure_delta, figure_coloring):
+        h = build_halo(figure_delta, figure_coloring)
+        halo = Halo(
+            gamma=h.gamma,
+            artin_loops=tuple(item for item in h.artin_loops if item[0] != "b"),
+            basepoints=h.basepoints,
+            coloring=h.coloring,
+            delta=h.delta,
+        )
+        with pytest.raises(UnknownVertexError, match="^no loop for vertex 'b'$"):
+            injectivity_spot_check(EmbeddingContext(halo), 2)
+
+    def test_name_collision_with_nothing_piled(self, figure_delta):
+        """The halo the ``halo`` command prints, with vertices renamed so
+        that the edges (q, r|s) and (q|r, s) share the name q|r|s."""
+        coloring = greedy_color(figure_delta)
+        printed = subdivided_halo(build_halo(figure_delta, coloring), coloring.color_count)
+        text = json.dumps(halo_to_json_dict(printed))
+        for name, new in {"j~b~c": "q", "p~b~1": "r|s", "p~a~1": "q|r", "p~a~2": "s"}.items():
+            text = text.replace(f'"{name}"', f'"{new}"')
+        ctx = EmbeddingContext(halo_from_json_dict(json.loads(text)))
+        with pytest.raises(GraphFormatError) as raised:
+            injectivity_spot_check(ctx, 0)
+        assert str(raised.value) == (
+            "halo edges ('q', 'r|s') and ('q|r', 's') both get the generator name 'q|r|s'"
+        )
+
+
+def named_edge_letters(ctx, codes) -> tuple:
+    """Edge letter codes (``embedding._loop_letters``) spelled in the edge
+    group's ``(name, sign)`` letters."""
+    names = ctx.halo.gamma.vertices
+    n = len(names)
+    return tuple(
+        (edge_generator_name((names[(c >> 1) // n], names[(c >> 1) % n])), -1 if c & 1 else 1)
+        for c in codes
+    )
+
+
+def reading_contexts() -> list:
+    """Contexts over the atlas up to 6 vertices, greedily and exactly
+    coloured, with 4- and 5-coloured subdivided halos among them."""
+    contexts = [
+        build_context(g, c)
+        for g in atlas_connected(6)
+        for c in {greedy_color(g), chromatic_number(g)}
+    ]
+    subdivided = {
+        ctx.n for ctx in contexts if ctx.halo != build_halo(ctx.delta, ctx.coloring)
+    }
+    assert {4, 5} <= subdivided
+    return contexts
+
+
+class TestEdgeCodeReading:
+    """The injectivity check reads the letter images as edge letter codes
+    off the loops' vertex ids and piles them on Γ's integer view: the codes
+    spell ``letter_image``'s images, and the piling decides what the named
+    edge group decides."""
+
+    def test_codes_spell_the_letter_images(self):
+        for ctx in reading_contexts():
+            loops = embedding._loop_letters(ctx)
+            signed = embedding._signed_letters(ctx.source_group)
+            for code, (g, sign) in enumerate(signed):
+                for squared in (True, False):
+                    image = embedding._letter_codes(loops, code, squared)
+                    assert named_edge_letters(ctx, image) == ctx.letter_image(g, sign, squared)
+
+    def test_piling_agrees_with_the_edge_group(self):
+        """On seeded words over a few edges around a few vertices, where
+        some are trivial, and on products of letter images, the piling
+        decides what ``ctx.a_gamma`` decides; a word times its inverse,
+        conjugated by another, is trivial."""
+        rng = random.Random(36)
+        petersen = petersen_graph()
+        for ctx in reading_contexts()[::7] + [build_context(petersen, greedy_color(petersen))]:
+            loops = embedding._loop_letters(ctx)
+            n = ctx.halo.gamma.n_vertices
+            images = [
+                embedding._letter_codes(loops, code, squared)
+                for code in range(2 * len(loops))
+                for squared in (True, False)
+            ]
+            alphabet = sorted({c >> 1 for image in images[:4] for c in image})[:6]
+            words = [
+                [2 * rng.choice(alphabet) + rng.randrange(2) for _ in range(rng.randrange(11))]
+                for _ in range(300)
+            ]
+            words += [
+                [c for image in rng.choices(images, k=rng.randrange(4)) for c in image]
+                for _ in range(50)
+            ]
+            trivial = 0
+            for w in words:
+                verdict = embedding._edge_word_is_trivial(w, n)
+                assert verdict == ctx.a_gamma.is_trivial_letters(named_edge_letters(ctx, w)), w
+                trivial += verdict
+                u = rng.choice(words)
+                conjugate = u + w + [c ^ 1 for c in reversed(u + w)]
+                assert embedding._edge_word_is_trivial(conjugate, n)
+            assert trivial > len(words) // 20
+
+    def test_commutator_images_pile_to_nothing(self):
+        """The squared images of Δ's commutation relators are trivial."""
+        for ctx in reading_contexts()[::5]:
+            loops = embedding._loop_letters(ctx)
+            index = ctx.source_group._index
+            n = ctx.halo.gamma.n_vertices
+            for a, b in ctx.delta.edges:
+                i, j = 2 * index[a], 2 * index[b]
+                w = [c for x in (i, j, i ^ 1, j ^ 1) for c in embedding._letter_codes(loops, x, True)]
+                assert embedding._edge_word_is_trivial(w, n)
+
+    def test_check_names_no_edge(self, c6, monkeypatch):
+        """Over a canonical halo the check builds neither the edge group nor
+        the edges' names, and maps no configuration path."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("the check read a letter image by name")
+
+        monkeypatch.setattr(EmbeddingContext, "loop_path", never)
+        monkeypatch.setattr(embedding, "phi", never)
+        ctx = build_context(c6, chromatic_number(c6))
+        assert injectivity_spot_check(ctx, max_len=4, sample_count=50, seed=3).ok
+        assert not {"a_gamma", "_edge_to_gen", "_letter_images"} & {
+            k for k, v in vars(ctx).items() if v
+        }
+
+    def test_a_bar_in_a_name_builds_the_names(self, figure_delta, figure_context):
+        """A vertex name holding a ``|`` could make two edges share a name,
+        so the check builds the names to find out; here none is shared, and
+        the report is the one over the unrenamed halo."""
+        text = json.dumps(halo_to_json_dict(figure_context.halo)).replace('"j~a~b"', '"j|a|b"')
+        ctx = EmbeddingContext(halo_from_json_dict(json.loads(text)))
+        report = injectivity_spot_check(ctx, max_len=4, sample_count=50, seed=3)
+        assert "_edge_to_gen" in vars(ctx) and "a_gamma" not in vars(ctx)
+        assert report == injectivity_spot_check(figure_context, max_len=4, sample_count=50, seed=3)
+
+    def test_walk_masks_built_once(self, c6, monkeypatch):
+        """The walk and the verdict memo read one set of masks, kept on the
+        presentation across checks."""
+        built = []
+        original = RaagPresentation._walk_masks.func
+
+        def counted(p):
+            built.append(p)
+            return original(p)
+
+        masks = cached_property(counted)
+        masks.__set_name__(RaagPresentation, "_walk_masks")
+        monkeypatch.setattr(RaagPresentation, "_walk_masks", masks)
+        ctx = build_context(c6, chromatic_number(c6))
+        for seed in range(2):
+            injectivity_spot_check(ctx, max_len=4, sample_count=10, seed=seed)
+        assert built == [ctx.source_group]
+
+
 class TestSampleOracle:
     """The samples' count and failures are those of drawing the stream
     through ``random`` (``reference_sample_stream``), rejecting a word with
@@ -1174,7 +1386,7 @@ class TestSampleOracle:
     def expected(ctx, max_len, sample_count, seed, squared):
         p = ctx.source_group
         signed = embedding._signed_letters(p)
-        certified = embedding._sums_follow_the_source(ctx)
+        certified = sums_certified(ctx)
         stream = reference_sample_stream(seed, len(signed), 2 * max_len)
         accepted = 0
         # the walk's own failures, which TestClassMemoOracle checks
@@ -1208,7 +1420,7 @@ class TestSampleOracle:
     )
     def test_certified(self, graph):
         ctx = build_context(graph, greedy_color(graph))
-        assert embedding._sums_follow_the_source(ctx)
+        assert sums_certified(ctx)
         self.assert_samples_match(ctx, range(1, 5), (0, 1, 2))
 
     def test_figure_graph(self, figure_context):
@@ -1219,7 +1431,7 @@ class TestSampleOracle:
     @pytest.mark.parametrize("gen", ["a", "b"])
     def test_uncertified(self, figure_delta, figure_coloring, gen):
         ctx = out_and_back_context(figure_delta, figure_coloring, gen)
-        assert not embedding._sums_follow_the_source(ctx)
+        assert not sums_certified(ctx)
         self.assert_samples_match(ctx, range(1, 4), (0, 1, 2))
 
 
@@ -1235,7 +1447,7 @@ class TestWalkedRotations:
     )
     def test_kept_rotations_are_those_walked_later(self, graph, max_len):
         p = RaagPresentation(graph)
-        _, later, follow = embedding._walk_masks(p)
+        _, later, follow = p._walk_masks
         walked = embedding._nontrivial_elements(p, max_len, zero_sum=False)
         position = {w: i for i, w in enumerate(walked)}
         dead = 0
@@ -1282,7 +1494,7 @@ class TestClassMemoOracle:
 
     def test_uncertified_halos(self, figure_delta, figure_coloring):
         contexts = [out_and_back_context(figure_delta, figure_coloring, g) for g in "ab"]
-        assert not any(embedding._sums_follow_the_source(ctx) for ctx in contexts)
+        assert not any(sums_certified(ctx) for ctx in contexts)
         self.assert_memo_matches(contexts, 5)
 
     def test_figure_graph(self, figure_context):
