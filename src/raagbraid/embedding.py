@@ -1067,7 +1067,7 @@ def verify_suite(
         report = verify_halo(base_halo)
         details = {
             "axioms_violated": list(report.axioms_violated()),
-            "loops": len(base_halo.artin_loops),
+            "loops": len(base_halo._loop_ids.ids),
             "planar": is_planar(base_halo.gamma),
         }
         witnesses = [v.message for v in report.violations]

@@ -75,6 +75,9 @@ class SimpleGraph(_Value):
 
     ``vertices`` is lexicographically sorted, and each edge is stored with
     its smaller endpoint first; the edge tuple is itself sorted.
+
+    A graph built from its integer view (``_from_ids``) makes ``vertices``,
+    ``edges`` and ``_index`` on first read; the algorithms read ``_adj``.
     """
 
     __slots__ = ("vertices", "edges", "__dict__")
@@ -83,6 +86,35 @@ class SimpleGraph(_Value):
     def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
+
+    @classmethod
+    def _from_ids(
+        cls, adj: tuple[tuple[int, ...], ...], names, ids: tuple[int, ...]
+    ) -> "SimpleGraph":
+        """The graph whose integer view is ``adj``, each row ascending.
+        ``names()``, called on the first read of ``vertices``, returns the
+        vertex names in id order, which must be their sorted order, so that
+        the edges read off ``adj`` come out sorted. ``ids`` holds the int
+        objects of ``adj``, one per id, which ``_index`` maps the names to."""
+        g = cls.__new__(cls)
+        vars(g).update(_adj=adj, _names=names, _ids=ids)
+        return g
+
+    def __getattr__(self, name):
+        # reached only for an attribute not found, as a field left unset by
+        # _from_ids: its names are made here, on first read, and kept
+        made = vars(self)
+        if name == "vertices" and "_names" in made:
+            value = made["_names"]()
+        elif name == "edges" and "_ids" in made:
+            names = self.vertices
+            value = tuple(
+                [(names[i], names[j]) for i, row in enumerate(self._adj) for j in row if j > i]
+            )
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     @classmethod
     def make(cls, vertices, edges=()) -> "SimpleGraph":
@@ -115,8 +147,11 @@ class SimpleGraph(_Value):
 
     @cached_property
     def _index(self) -> dict[str, int]:
-        # each name's position in vertices, so integer order is name order
-        return dict(zip(self.vertices, range(len(self.vertices))))
+        # each name's position in vertices, so integer order is name order;
+        # a graph built from its integer view maps each name to the int
+        # object that view holds
+        ids = vars(self).get("_ids") or range(len(self.vertices))
+        return dict(zip(self.vertices, ids))
 
     @cached_property
     def _adj(self) -> tuple[tuple[int, ...], ...]:
@@ -137,11 +172,11 @@ class SimpleGraph(_Value):
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self._adj)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._adj)) // 2
 
     def has_vertex(self, v: str) -> bool:
         return v in self._index
@@ -499,8 +534,7 @@ def _shortest_cycles(g: SimpleGraph, max_edges: int) -> list[tuple[str, ...]]:
             level, d = nxt, d + 1
         for v in reached:
             dist[v] = -1
-    names = g.vertices
-    return [tuple(map(names.__getitem__, cycle)) for cycle in sorted(found)]
+    return [tuple(map(g.vertices.__getitem__, cycle)) for cycle in sorted(found)]
 
 
 def is_sufficiently_subdivided(
@@ -535,7 +569,6 @@ def _subdivision_report(g: SimpleGraph, n: int, path_threshold: str) -> Subdivis
     path_required = _path_required(n, path_threshold)
     loop_required = n + 1
     violations: list[SubdivisionViolation] = []
-    names = g.vertices
     # the shortest closed walk and the shortest arc, capped at n + 1
     closed = arc = loop_required
     for u, w, interior in _arcs(g):
@@ -546,7 +579,7 @@ def _subdivision_report(g: SimpleGraph, n: int, path_threshold: str) -> Subdivis
         if length < arc:
             arc = length
         if length < path_required:
-            path = tuple(map(names.__getitem__, (u, *interior, w)))
+            path = tuple(map(g.vertices.__getitem__, (u, *interior, w)))
             violations.append(SubdivisionViolation("path", path, length, path_required))
     if min(closed, max(3, 2 * arc)) <= n:
         for cycle in _shortest_cycles(g, n):

@@ -12,25 +12,35 @@ private two-edge arcs threading each loop through its junctions in vertex
 order. Vertices with nothing to intersect get a private triangle through
 their basepoint. If the union of loops is disconnected, private paths are
 grafted between basepoints; these touch the loops only at their endpoints,
-so no axiom is disturbed. One pass over the pairs of Δ's vertices names
+so no axiom is disturbed. One pass over the pairs of Δ's vertices finds
 each junction once. The components are known from the colouring before Γ
 exists: loops of one colour share its basepoint, and loops of non-adjacent
 vertices meet, so Γ is assembled once, grafts included. Γ's size is
-predicted and budgeted before any name is made.
+predicted and budgeted before any of it is made.
+
+The builder makes no name. It gives each vertex of Γ its id as it makes
+it, in an order fixed by the construction that is the sorted order of the
+names: grafts ``g~k~1``, then junctions ``j~a~b``, then loop steps
+``p~a~i``, then basepoints ``x_c``; within a block, Δ's vertices a in the
+order of ``a + "~"``, partners b in Δ's order, and graft, step and colour
+numbers in string order (10 before 2; a graft's number is followed by
+``~``, so its 10 comes before 1 as well). Γ's vertices and edges, and the
+loops' names, are made on first read, by the output that needs them.
 
 The builder does not check what it builds: ``verify_halo`` is the check,
 and the caller that reads its report runs it, once per halo.
 
-The checks read each loop as vertex ids of Γ's integer view, made once per
-halo (``Halo._loop_ids``). ``build_halo`` makes Γ's view and the loops'
-ids as it builds and fills both in; any other halo, loaded, subdivided or
-hand-built, gets them from its names on first use. ``verify_halo`` and
-``check_homomorphism`` read that one reading.
+The checks read each loop, and each basepoint, as vertex ids of Γ's
+integer view, made once per halo (``Halo._loop_ids``). ``build_halo``
+makes Γ's view and the loops' ids as it builds and fills both in; any
+other halo, loaded, subdivided or hand-built, gets them from its names on
+first use. ``verify_halo`` and ``check_homomorphism`` read that one
+reading, and look up names only for what a violation says.
 """
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 
 from . import errors
@@ -83,6 +93,37 @@ class Halo(_Value):
         object.__setattr__(self, "coloring", coloring)
         object.__setattr__(self, "delta", delta)
 
+    @classmethod
+    def _from_ids(
+        cls,
+        gamma: SimpleGraph,
+        loop_ids: "LoopIds",
+        basepoints: tuple[tuple[int, str], ...],
+        coloring: Coloring,
+        delta: SimpleGraph,
+    ) -> "Halo":
+        """The halo whose loops are ``loop_ids``, read as vertex ids of Γ:
+        ``artin_loops`` is named from them on first read."""
+        h = cls.__new__(cls)
+        for name, value in (
+            ("gamma", gamma), ("basepoints", basepoints), ("coloring", coloring), ("delta", delta)
+        ):
+            object.__setattr__(h, name, value)
+        vars(h)["_loop_ids"] = loop_ids
+        return h
+
+    def __getattr__(self, name):
+        # reached only for an attribute not found, as the loops left unset
+        # by _from_ids: they are named here, on first read, and kept
+        if name != "artin_loops" or "_loop_ids" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        names = self.gamma.vertices
+        value = tuple(
+            (a, tuple(map(names.__getitem__, ids))) for a, ids in self._loop_ids.ids.items()
+        )
+        object.__setattr__(self, name, value)
+        return value
+
     @cached_property
     def loops(self) -> dict[str, tuple[str, ...]]:
         return dict(self.artin_loops)
@@ -110,11 +151,13 @@ class Halo(_Value):
         return tuple(normalize_edge(a, b) for a, b in zip(loop, loop[1:]))
 
 
-class LoopIds(namedtuple("LoopIds", "outside ids")):
+class LoopIds(namedtuple("LoopIds", "outside ids basepoints")):
     """Each loop read as vertex ids of Γ's integer view (``_index``):
     ``ids`` maps a source vertex to its loop's ids. A loop vertex outside Γ
     gets the next free id, in order of first appearance, and ``outside``
-    maps its name to that id."""
+    maps its name to that id. ``basepoints`` maps each colour of
+    ``Halo.basepoints`` to its basepoint's id, or to None for a name that
+    is neither a vertex of Γ nor on a loop."""
 
     __slots__ = ()
 
@@ -134,7 +177,8 @@ def _read_loops(h: Halo) -> LoopIds:
                 index[v] if v in index else outside.setdefault(v, n + len(outside))
                 for v in loop
             )
-    return LoopIds(outside, ids)
+    basepoints = {c: index.get(x, outside.get(x)) for c, x in h.basepoint_of.items()}
+    return LoopIds(outside, ids, basepoints)
 
 
 class HaloViolation(namedtuple("HaloViolation", "axiom message witnesses")):
@@ -199,7 +243,7 @@ def build_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
     """Canonical halo for a properly colored graph. It meets every axiom
     by construction and is not checked here: ``verify_halo`` checks it
     where its report is read. Over the budget, ``SizeExceededError`` is
-    raised before any name is made (``_check_halo_input``)."""
+    raised before any of Γ is made (``_check_halo_input``)."""
     _check_halo_input(delta, coloring)
     return _assemble_halo(delta, coloring)
 
@@ -208,107 +252,194 @@ def _assemble_halo(delta: SimpleGraph, coloring: Coloring) -> Halo:
     """``build_halo`` after its input checks, for a caller that has made
     them.
 
-    One pass over the pairs a < b of Δ's sorted vertices names the junction
-    ``j~a~b`` of each non-adjacent, differently coloured pair once, and
-    appends it to both loops' anchors, so each loop meets its partners in
-    vertex order; the pair's colours join one group, as their loops meet.
-    Γ has one component per group, and the grafts between their least
-    basepoints are known before Γ is assembled. The names, listed once
-    each, are sorted, every loop and graft is read as vertex ids, positions
-    in that order, and each step of those walks adds its two ends to each
-    other's neighbour list; sorted, the lists are Γ's ``_adj``, off which
-    its edges are read. The loops' ids are the halo's loop reading
-    (``_loop_ids``), which ``verify_halo`` and ``check_homomorphism`` read.
-    Any other halo makes both from its names on first use; a test checks
-    that the values filled in here are equal.
+    One pass over the pairs a < b of Δ's sorted vertices finds each loop's
+    partners after it, the non-adjacent, differently coloured vertices,
+    and the colours whose loops meet: a pair's loops meet at its junction
+    ``j~a~b``, and loops of one colour at its basepoint. Γ has one
+    component per group of such colours, and a two-edge graft joins the
+    least basepoint name of the first component to that of each other.
 
-    Γ is built with the plain ``SimpleGraph`` constructor, not through
-    ``SimpleGraph.make``, which would validate, normalise and de-duplicate
-    its vertices and edges again. That is sound because every name is a
-    nonempty string and no two coincide by accident (Δ's names hold no
-    ``~``, so ``p~a~i``, ``j~a~b`` and ``g~k~1`` each name one loop step,
-    junction or graft, and the basepoints ``x_c`` hold no ``~``), every
-    edge is stored from its smaller id, so its smaller name, and every edge
-    holds a vertex private to one loop or graft, so no edge repeats. A test
-    compares the result with ``make``'s on every halo it builds."""
+    Every vertex of Γ gets its id as it is made, in an order fixed by the
+    construction that is the sorted order of the names:
+    - the grafts ``g~k~1``, then the junctions ``j~a~b``, then the loop
+      steps ``p~a~i``, then the basepoints ``x_c``;
+    - within the junctions and the steps, Δ's vertices a in the order of
+      ``a + "~"`` (no name holds a ``~``, so that is the order of the
+      names), and a's partners b in Δ's order;
+    - step and colour numbers in string order, so 10 comes after 1 and
+      before 2, and graft numbers in the order of ``k + "~"``, so 10 comes
+      before 1 too (``_numbers_as_named``).
+    Each loop threads its basepoint and then its junctions, in its
+    partners' order, through private steps, and is a private triangle
+    through the basepoint when it has no partner. Γ's ``_adj`` is written
+    row by row as the loops and grafts are laid, from the blocks' order:
+    only the basepoints' rows are gathered and sorted. The loops' ids are
+    the halo's loop reading (``_loop_ids``), which ``verify_halo`` and
+    ``check_homomorphism`` read. Every id is one int object, drawn from one
+    pool, which Γ's ``_index`` shares.
+
+    No name is made here: Γ's names and the loops' are made on first read
+    (``SimpleGraph._from_ids``, ``Halo._from_ids``), read off the loops'
+    ids by ``_halo_names``. Γ is not built through ``SimpleGraph.make``,
+    which would validate, normalise and de-duplicate its vertices and edges
+    again. That is sound because every name is a nonempty string and no
+    two coincide by accident (Δ's names hold no ``~``, so ``p~a~i``,
+    ``j~a~b`` and ``g~k~1`` each name one loop step, junction or graft, and
+    the basepoints ``x_c`` hold no ``~``), ids follow the names' order, and
+    every edge holds a vertex private to one loop or graft, so no edge
+    repeats. Tests compare the result with ``make``'s, and the loops with
+    those read from the names, on every halo they build."""
+    vs, near = delta.vertices, delta._adj
+    n, count = len(vs), coloring.color_count
     color = coloring.as_dict
-    basepoint = {c: f"x_{c}" for c in range(1, coloring.color_count + 1)}
-    names = list(basepoint.values())
-    # the colours whose loops lie in one component of Γ: loops of one
-    # colour meet at its basepoint, and the loops of a partner pair meet at
-    # their junction
-    group = {c: {c} for c in basepoint}
-
-    vs = delta.vertices
     colors = [color[a] for a in vs]
-    # per vertex, the anchors its loop threads: its basepoint, then the
-    # junctions with its partners
-    rings = [[basepoint[ca]] for ca in colors]
-    adjacency = delta.adjacency
-    for i, a in enumerate(vs):
-        ca, near, own = colors[i], adjacency[a], rings[i]
-        joined = group[ca]
-        for b, cb, ring in zip(vs[i + 1 :], colors[i + 1 :], rings[i + 1 :]):
-            if cb != ca and b not in near:
-                j = f"j~{a}~{b}"
-                names.append(j)
-                own.append(j)
-                ring.append(j)
-                if cb not in joined:
-                    joined = joined | group[cb]
-                    group.update(dict.fromkeys(joined, joined))
+    # the pair pass: per vertex of Δ, its partners after it, and per
+    # colour, the colours whose loops lie in one component of Γ with its own
+    later: list[list[int]] = []
+    group = {c: {c} for c in range(1, count + 1)}
+    for i, ca in enumerate(colors):
+        adjacent = set(near[i])
+        partners = [k for k in range(i + 1, n) if colors[k] != ca and k not in adjacent]
+        later.append(partners)
+        met = set(map(colors.__getitem__, partners))
+        if not met <= group[ca]:
+            joined = group[ca].union(*map(group.__getitem__, met))
+            group.update(dict.fromkeys(joined, joined))
+    # each component's anchor is its least basepoint name, met first in
+    # the colours' string order
+    color_ranks, color_names = _numbers_as_named(count)
+    anchors, unmet = [], set(group)
+    for c in map(int, color_names):
+        if c in unmet:
+            anchors.append(c)
+            unmet -= group[c]
+    grafts = len(anchors) - 1
 
-    loops: dict[str, list[str]] = {}
-    for a, ring in zip(vs, rings):
-        prefix = f"p~{a}~"
-        if len(ring) == 1:
-            # nothing to meet: a private triangle through the basepoint
-            steps = [f"{prefix}1", f"{prefix}2"]
-            loop = [ring[0], *steps, ring[0]]
+    # the junction blocks, in the order of a + "~", each in its partners'
+    # order; per vertex of Δ, the junctions its loop threads, its earlier
+    # partners' first
+    blocks = sorted(range(n), key=[a + "~" for a in vs].__getitem__)
+    first_junction = [0] * n
+    next_id = grafts
+    for i in blocks:
+        first_junction[i] = next_id
+        next_id += len(later[i])
+    pool = list(range(next_id))
+    rings: list[list[int]] = [[] for _ in vs]
+    for i, partners in enumerate(later):
+        start = first_junction[i]
+        own = pool[start : start + len(partners)]
+        rings[i] += own
+        for j, k in zip(own, partners):
+            rings[k].append(j)
+    # the step blocks: a loop through p junctions has p + 1 steps, and a
+    # private triangle through its basepoint 2; then the basepoints
+    steps = [len(ring) + 1 if ring else 2 for ring in rings]
+    first_step = [0] * n
+    for i in blocks:
+        first_step[i] = next_id
+        next_id += steps[i]
+    pool += range(len(pool), next_id + count)
+    basepoint = [pool[next_id + r] for r in color_ranks]
+
+    # each loop's ids and Γ's _adj, row by row. Blocks ascend as grafts,
+    # junctions, steps, basepoints. A step lies between two junctions or a
+    # junction and its basepoint; a junction between two steps of each of
+    # its two loops, which lie in two blocks, so its row is the two pairs
+    # in block order. Only the basepoints' rows are gathered and sorted
+    adj: list = [()] * len(pool)
+    for x in basepoint:
+        adj[x] = []
+    ids: dict[str, tuple[int, ...]] = {}
+    for a, ca, ring, partners, m, start in zip(vs, colors, rings, later, steps, first_step):
+        if m < 10:
+            block = pool[start : start + m]
         else:
-            steps = [f"{prefix}{idx}" for idx in range(1, len(ring) + 1)]
-            loop = [None] * (2 * len(ring) + 1)
-            loop[0::2] = ring + ring[:1]
-            loop[1::2] = steps
-        names += steps
-        loops[a] = loop
+            block = [pool[start + r] for r in _numbers_as_named(m)[0]]
+        x = basepoint[ca - 1]
+        if ring:
+            loop = [x] * (2 * m + 1)
+            loop[1::2] = block
+            loop[2:-1:2] = ring
+            adj[block[0]] = (ring[0], x)
+            adj[block[-1]] = (ring[-1], x)
+            for j, k, s in zip(ring, ring[1:], block[1:]):
+                adj[s] = (j, k) if j < k else (k, j)
+            # the two steps about each junction: the junctions of earlier
+            # partners, whose loops gave the first pair of their rows, come
+            # first in the ring; this loop's own junctions follow, in one
+            # run of ids
+            pairs = [(s, t) if s < t else (t, s) for s, t in zip(block, block[1:])]
+            earlier = len(ring) - len(partners)
+            for j, q in zip(ring, pairs[:earlier]):
+                p = adj[j]
+                adj[j] = p + q if p < q else q + p
+            if partners:
+                own = ring[earlier]
+                adj[own : own + len(partners)] = pairs[earlier:]
+            adj[x] += (block[0], block[-1])
+        else:
+            # nothing to meet: a private triangle through the basepoint
+            loop = [x, *block, x]
+            s, t = block
+            adj[s], adj[t] = (t, x), (s, x)
+            adj[x] += block
+        ids[a] = tuple(loop)
 
-    # each component's anchor is its least basepoint name, and a two-edge
-    # graft joins the least anchor to each other one
-    least = sorted({min(map(basepoint.__getitem__, g)) for g in group.values()})
-    grafts = [(least[0], f"g~{k}~1", other) for k, other in enumerate(least[1:], start=1)]
-    names += [mid for _, mid, _ in grafts]
+    hub = basepoint[anchors[0] - 1]
+    for r, c in zip(_numbers_as_named(grafts, "~")[0], anchors[1:]):
+        g, other = pool[r], basepoint[c - 1]
+        adj[g] = (hub, other) if hub < other else (other, hub)
+        adj[hub].append(g)
+        adj[other].append(g)
+    for x in basepoint:
+        adj[x] = tuple(sorted(adj[x]))
+    adj = tuple(adj)
 
-    # Γ over the sorted names, its integer view and the loops' ids. Every
-    # step of a loop or graft is an edge, listed from both ends; each list
-    # is then sorted, so its ids ascend as the edges' names do
-    names.sort()
-    index = dict(zip(names, range(len(names))))
-    ids = {a: tuple(map(index.__getitem__, loop)) for a, loop in loops.items()}
-    adj: list[list[int]] = [[] for _ in names]
-    for walk in (*ids.values(), *(tuple(map(index.__getitem__, g)) for g in grafts)):
-        for i, j in zip(walk, walk[1:]):
-            adj[i].append(j)
-            adj[j].append(i)
-    for row in adj:
-        row.sort()
-    adj = tuple(map(tuple, adj))
-    gamma = SimpleGraph(
-        vertices=tuple(names),
-        edges=tuple((names[i], names[j]) for i, row in enumerate(adj) for j in row if j > i),
+    loop_ids = LoopIds({}, ids, dict(zip(range(1, count + 1), basepoint)))
+    # a tuple of ints, unlike a list, is dropped from the garbage
+    # collector's tracking, so no full collection walks the pool's ints
+    gamma = SimpleGraph._from_ids(
+        adj, partial(_halo_names, loop_ids, grafts, len(pool)), tuple(pool)
     )
-    vars(gamma).update(_index=index, _adj=adj)
+    basepoints = tuple((c, f"x_{c}") for c in range(1, count + 1))
+    return Halo._from_ids(gamma, loop_ids, basepoints, coloring, delta)
 
-    h = Halo(
-        gamma=gamma,
-        # in Δ's vertex order, which is sorted
-        artin_loops=tuple((a, tuple(loop)) for a, loop in loops.items()),
-        basepoints=tuple(sorted(basepoint.items())),
-        coloring=coloring,
-        delta=delta,
-    )
-    vars(h)["_loop_ids"] = LoopIds({}, ids)
-    return h
+
+@lru_cache(maxsize=64)
+def _numbers_as_named(m: int, suffix: str = "") -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """The numbers 1 to m as names that end in them (or in them and then
+    ``suffix``) sort: each one's rank, in the numbers' order, and the
+    numbers' strings in the names' order. With no suffix 10 comes after 1
+    and before 2; with ``"~"`` it comes before 1, as ``~`` sorts after the
+    digits."""
+    order = sorted(range(1, m + 1), key=lambda k: f"{k}{suffix}")
+    ranks = [0] * m
+    for r, k in enumerate(order):
+        ranks[k - 1] = r
+    return tuple(ranks), tuple(map(str, order))
+
+
+def _halo_names(loop_ids: LoopIds, grafts: int, size: int) -> tuple[str, ...]:
+    """The names of a canonical halo's ``size`` vertices in id order, which
+    is their sorted order: the grafts ``g~k~1`` first, the basepoints
+    ``x_c`` last, each block in its numbers' name order; each loop's steps
+    ``p~a~i`` in the block that starts at its first step; and each
+    junction ``j~a~b``, named by the first loop through it, a, and the
+    second, b, in Δ's order."""
+    count = len(loop_ids.basepoints)
+    names: list = [f"g~{k}~1" for k in _numbers_as_named(grafts, "~")[1]]
+    names += [None] * (size - grafts - count)
+    names += ["x_" + c for c in _numbers_as_named(count)[1]]
+    for a, loop in loop_ids.ids.items():
+        start, m = loop[1], len(loop) // 2
+        if len(loop) % 2:  # not a private triangle, which has 4 ids
+            for j in loop[2:-1:2]:
+                first = names[j]
+                names[j] = a if first is None else f"j~{first}~{a}"
+        prefix = f"p~{a}~"
+        names[start : start + m] = [prefix + i for i in _numbers_as_named(m)[1]]
+    return tuple(names)
 
 
 def verify_halo(h: Halo) -> HaloReport:
@@ -319,17 +450,18 @@ def verify_halo(h: Halo) -> HaloReport:
     the loops through each halo vertex: a vertex on m loops is shared by
     m(m-1)/2 pairs, so no two loops' vertex sets are intersected. Every
     pair of sources is still visited in sorted order, since non-adjacent
-    ones that share nothing fail too. The loops are read off the halo's
-    one reading as vertex ids of Γ's integer view (``Halo._loop_ids``):
-    one id list and one id set per loop serve every per-loop check, in one
-    pass, and no name-keyed adjacency is built; names are looked up only
-    for what the report says."""
+    ones that share nothing fail too. The loops and the basepoints are
+    read off the halo's one reading as vertex ids of Γ's integer view
+    (``Halo._loop_ids``): one id list and one id set per loop serve every
+    per-loop check, in one pass, and no name-keyed adjacency is built; Γ's
+    names and the loops' are looked up only for what a violation says."""
     violations: list[HaloViolation] = []
     gamma, delta, coloring = h.gamma, h.delta, h.coloring
-    loops = h.loops
     basepoint = h.basepoint_of
+    reading = h._loop_ids
+    loop_ids, placed_at = reading.ids, reading.basepoints
 
-    loop_keys = set(loops)
+    loop_keys = set(loop_ids)
     delta_vertices = set(delta.vertices)
     if loop_keys != delta_vertices:
         missing = sorted(delta_vertices - loop_keys)
@@ -341,6 +473,16 @@ def verify_halo(h: Halo) -> HaloReport:
                 tuple(missing + extra),
             )
         )
+
+    # each loop as vertex ids (Halo._loop_ids): Γ's, then a fresh one for
+    # any loop vertex outside Γ, which has no neighbours
+    outside = reading.outside
+    adj = gamma._adj
+    n = len(adj)
+    adj += ((),) * len(outside)
+
+    def name(v: int) -> str:
+        return gamma.vertices[v] if v < n else list(outside)[v - n]
 
     colors = range(1, coloring.color_count + 1)
     for c in sorted(set(basepoint) - set(colors)):
@@ -356,7 +498,7 @@ def verify_halo(h: Halo) -> HaloReport:
             violations.append(
                 HaloViolation(AXIOM_BASEPOINT, f"color {c} has no basepoint", (str(c),))
             )
-        elif not gamma.has_vertex(basepoint[c]):
+        elif placed_at[c] is None or placed_at[c] >= n:
             violations.append(
                 HaloViolation(
                     AXIOM_BASEPOINT,
@@ -364,28 +506,18 @@ def verify_halo(h: Halo) -> HaloReport:
                     (basepoint[c],),
                 )
             )
-
-    # each loop as vertex ids (Halo._loop_ids): Γ's, then a fresh one for
-    # any loop vertex outside Γ, which has no neighbours
-    reading = h._loop_ids
-    outside = reading.outside
-    names = gamma.vertices + tuple(outside)
-    adj = gamma._adj + ((),) * len(outside)
-    index = gamma._index
-    placed = [
-        (c, x, index.get(x, outside.get(x))) for c, x in sorted(basepoint.items()) if c in colors
-    ]
+    placed = [(c, x) for c, x in sorted(placed_at.items()) if c in colors]
 
     # one pass over the loops: their simple-loop checks, and for each
     # source vertex its loop's start, the basepoints on it and its vertices'
     # entries in loops_at, kept apart so that the report lists them by axiom
     starts: list[HaloViolation] = []
-    misplaced: dict[int, list[HaloViolation]] = {c: [] for c, _, _ in placed}
+    misplaced: dict[int, list[HaloViolation]] = {c: [] for c, _ in placed}
     pairs: list[str] = []  # the source vertices with a loop, sorted
     # per vertex id: the loops through it, in pairs order
-    loops_at: list[list[str]] = [[] for _ in names]
-    for a in sorted(loops):
-        loop, ids = loops[a], reading.ids[a]
+    loops_at: list[list[str]] = [[] for _ in adj]
+    for a in sorted(loop_ids):
+        ids = loop_ids[a]
         id_set = set(ids)
         if len(ids) < 4 or ids[0] != ids[-1]:
             violations.append(
@@ -406,7 +538,7 @@ def verify_halo(h: Halo) -> HaloReport:
             )
         for i, j in zip(ids, ids[1:]):
             if j not in adj[i]:
-                s, t = names[i], names[j]
+                s, t = name(i), name(j)
                 violations.append(
                     HaloViolation(
                         AXIOM_SIMPLE_LOOP,
@@ -418,23 +550,23 @@ def verify_halo(h: Halo) -> HaloReport:
             continue
         pairs.append(a)
         ca = coloring.color_of(a)
-        if ca in basepoint and loop and loop[0] != basepoint[ca]:
+        if ca in basepoint and ids and ids[0] != placed_at[ca]:
             starts.append(
                 HaloViolation(
                     AXIOM_LOOP_START,
                     f"loop of {a!r} must start at basepoint {basepoint[ca]!r}",
-                    (a, loop[0]),
+                    (a, name(ids[0])),
                 )
             )
-        for c, x, x_id in placed:
+        for c, x in placed:
             should = ca == c
-            if (x_id in id_set) != should:
+            if (x in id_set) != should:
                 detail = "missing from" if should else "present on"
                 misplaced[c].append(
                     HaloViolation(
                         AXIOM_BASEPOINT,
-                        f"basepoint {x!r} of color {c} is {detail} the loop of {a!r}",
-                        (x, a),
+                        f"basepoint {basepoint[c]!r} of color {c} is {detail} the loop of {a!r}",
+                        (basepoint[c], a),
                     )
                 )
         for v in id_set:
@@ -456,7 +588,7 @@ def verify_halo(h: Halo) -> HaloReport:
             inter = shared.get((a, b), ())
             if b in near:
                 if inter:
-                    inter = sorted(map(names.__getitem__, inter))
+                    inter = sorted(map(name, inter))
                     violations.append(
                         HaloViolation(
                             AXIOM_EDGE_DISJOINT,
@@ -466,7 +598,7 @@ def verify_halo(h: Halo) -> HaloReport:
                     )
                 continue
             if len(inter) != 1:
-                inter = sorted(map(names.__getitem__, inter))
+                inter = sorted(map(name, inter))
                 violations.append(
                     HaloViolation(
                         AXIOM_NON_EDGE,
@@ -477,9 +609,9 @@ def verify_halo(h: Halo) -> HaloReport:
                 )
                 continue
             w = inter[0]
-            v = names[w]
             if ca == color[b]:
-                if basepoint.get(ca) != v:
+                if placed_at.get(ca) != w:
+                    v = name(w)
                     violations.append(
                         HaloViolation(
                             AXIOM_NON_EDGE,
@@ -489,6 +621,7 @@ def verify_halo(h: Halo) -> HaloReport:
                         )
                     )
             elif len(loops_at[w]) > 2:
+                v = name(w)
                 third = [d for d in loops_at[w] if d not in (a, b)]
                 violations.append(
                     HaloViolation(

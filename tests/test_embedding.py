@@ -1,4 +1,7 @@
+import copy
+import hashlib
 import json
+import pickle
 import random
 import time
 import tracemalloc
@@ -64,7 +67,7 @@ from oracles import (
     relator_supports,
     replay_psi,
 )
-from test_golden import GRAPHS, SCALE30, SCALE30_PARTS, context
+from test_golden import GRAPHS, REPORT_GOLDEN, SCALE30, SCALE30_PARTS, context
 
 W = GroupWord.parse
 
@@ -777,6 +780,37 @@ class TestCheckHomomorphism:
         halo = build_halo(SCALE30, coloring)
         assert verify_suite(SCALE30, coloring, max_len=2, sample_count=20, halo=halo).passed
         assert "adjacency" not in halo.gamma.__dict__
+
+    def test_the_library_path_names_nothing(self):
+        """``build_halo`` gives Γ's vertices ids and makes no name: the
+        halo and homomorphism checks, the subdivision report, Γ's counts
+        and planarity read ids only. Names are made on first read, by the
+        output, which matches the golden bytes, and by copies and pickles,
+        which compare equal."""
+
+        def is_set(value, field):
+            # the field's slot, read past the __getattr__ that would fill it
+            try:
+                type(value).__dict__[field].__get__(value)
+            except AttributeError:
+                return False
+            return True
+
+        ctx = build_context(SCALE30, Coloring.make(SCALE30, SCALE30_PARTS))
+        assert check_homomorphism(ctx).ok
+        halo, gamma = ctx.halo, ctx.halo.gamma
+        assert (gamma.n_vertices, gamma.n_edges) == (753, 1020)
+        assert not graphs.is_planar(gamma)
+        assert not is_set(gamma, "vertices") and not is_set(gamma, "edges")
+        assert "_index" not in vars(gamma)
+        assert not is_set(halo, "artin_loops") and "loops" not in vars(halo)
+        data = dumps_canonical(halo_to_json_dict(halo)).encode()
+        assert hashlib.sha256(data).hexdigest() == REPORT_GOLDEN["halo-scale30"]
+        assert is_set(gamma, "vertices") and is_set(halo, "artin_loops")
+        for clone in (copy.copy, copy.deepcopy, lambda h: pickle.loads(pickle.dumps(h))):
+            twin = clone(halo)
+            assert twin == halo and hash(twin) == hash(halo)
+            assert twin.gamma._adj == gamma._adj
 
     @pytest.mark.parametrize("graph_id", sorted(GRAPHS))
     def test_loaded_halo_gives_the_same_report(self, graph_id):

@@ -468,14 +468,46 @@ def _atlas_cases():
     return cases
 
 
+def _name_order_cases():
+    """(id, Δ, colouring) that pin the order in which ``build_halo`` gives
+    Γ's vertices their ids, which must be the names' sorted order:
+    - Δ names on both sides of ``~`` in code-point order (``a b``, ``a|b``,
+      ``a}``, then ``a\u007f``, ``aé``), with ``a`` a prefix of them all, so
+      the blocks of ``a`` sort after those of ``a}`` and before those of
+      ``a\u007f``;
+    - ``a`` alone in its colour, so its loop has 17 steps (``p~a~10``
+      sorts before ``p~a~2``);
+    - K11 and K12 less an edge, each vertex a colour of its own: 11 and 12
+      colours (``x_10`` before ``x_2``) and 10 grafts (``g~10~1`` before
+      ``g~1~1``), K12's joining the two loops that meet."""
+    names = ["a", "a b", "a|b", "a}", "a\u007f", "aé", "b", *(f"v{i}" for i in range(1, 11))]
+    edges = [("a}", "a|b"), ("a\u007f", "aé"), ("b", "v1"), ("v1", "v2"), ("v10", "a b")]
+    g = SimpleGraph.make(names, edges)
+    third = {"a|b", "aé", "v1", "a b"}
+    lone = {v: 1 if v == "a" else 3 if v in third else 2 for v in names}
+    cases = [
+        ("order-lone", g, Coloring.make(g, lone)),
+        ("order-greedy", g, greedy_color(g)),
+        ("order-exact", g, chromatic_number(g)),
+    ]
+    for seed in range(3):
+        mapping = random_proper_coloring(g, random.Random(seed))
+        cases.append((f"order-random{seed}", g, Coloring.make(g, mapping)))
+    k11, k12 = complete_graph(11), complete_graph(12)
+    k12 = SimpleGraph.make(k12.vertices, [e for e in k12.edges if e != ("k1", "k2")])
+    for name, k in (("order-k11", k11), ("order-k12-less-an-edge", k12)):
+        cases.append((name, k, Coloring.make(k, {v: i for i, v in enumerate(k.vertices, 1)})))
+    return cases
+
+
 def _trusted_cases():
     """(id, Δ, colouring): every connected Δ of up to 6 vertices under
     greedy and exact colourings, K2, K4 and K11 (grafted; K11 pins the
     string order of 11 anchors), a cone (its apex's triangle a component of
     its own), the join of two three-edge paths (two components of two
-    colours each), a disconnected Δ and a 30-vertex regular 3-partite Δ
-    coloured by its parts."""
-    cases = _atlas_cases()
+    colours each), a disconnected Δ, a 30-vertex regular 3-partite Δ
+    coloured by its parts and the construction-order cases."""
+    cases = _atlas_cases() + _name_order_cases()
     k2 = SimpleGraph.make(["a", "b"], [("a", "b")])
     cases.append(("k2", k2, greedy_color(k2)))
     p, q = path_graph(4), path_graph(4, prefix="q")
@@ -539,13 +571,15 @@ class TestTrustedConstruction:
         for name, h in halos:
             gamma = SimpleGraph(h.gamma.vertices, h.gamma.edges)
             fresh = Halo(gamma, h.artin_loops, h.basepoints, h.coloring, h.delta)
-            assert vars(h.gamma)["_index"] == gamma._index, name
+            assert h.gamma._index == gamma._index, name
             assert vars(h.gamma)["_adj"] == gamma._adj, name
             assert vars(h)["_loop_ids"] == fresh._loop_ids, name
             assert not fresh._loop_ids.outside, name
-            # one int object per id: Γ's view holds those of ``_index``
+            # one int object per id: Γ's view and the loops' ids hold those
+            # of ``_index``, made on demand
             held = {id(i) for i in h.gamma._index.values()}
             assert all(id(j) in held for row in h.gamma._adj for j in row), name
+            assert all(id(j) in held for ids in h._loop_ids.ids.values() for j in ids), name
 
     @pytest.mark.parametrize(
         "clone", [copy.copy, copy.deepcopy, lambda h: pickle.loads(pickle.dumps(h))],
@@ -768,9 +802,9 @@ class TestHaloSize:
 def _one_pass_cases():
     """(id, Δ, colouring): the connected atlas to 6 vertices, greedy and
     exact; graphs of the benchmark's ``scale`` shape, coloured by their
-    parts and greedily; and a Δ whose names are prefixes of one another or
-    sort against numeric order."""
-    cases = _atlas_cases()
+    parts and greedily; a Δ whose names are prefixes of one another or
+    sort against numeric order; and the construction-order cases."""
+    cases = _atlas_cases() + _name_order_cases()
     for size in (7, 8, 9, 10):
         g, parts = random_regular_multipartite(random.Random(size), 3, size, 2)
         cases.append((f"scale{3 * size}-parts", g, Coloring.make(g, parts)))
