@@ -39,8 +39,11 @@ from __future__ import annotations
 import json
 import random
 import time
+from bisect import bisect_right
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from math import comb, factorial, gcd
 
 from . import errors
 from .configspace import ConfigEdgePath, Step, artin_basepoint
@@ -523,58 +526,181 @@ def check_spot_check_args(max_len: int, sample_count: int, seed: int) -> None:
         )
 
 
+@lru_cache(maxsize=64)
+def _zero_sum_law(k: int, max_length: int):
+    """The law of the zero-sum samples over ``k`` generators, in integers,
+    as ``(block, span, cuts, lengths, least)``.
+
+    A sample is a length uniform in 1 .. ``max_length``, then that many
+    letters uniform over the 2k letter codes. It has zero exponent sums
+    with odds read / draws, where draws = max_length * (2k) ** (2 * half),
+    half = max_length // 2, and read = Σ_m Z_{2m} * (2k) ** (2 * (half - m))
+    over m = 1 .. half. Z_{2m} = C(2m, m) * T_m counts the words of 2m
+    letters with zero sums: the positions of their m positive letters,
+    those letters' generators a in [k]^m in order, and the negative
+    letters' generators, an arrangement of a. T_m = Σ_a m! / Π_i c_i(a)!,
+    c_i(a) the times i occurs in a, is the sum of (m! / Π_i c_i!)^2 over
+    the count vectors c, built up one generator at a time. Both odds are
+    divided by the greatest common divisor of draws and the read terms.
+
+    ``lengths`` holds the read terms' running sums, the odds of the zero-sum
+    lengths 2m; ``least[m]`` is the least Π_i c_i! over count vectors of
+    sum m, the counts as even as they go. Draws are told off ``block`` at a
+    time by one integer x uniform below ``span`` = draws ** block: the
+    first g draws of the block all miss zero sums exactly when x lies below
+    (draws - read) ** g * draws ** (block - g). ``cuts`` holds those bounds
+    in increasing order, g = block down to 1, so the draws missed before
+    the first zero-sum one are ``block`` less the cuts at or below x, and
+    all ``block`` miss when x is below every cut. ``block`` is the least at
+    which all miss with odds at most 1/2, and at most 64. Zero ``block``
+    means no sample has zero sums."""
+    half = max_length // 2
+    if not k or not half:
+        return 0, 1, (), (), ()
+    t = [1] + [0] * half  # over no generator
+    squares = [[comb(m, i) ** 2 for i in range(m + 1)] for m in range(half + 1)]
+    for _ in range(k):
+        t = [sum(s * t[m - i] for i, s in enumerate(squares[m])) for m in range(half + 1)]
+    letters = (2 * k) ** 2
+    terms = [comb(2 * m, m) * t[m] * letters ** (half - m) for m in range(1, half + 1)]
+    draws = max_length * letters**half
+    common = gcd(draws, *terms)
+    draws //= common
+    lengths = tuple(accumulate(term // common for term in terms))
+    miss = draws - lengths[-1]
+    block = 1
+    while block < 64 and 2 * miss**block > draws**block:
+        block += 1
+    cuts = tuple(miss**g * draws ** (block - g) for g in range(block, 0, -1))
+    least = tuple(
+        factorial(m // k + 1) ** (m % k) * factorial(m // k) ** (k - m % k)
+        for m in range(half + 1)
+    )
+    return block, draws**block, cuts, lengths, least
+
+
+def _below(getrandbits, n: int) -> int:
+    """An integer uniform in 0 .. n - 1, drawn as ``(n - 1).bit_length()``
+    bits until they read below n."""
+    bits = (n - 1).bit_length()
+    x = getrandbits(bits)
+    while x >= n:
+        x = getrandbits(bits)
+    return x
+
+
+def _shuffled(getrandbits, items: list) -> list:
+    """``items`` in a uniformly random order, by Fisher and Yates' swaps
+    from the end, each position drawn by ``_below``."""
+    for i in range(len(items) - 1, 0, -1):
+        j = _below(getrandbits, i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def _zero_sum_word(getrandbits, k: int, lengths: tuple, least: tuple) -> list[int]:
+    """A word of letter codes over ``k`` generators drawn uniformly from
+    those with zero exponent sums, its length 2m weighed by ``lengths``
+    (``_zero_sum_law``): the length; the positive letters' generators a,
+    uniform in [k]^m and kept with odds ``least[m]`` / Π_i c_i(a)!, so that
+    a comes with odds m! / Π_i c_i(a)!, the number of its arrangements; the
+    negative letters' generators, a shuffled copy of a; and the signs, a
+    shuffled list of m positives and m negatives. A try at a is m + 1
+    draws, and one whose counts are the most even is kept for sure, so a
+    word takes O(m) draws while m is small against k: every try is kept
+    for k = 1 or m = 1, and about one in six at k = m = 8."""
+    m = bisect_right(lengths, _below(getrandbits, lengths[-1])) + 1
+    while True:
+        positive = [_below(getrandbits, k) for _ in range(m)]
+        counts = [0] * k
+        arrangements = 1  # Π_i c_i(a)!, one running count per letter
+        for g in positive:
+            counts[g] += 1
+            arrangements *= counts[g]
+        if _below(getrandbits, arrangements) < least[m]:
+            break
+    negative = iter(_shuffled(getrandbits, positive[:]))
+    positive = iter(positive)
+    # letter code 2g is generator g, 2g + 1 its inverse
+    return [
+        2 * next(negative if sign else positive) + sign
+        for sign in _shuffled(getrandbits, [0] * m + [1] * m)
+    ]
+
+
 def _draw_samples(
     seed: int, max_length: int, weights: list[int], count: int, read, certified: bool
 ) -> int:
     """Draw seeded words over the letter codes ``0 .. len(weights) - 1``
     until ``count`` are accepted or ``100 * count`` are drawn, and return the
-    number accepted.
+    number accepted. A word is read by ``read(codes, weight_sum)``, which
+    says whether it is accepted. Needs ``max_length`` and ``len(weights)``
+    at least 1 when ``count`` is.
 
-    The words are those ``rng = random.Random(seed)`` gives by
-    ``rng.randint(1, max_length)`` letters of
-    ``rng.choice(range(len(weights)))`` each. Both draw below a bound as
-    ``Random._randbelow`` does: values of ``getrandbits(bound.bit_length())``
-    until one is below the bound. A word is read by
-    ``read(codes, weight_sum)``, with the sum of its codes' ``weights`` added
-    as each letter is drawn, which says whether it is accepted. When
-    ``certified``, the weights are packed source exponent sums (``_pack``),
-    and a word whose sums do not all vanish is accepted unread: one of an
-    odd letter count has an odd exponent sum, so its letters are drawn and
-    not kept. Needs ``max_length`` and ``len(weights)`` at least 1 when
-    ``count`` is.
+    Each draw is a word of a length uniform in 1 .. ``max_length`` and of
+    letters uniform over the codes. Uncertified, the words are those
+    ``rng = random.Random(seed)`` gives by ``rng.randint(1, max_length)``
+    letters of ``rng.choice(range(len(weights)))`` each. Both draw below a
+    bound as ``Random._randbelow`` does: values of
+    ``getrandbits(bound.bit_length())`` until one is below the bound. Every
+    word is read, with the sum of its codes' ``weights`` added as each
+    letter is drawn.
+
+    When ``certified``, the weights are packed source exponent sums
+    (``_pack``) and only the words whose sums all vanish are read, with
+    weight sum 0; any other is accepted unread. So no other word is drawn:
+    each draw is read or not with the exact odds of the uniform word having
+    zero sums (``_zero_sum_law``), the draws a zero-sum one ends are told
+    off ``block`` at a time by one integer, and a read word is drawn
+    uniformly among the zero-sum words of its length, with the length at
+    its odds given zero sums (``_zero_sum_word``). The words read, the
+    number accepted and the cap have the laws of drawing every word and
+    reading those with zero sums; which words ``seed`` gives is not the
+    ``randint``/``choice`` stream's. All of it is drawn through
+    ``getrandbits`` in integers.
     """
     if not count:
         return 0
     getrandbits = random.Random(seed).getrandbits
     n_codes = len(weights)
+    accepted = drawn = 0
+    cap = 100 * count
+    if certified:
+        k = n_codes >> 1
+        block, span, cuts, lengths, least = _zero_sum_law(k, max_length)
+        if not block:
+            return count
+        while accepted < count and drawn < cap:
+            # draws before the next zero-sum one: accepted unread
+            missed = block - bisect_right(cuts, _below(getrandbits, span))
+            step = min(missed, count - accepted, cap - drawn)
+            accepted += step
+            drawn += step
+            if missed < block and accepted < count and drawn < cap:
+                drawn += 1
+                if read(_zero_sum_word(getrandbits, k, lengths, least), 0):
+                    accepted += 1
+        return accepted
     length_bits = max_length.bit_length()
     code_bits = n_codes.bit_length()
     # per length drawn, the range of its letters, built once
     letters = [range(length + 1) for length in range(max_length)]
-    accepted = 0
-    for _ in range(100 * count):
+    for _ in range(cap):
         length = getrandbits(length_bits)
         while length >= max_length:
             length = getrandbits(length_bits)
-        if certified and not length & 1:
-            # length + 1 letters, an odd count
-            for _ in letters[length]:
-                while getrandbits(code_bits) >= n_codes:
-                    pass
-            accepted += 1
-        else:
-            codes = []
-            weight_sum = 0
-            for _ in letters[length]:
+        codes = []
+        weight_sum = 0
+        for _ in letters[length]:
+            code = getrandbits(code_bits)
+            while code >= n_codes:
                 code = getrandbits(code_bits)
-                while code >= n_codes:
-                    code = getrandbits(code_bits)
-                codes.append(code)
-                weight_sum += weights[code]
-            if certified and weight_sum or read(codes, weight_sum):
-                accepted += 1
-        if accepted == count:
-            break
+            codes.append(code)
+            weight_sum += weights[code]
+        if read(codes, weight_sum):
+            accepted += 1
+            if accepted == count:
+                break
     return accepted
 
 
@@ -592,13 +718,17 @@ def _loop_letters(ctx: EmbeddingContext) -> list[tuple[int, ...]]:
     generator without a loop or a step that is no edge of Γ, and
     ``_edge_to_gen``'s ``GraphFormatError`` for two edges of one name. A
     name is shared only if some vertex name holds a ``|``, so the names
-    are built only when a scan of the vertex names finds one."""
+    are built only when a scan of the vertex names finds one. A canonical
+    Γ built on ids (``halo._assemble_halo``) is not named for the scan:
+    its generated names hold a ``|`` only where one of Δ's does, so Δ's
+    names are scanned instead."""
     halo = ctx.halo
     gamma = halo.gamma
     n = gamma.n_vertices
     reading = halo._loop_ids
     adj = gamma._adj + ((),) * len(reading.outside)  # a vertex outside Γ has no edge
-    collide = any("|" in v for v in gamma.vertices)
+    names = halo.delta.vertices if "_names" in vars(gamma) else gamma.vertices
+    collide = any("|" in v for v in names)
     loops = []
     for g in ctx.source_group.generators:
         ids = reading.ids.get(g)
@@ -694,13 +824,12 @@ def injectivity_spot_check(
     """Look for nontrivial source elements with trivial image.
 
     Exhausts every element of geodesic length up to ``max_len``, then checks
-    ``sample_count`` seeded random words of length up to ``2 * max_len``:
-    the words ``random.Random(seed)``'s ``randint`` and ``choice`` would
-    draw, with their packed source exponent sums (``_pack``) carried as they
-    are drawn (``_draw_samples``). A sample with zero sums that is trivial
-    in A(Δ) is rejected and another drawn, up to 100 draws per sample. In
-    squared mode any failure is an implementation bug; in unsquared mode
-    failures witness the lost injectivity.
+    ``sample_count`` seeded random words of length up to ``2 * max_len``,
+    each a length uniform in 1 .. ``2 * max_len`` and letters uniform over
+    the signed generators (``_draw_samples``). A sample with zero sums that
+    is trivial in A(Δ) is rejected and another drawn, up to 100 draws per
+    sample. In squared mode any failure is an implementation bug; in
+    unsquared mode failures witness the lost injectivity.
 
     The letter images are read once, as edge letter codes, straight off the
     loops' vertex ids (``_loop_letters``), and an image is piled on Γ's
@@ -711,9 +840,14 @@ def injectivity_spot_check(
     on every halo that meets the axioms, only the words whose source sums
     vanish are piled, as an image with a nonzero exponent sum is
     nontrivial, and the walk enters only the subtrees that can still reach
-    zero sums. A sample with an odd letter count has an odd exponent sum,
-    so over a certified halo it is drawn but never read. Otherwise every
-    element and every sample is piled. The words that are cyclic rotations
+    zero sums. So over a certified halo the samples whose sums do not all
+    vanish are counted and never drawn, and a zero-sum sample is drawn
+    directly, with the law it has among the uniform words
+    (``_zero_sum_law``); which words a seed gives is then not the stream
+    of ``random.Random(seed)``'s ``randint`` and ``choice``. Otherwise
+    every element and every sample is piled, the samples being the words
+    that stream gives, with their packed source exponent sums (``_pack``)
+    carried as they are drawn. The words that are cyclic rotations
     of one another or of one another's inverse have conjugate or inverse
     images under φ∘ψ, which concatenates letter images, so their images are
     trivial together: the first word of such a class to be walked is piled,

@@ -6,7 +6,8 @@ rewriting closures, the elements of bounded length from every freely reduced
 word (spelled by a reduction the caller passes in), colorability from
 exhaustive assignment, the exact coloring from one recursive search per
 color count, seeded sample words from ``random``'s own ``randint`` and
-``choice``, planarity from networkx's ``check_planarity``, graph corpora
+``choice``, the zero-sum samples' law from every word of bounded length,
+planarity from networkx's ``check_planarity``, graph corpora
 from the networkx atlas, the arcs between essential vertices from the
 components networkx finds once those vertices are deleted, the short
 cycles from every simple path, and the canonical halo's loops from a scan
@@ -18,7 +19,9 @@ reads the factor off that check's violations.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
+from fractions import Fraction
+from functools import cache
 from itertools import combinations, islice, product
 
 import networkx as nx
@@ -45,6 +48,33 @@ def reference_sample_stream(seed: int, n_codes: int, max_length: int):
 def reference_samples(seed: int, n_codes: int, max_length: int, count: int) -> list[list[int]]:
     """The first ``count`` words of ``reference_sample_stream``."""
     return list(islice(reference_sample_stream(seed, n_codes, max_length), count))
+
+
+@cache
+def zero_sum_word_counts(k: int, max_length: int) -> dict[int, int]:
+    """Per length L from 1 to ``max_length``, the number of words of L
+    letter codes over k generators (code 2i is generator i, 2i + 1 its
+    inverse) whose exponent sums all vanish, counted over every word.
+    Cached: callers only read the dict."""
+    counts = {}
+    for length in range(1, max_length + 1):
+        counts[length] = 0
+        for word in product(range(2 * k), repeat=length):
+            sums = Counter()
+            for code in word:
+                sums[code >> 1] += 1 - 2 * (code & 1)
+            counts[length] += not any(sums.values())
+    return counts
+
+
+def zero_sum_odds(k: int, max_length: int) -> Fraction:
+    """The odds that a sample word (a length uniform in 1 .. ``max_length``,
+    then letters uniform over the 2k codes) has zero exponent sums, from
+    ``zero_sum_word_counts``."""
+    counts = zero_sum_word_counts(k, max_length)
+    return sum(
+        Fraction(counts[length], (2 * k) ** length) for length in counts
+    ) / max_length
 
 
 # --- configuration-space counts and paths -----------------------------------

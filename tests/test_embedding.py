@@ -6,7 +6,10 @@ import random
 import time
 import tracemalloc
 from functools import cached_property
+from collections import Counter
+from fractions import Fraction
 from itertools import accumulate, islice, product
+from math import factorial, prod
 
 import pytest
 
@@ -66,6 +69,8 @@ from oracles import (
     reference_samples,
     relator_supports,
     replay_psi,
+    zero_sum_odds,
+    zero_sum_word_counts,
 )
 from test_golden import GRAPHS, REPORT_GOLDEN, SCALE30, SCALE30_PARTS, context
 
@@ -783,10 +788,11 @@ class TestCheckHomomorphism:
 
     def test_the_library_path_names_nothing(self):
         """``build_halo`` gives Γ's vertices ids and makes no name: the
-        halo and homomorphism checks, the subdivision report, Γ's counts
-        and planarity read ids only. Names are made on first read, by the
-        output, which matches the golden bytes, and by copies and pickles,
-        which compare equal."""
+        halo and homomorphism checks, the subdivision report, the
+        injectivity check (whose scan for a ``|`` reads Δ's names), Γ's
+        counts and planarity read ids only. Names are made on first read, by
+        the output, which matches the golden bytes, and by copies and
+        pickles, which compare equal."""
 
         def is_set(value, field):
             # the field's slot, read past the __getattr__ that would fill it
@@ -797,7 +803,10 @@ class TestCheckHomomorphism:
             return True
 
         ctx = build_context(SCALE30, Coloring.make(SCALE30, SCALE30_PARTS))
+        assert ctx.coloring.color_count == 3
         assert check_homomorphism(ctx).ok
+        report = injectivity_spot_check(ctx, max_len=2, sample_count=100, seed=5)
+        assert report.ok and report.sample_count == 100
         halo, gamma = ctx.halo, ctx.halo.gamma
         assert (gamma.n_vertices, gamma.n_edges) == (753, 1020)
         assert not graphs.is_planar(gamma)
@@ -909,11 +918,20 @@ class TestInjectivitySpotCheck:
         assert a == b
 
 
+def has_zero_sums(codes, k: int) -> bool:
+    """Whether every one of the k generators' exponent sums vanishes in a
+    word of letter codes (code 2i is generator i, 2i + 1 its inverse)."""
+    return not any(sum(1 - 2 * (c & 1) for c in codes if c >> 1 == g) for g in range(k))
+
+
 class TestSampleStream:
-    """``_draw_samples`` draws the words ``random.Random``'s ``randint`` and
-    ``choice`` draw, on every alphabet and length bound. Powers of two are
-    among them: only there does ``(bound - 1).bit_length()``, a likely slip,
-    differ from the ``bound.bit_length()`` bits that ``_randbelow`` draws."""
+    """Uncertified, ``_draw_samples`` draws the words ``random.Random``'s
+    ``randint`` and ``choice`` draw, on every alphabet and length bound.
+    Powers of two are among them: only there does
+    ``(bound - 1).bit_length()``, a likely slip, differ from the
+    ``bound.bit_length()`` bits that ``_randbelow`` draws. Certified, it
+    reads the zero-sum words with the law of reading those of that stream,
+    drawing no other word (``_zero_sum_law``)."""
 
     @staticmethod
     def drawn(seed, max_length, weights, count, certified, accept=lambda codes: True):
@@ -951,34 +969,120 @@ class TestSampleStream:
         drawn, accepted = self.drawn(3, 6, weights, 7, False, lambda codes: False)
         assert accepted == 0 and len(drawn) == 700
 
-    @pytest.mark.parametrize("k", range(1, 5))
-    def test_certified_reads_only_zero_sums(self, k):
-        """Over packed exponent sums, a word whose sums do not all vanish is
-        accepted unread, its letters drawn all the same: one of an odd
-        letter count is never built. The zero-sum words read are those of
-        the stream, in its order."""
+    @staticmethod
+    def certified(seed, k, max_length, count, accept=lambda codes: True):
+        """``drawn`` over k generators' packed exponent sums, certified."""
         p = RaagPresentation(SimpleGraph.make([f"g{i}" for i in range(k)]))
+        weights = embedding._pack(p, max_length)
+        return TestSampleStream.drawn(seed, max_length, weights, count, True, accept)
+
+    @pytest.mark.parametrize(
+        "k, max_length", [(1, m) for m in range(1, 13)] + [(2, m) for m in range(1, 9)]
+        + [(3, m) for m in range(1, 7)] + [(4, m) for m in range(1, 5)],
+    )
+    def test_law_counts_every_zero_sum_word(self, k, max_length):
+        """The read odds, the odds of each zero-sum length and the least
+        Π_i c_i! are those of enumerating every word and every a in [k]^m."""
+        block, span, cuts, lengths, least = embedding._zero_sum_law(k, max_length)
+        counts = zero_sum_word_counts(k, max_length)
+        assert not any(counts[length] for length in counts if length % 2)
+        odds = zero_sum_odds(k, max_length)
+        if not odds:
+            assert block == 0
+            return
+        # cut g from the end: all of the first g draws of a block miss
+        assert [Fraction(cut, span) for cut in cuts] == [
+            (1 - odds) ** g for g in range(block, 0, -1)
+        ]
+        assert 2 * (1 - odds) ** block <= 1 < 2 * (1 - odds) ** (block - 1) or block == 64
+        weights = [Fraction(counts[2 * m], (2 * k) ** (2 * m)) for m in range(1, len(lengths) + 1)]
+        assert [Fraction(hi - lo, lengths[-1]) for lo, hi in zip((0,) + lengths, lengths)] == [
+            w / sum(weights) for w in weights
+        ]
+        for m in range(1, len(lengths) + 1):
+            assert least[m] == min(
+                prod(factorial(a.count(g)) for g in range(k)) for a in product(range(k), repeat=m)
+            )
+        if k == 2 and max_length >= 4:
+            assert (counts[2], counts[4]) == (4, 36)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_certified_reads_zero_sum_words(self, k):
+        """Over packed exponent sums only words whose sums all vanish are
+        read, each of an even length of at most ``max_length``, with weight
+        sum 0; the others are accepted unread, so the count is reached."""
         reads = 0
         for max_length in range(1, 17):
-            weights = embedding._pack(p, max_length)
             for seed in range(5):
                 accept = lambda codes: codes[0] % 3 != 0  # noqa: E731
-                drawn, accepted = self.drawn(seed, max_length, weights, 60, True, accept)
-                expected_read = []
-                expected_accepted = 0
-                for codes in reference_sample_stream(seed, 2 * k, max_length):
-                    if sum(weights[c] for c in codes):
-                        expected_accepted += 1
-                    else:
-                        assert len(codes) % 2 == 0
-                        expected_read.append((codes, 0))
-                        expected_accepted += accept(codes)
-                    if expected_accepted == 60:
-                        break
-                assert drawn == expected_read, (seed, max_length)
-                assert accepted == expected_accepted
+                drawn, accepted = self.certified(seed, k, max_length, 60, accept)
+                assert accepted == 60, (seed, max_length)
+                for codes, weight_sum in drawn:
+                    assert weight_sum == 0 and has_zero_sums(codes, k)
+                    assert len(codes) % 2 == 0 and 2 <= len(codes) <= max_length
                 reads += len(drawn)
         assert reads
+
+    def test_every_read_rejected(self, monkeypatch):
+        """When every zero-sum word is rejected, as over a complete Δ, where
+        each is trivial in A(Δ), the count is reached by the words accepted
+        unread. Were every draw read and rejected, the draws would stop at
+        100 per sample, as uncertified."""
+        for k in range(1, 5):
+            for max_length in (2, 5, 8):
+                drawn, accepted = self.certified(3, k, max_length, 50, lambda codes: False)
+                assert accepted == 50 and 0 < len(drawn) < 50, (k, max_length)
+        law = embedding._zero_sum_law
+
+        def always_read(k, max_length):
+            # one draw per block, below the one cut 0: every draw is read
+            return (1, 1, (0,)) + law(k, max_length)[3:]
+
+        monkeypatch.setattr(embedding, "_zero_sum_law", always_read)
+        drawn, accepted = self.certified(3, 2, 6, 7, lambda codes: False)
+        assert accepted == 0 and len(drawn) == 700
+        drawn, accepted = self.certified(3, 2, 6, 7, lambda codes: len(codes) > 2)
+        assert accepted == 7 == sum(len(codes) > 2 for codes, _ in drawn)
+        assert len(drawn[-1][0]) > 2
+
+    def test_complete_delta_reaches_the_count(self):
+        """Over K4, A(Δ) is free abelian: every zero-sum sample is trivial
+        and redrawn, and the count is still reached."""
+        ctx = build_context(complete_graph(4), greedy_color(complete_graph(4)))
+        for seed in range(3):
+            report = injectivity_spot_check(ctx, max_len=3, sample_count=200, seed=seed)
+            assert report.ok and report.sample_count == 200
+
+    @pytest.mark.parametrize("k, max_length", product((1, 2, 3), (4, 6)))
+    def test_read_words_are_uniform_among_zero_sum_words(self, k, max_length):
+        """The first 20,000 words read over seeds 0, 1, 2, ... fall on the
+        zero-sum words as a uniform word given zero sums does, word by word,
+        each with odds (2k) ** -length: Pearson's statistic lies within 5
+        standard deviations of its mean. The seeds are fixed, so the test
+        is deterministic; a generator sequence kept without its odds, an
+        unshuffled negative copy or evenly weighed lengths each sit more than
+        20 deviations out for k >= 2."""
+        total = 20000
+        reads = []
+        seed = 0
+        while len(reads) < total:
+            drawn, _ = self.certified(seed, k, max_length, 2000)
+            reads += [tuple(codes) for codes, _ in drawn]
+            seed += 1
+        observed = Counter(reads[:total])
+        words = [
+            w
+            for length in range(2, max_length + 1, 2)
+            for w in product(range(2 * k), repeat=length)
+            if has_zero_sums(w, k)
+        ]
+        assert set(observed) <= set(words)
+        weight = {w: Fraction(1, (2 * k) ** len(w)) for w in words}
+        norm = sum(weight.values())
+        expected = {w: total * float(weight[w] / norm) for w in words}
+        chi2 = sum((observed[w] - expected[w]) ** 2 / expected[w] for w in words)
+        df = len(words) - 1
+        assert abs(chi2 - df) <= 5 * (2 * df) ** 0.5, (chi2, df)
 
     def test_no_samples_draw_nothing(self, figure_context, monkeypatch):
         def never(*args):
@@ -1414,7 +1518,10 @@ class TestSampleOracle:
     through ``random`` (``reference_sample_stream``), rejecting a word with
     zero exponent sums that is trivial in A(Δ), for at most 100 draws per
     sample, and piling every accepted word's image, or over a certified
-    halo only those of the zero-sum words."""
+    halo only those of the zero-sum words. Over a certified halo the check
+    reads other words than the stream's, from the same law
+    (``TestSampleStream``); here both reach the count and find no failure
+    the walk misses, so the reports agree."""
 
     @staticmethod
     def expected(ctx, max_len, sample_count, seed, squared):

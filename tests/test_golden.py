@@ -26,11 +26,15 @@ the search per colour count was replaced by one branch and bound.
 The Petersen and C12 runs and the rand40 suite were re-pinned when the
 planarity test lost its 64-vertex cap: their halos' ``planar`` reads
 ``false`` where it read ``null``, and no other byte changed.
+``CERTIFIED_SAMPLE_WORDS`` pins the first words the injectivity check's
+certified samples read at one seed: they depend on ``random.Random``'s
+seeding and ``getrandbits`` alone, so a change in either between
+interpreter versions fails here.
 To re-pin after a deliberate change of output, run
 
     PYTHONPATH=src python tests/test_golden.py
 
-paste the two tables it prints over the ones below, and say in the change
+paste the three tables it prints over the ones below, and say in the change
 log which bytes changed and why.
 """
 import hashlib
@@ -62,6 +66,7 @@ from raagbraid import (
     verify_halo,
     verify_suite,
 )
+from raagbraid import embedding
 from raagbraid.cli import main
 from raagbraid.graphs import dumps_canonical
 
@@ -251,6 +256,49 @@ def test_report_golden(report_id):
     assert report_digest(report_id) == REPORT_GOLDEN[report_id]
 
 
+def certified_sample_words(count: int = 20) -> list[tuple[int, ...]]:
+    """The first ``count`` words the certified samples read at seed 1 over
+    three generators and words of up to 8 letters, the figure graph's at
+    ``max_len`` 4, in letter codes (2i generator i, 2i + 1 its inverse)."""
+    read = []
+
+    def keep(codes, weight_sum):
+        read.append(tuple(codes))
+        return True
+
+    embedding._draw_samples(1, 8, [0] * 6, 100 * count, keep, True)
+    return read[:count]
+
+
+#: the first 20 words read by ``certified_sample_words``
+CERTIFIED_SAMPLE_WORDS = [
+    (5, 4),
+    (0, 2, 5, 3, 1, 4),
+    (2, 2, 2, 4, 5, 3, 3, 3),
+    (2, 3),
+    (1, 0, 5, 4),
+    (1, 0),
+    (5, 4),
+    (2, 1, 0, 3),
+    (5, 5, 4, 4, 3, 5, 2, 4),
+    (4, 5),
+    (1, 0),
+    (0, 1),
+    (3, 2),
+    (5, 4, 5, 4),
+    (2, 4, 5, 3),
+    (4, 4, 0, 1, 5, 5),
+    (3, 2, 4, 2, 5, 3),
+    (4, 5),
+    (0, 2, 1, 3, 4, 1, 0, 5),
+    (4, 5),
+]
+
+
+def test_certified_sample_words():
+    assert certified_sample_words() == CERTIFIED_SAMPLE_WORDS
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         print("GOLDEN = {")
@@ -263,3 +311,7 @@ if __name__ == "__main__":
     for report_id in sorted(REPORTS):
         print(f'    "{report_id}": "{report_digest(report_id)}",')
     print("}")
+    print("CERTIFIED_SAMPLE_WORDS = [")
+    for word in certified_sample_words():
+        print(f"    {word},")
+    print("]")
